@@ -11,14 +11,16 @@ The scene argument may also name a directory, in which case every
 *.scene file inside is processed in sorted order.  Reports are plain
 key-value lines under --format text and a JSON object under --format
 json, byte-identical across runs for fixed inputs and flags.  Exit
-status is 0 on success, 1 for unreadable or malformed scenes, 2 when a
-named precondition of the requested operation fails.
+status is 0 on success, 1 for unreadable or malformed scenes, 2 for a
+usage error such as an invalid flag value, or when a named precondition
+of the requested operation fails.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -501,6 +503,26 @@ def _run(args) -> tuple[str, int]:
     return "\n".join(parts), code
 
 
+def _grid_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return n
+
+
+def _tolerance(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not (math.isfinite(x) and x > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return x
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="torusfm",
@@ -521,12 +543,12 @@ def _parser() -> argparse.ArgumentParser:
             help="report rendering (default text)",
         )
         sp.add_argument(
-            "--tol", type=float, default=1e-9,
+            "--tol", type=_tolerance, default=1e-9,
             help="numerical tolerance for zero tests (default 1e-9)",
         )
         sp.add_argument(
-            "--grid", type=int, default=17,
-            help="sample count per axis for numerical zero tests (default 17)",
+            "--grid", type=_grid_count, default=17,
+            help="total number of sample points for numerical zero tests (default 17)",
         )
         sp.add_argument(
             "--seed", type=int, default=None,

@@ -192,34 +192,26 @@ class RatMatrix:
         )
 
     def is_positive_definite(self) -> bool:
-        """Sylvester criterion on the leading principal minors."""
+        """Symmetric elimination without row exchanges; every pivot must be > 0.
+
+        The k-th pivot is the ratio of the k-th to the (k-1)-th leading
+        principal minor, so this is Sylvester's criterion in one O(n^3) pass.
+        """
         if not self.is_symmetric():
             return False
-        for t in range(1, self.nrows + 1):
-            minor = RatMatrix(tuple(r[:t] for r in self.rows[:t]), t)
-            if _rat_det(minor) <= 0:
+        work = [list(r) for r in self.rows]
+        n = self.nrows
+        for k in range(n):
+            pivot = work[k][k]
+            if pivot <= 0:
                 return False
+            for i in range(k + 1, n):
+                if work[i][k]:
+                    factor = work[i][k] / pivot
+                    row_i, row_k = work[i], work[k]
+                    for j in range(k + 1, n):
+                        row_i[j] -= factor * row_k[j]
         return True
-
-
-def _rat_det(m: RatMatrix) -> Fraction:
-    n = m.nrows
-    work = [list(r) for r in m.rows]
-    det = Fraction(1)
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if work[i][k] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k:
-            work[k], work[pivot_row] = work[pivot_row], work[k]
-            det = -det
-        det *= work[k][k]
-        inv = 1 / work[k][k]
-        for i in range(k + 1, n):
-            factor = work[i][k] * inv
-            if factor:
-                work[i] = [a - factor * b for a, b in zip(work[i], work[k])]
-    return det
 
 
 def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -267,6 +259,10 @@ def solve_particular(a: RatMatrix, b: Sequence) -> RatVector:
     return tuple(y)
 
 
+def _identity_rows(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 def _swap(rows: list[list[int]], i: int, j: int) -> None:
     rows[i], rows[j] = rows[j], rows[i]
 
@@ -289,7 +285,7 @@ def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     over Z are equal exactly when their HNFs agree.
     """
     work = [list(r) for r in m.rows]
-    u = [list(r) for r in IntMatrix.identity(m.nrows).rows]
+    u = _identity_rows(m.nrows)
     nrows, ncols = m.nrows, m.ncols
     pivot_row = 0
     pivot_cols: list[int] = []
@@ -336,8 +332,8 @@ def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """
     work = [list(r) for r in m.rows]
     nrows, ncols = m.nrows, m.ncols
-    u = [list(r) for r in IntMatrix.identity(nrows).rows]
-    v = [list(r) for r in IntMatrix.identity(ncols).rows]
+    u = _identity_rows(nrows)
+    v = _identity_rows(ncols)
 
     def col_swap(j1: int, j2: int) -> None:
         for row in work:
@@ -430,14 +426,20 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
 def saturate(m: IntMatrix) -> IntMatrix:
     """Canonical basis of (Q-span of the rows) intersected with Z^n.
 
-    The input rows must be linearly independent over Q; otherwise raises
-    ValueError("rank deficient").
+    With D = U m V in Smith form and r nonzero invariant factors, the first
+    r rows of V^-1 are a basis of the saturation; row i of U m is d_i times
+    row i of V^-1, so no inverse is needed.  The input rows must be linearly
+    independent over Q; otherwise raises ValueError("rank deficient").
     """
     if m.nrows == 0:
         return IntMatrix((), m.ncols)
-    if m.to_rat().rank() != m.nrows:
+    d, u, _ = snf(m)
+    divisors = [d.rows[i][i] for i in range(min(d.nrows, d.ncols)) if d.rows[i][i] != 0]
+    if len(divisors) != m.nrows:
         raise ValueError("rank deficient")
-    return kernel_basis(kernel_basis(m))
+    rows = (u @ m).rows
+    basis = tuple(tuple(e // di for e in row) for row, di in zip(rows, divisors))
+    return hnf(IntMatrix(basis, m.ncols))[0]
 
 
 def is_unimodular(m: IntMatrix) -> bool:

@@ -989,7 +989,8 @@ def fibre_of_transform(
     holonomy along a canonical direction is the pairing of the direction
     with the dw-coefficient row.
     """
-    t = torus if torus is not None else Torus(bundle.g).dual()
+    # The standard torus is self-dual.
+    t = torus if torus is not None else Torus(bundle.g)
     b = rat_vector(base)
     if len(b) != bundle.k:
         raise ValueError("one coordinate per free base direction")

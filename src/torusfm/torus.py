@@ -43,17 +43,31 @@ class Torus:
         if dim < 1:
             raise ValueError("torus dimension must be positive")
         if metric is None:
+            # The standard torus is self-dual.
             metric = RatMatrix.identity(dim)
-        if metric.shape != (dim, dim):
+            object.__setattr__(self, "_dual", self)
+        elif metric.shape != (dim, dim):
             raise ValueError("metric shape does not match the dimension")
-        if not metric.is_positive_definite():
+        elif not metric.is_positive_definite():
             raise ValueError("metric must be symmetric positive definite")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "metric", metric)
 
     def dual(self) -> "Torus":
-        """Dual torus; the induced metric on the dual cover is the inverse."""
-        return Torus(self.dim, self.metric.inverse())
+        """Dual torus; the induced metric on the dual cover is the inverse.
+
+        Built once per instance and not validated again, since the inverse
+        of a symmetric positive definite matrix is one.  The dual links
+        back, so t.dual().dual() is t.
+        """
+        hat = self.__dict__.get("_dual")
+        if hat is None:
+            hat = object.__new__(Torus)
+            object.__setattr__(hat, "dim", self.dim)
+            object.__setattr__(hat, "metric", self.metric.inverse())
+            object.__setattr__(hat, "_dual", self)
+            object.__setattr__(self, "_dual", hat)
+        return hat
 
     def point(self, coords: Iterable) -> "TorusPoint":
         return TorusPoint(self, mod1_vector(coords))
@@ -73,18 +87,31 @@ class TorusPoint:
     def as_subtorus(self) -> "AffineSubtorus":
         """The point as a zero-dimensional subtorus: y - x = 0."""
         g = self.torus.dim
-        return AffineSubtorus(
+        return AffineSubtorus._canonical(
             self.torus, IntMatrix.identity(g), mod1_vector(-c for c in self.coords)
         )
 
 
 @dataclass(frozen=True)
 class AffineSubtorus:
-    """Connected affine subtorus in canonical constraint form."""
+    """Connected affine subtorus in canonical constraint form.
+
+    The public constructor checks that its data is canonical.  Functions of
+    this module whose data is canonical by construction use `_canonical`,
+    which skips the check.
+    """
 
     torus: Torus
     eqns: IntMatrix
     offset: RatVector
+
+    @classmethod
+    def _canonical(cls, torus: Torus, eqns: IntMatrix, offset: RatVector) -> "AffineSubtorus":
+        s = object.__new__(cls)
+        object.__setattr__(s, "torus", torus)
+        object.__setattr__(s, "eqns", eqns)
+        object.__setattr__(s, "offset", offset)
+        return s
 
     def __post_init__(self):
         g = self.torus.dim
@@ -114,7 +141,11 @@ class AffineSubtorus:
 
     def direction_basis(self) -> IntMatrix:
         """Canonical basis of the lattice of closed directions along the subtorus."""
-        return kernel_basis(self.eqns)
+        basis = self.__dict__.get("_directions")
+        if basis is None:
+            basis = kernel_basis(self.eqns)
+            object.__setattr__(self, "_directions", basis)
+        return basis
 
     def direction_coordinates(self, vector: Sequence[int]) -> tuple[int, ...]:
         """Integer coordinates of a lattice direction in the canonical basis.
@@ -134,7 +165,7 @@ class AffineSubtorus:
         moved = tuple(
             mod1(c - v) for c, v in zip(self.offset, self.eqns.mul_vector(t))
         )
-        return AffineSubtorus(self.torus, self.eqns, moved)
+        return AffineSubtorus._canonical(self.torus, self.eqns, moved)
 
     def single_point(self) -> TorusPoint:
         """The unique point of a zero-dimensional subtorus."""
@@ -158,17 +189,18 @@ def subtorus_from_equations(torus: Torus, rows, offsets) -> AffineSubtorus:
     if len(c) != a.nrows:
         raise ValueError("one offset per equation row is required")
     if a.nrows == 0:
-        return AffineSubtorus(torus, IntMatrix((), torus.dim), ())
-    if a.to_rat().rank() != a.nrows:
-        raise ValueError("degenerate equations")
-    sat = saturate(a)
+        return whole_torus(torus)
+    try:
+        sat = saturate(a)
+    except ValueError:
+        raise ValueError("degenerate equations") from None
     y0 = solve_particular(a.to_rat(), [-ci for ci in c])
     chi = mod1_vector(-v for v in sat.mul_vector(y0))
-    return AffineSubtorus(torus, sat, chi)
+    return AffineSubtorus._canonical(torus, sat, chi)
 
 
 def whole_torus(torus: Torus) -> AffineSubtorus:
-    return AffineSubtorus(torus, IntMatrix((), torus.dim), ())
+    return AffineSubtorus._canonical(torus, IntMatrix((), torus.dim), ())
 
 
 def dual_support(s: AffineSubtorus, xi) -> tuple[AffineSubtorus, RatVector]:
@@ -183,8 +215,10 @@ def dual_support(s: AffineSubtorus, xi) -> tuple[AffineSubtorus, RatVector]:
     xi = rat_vector(xi)
     if len(xi) != s.dim:
         raise ValueError("holonomy dimension mismatch")
-    gamma = s.direction_basis()
-    hat = AffineSubtorus(s.torus.dual(), gamma, mod1_vector(xi))
+    hat = AffineSubtorus._canonical(s.torus.dual(), s.direction_basis(), mod1_vector(xi))
+    # The directions of the dual support are the rows of A: the saturated
+    # kernel of the saturated kernel of A is A.
+    object.__setattr__(hat, "_directions", s.eqns)
     return hat, s.offset
 
 
@@ -197,12 +231,7 @@ def is_normal_to(s: AffineSubtorus, s_hat: AffineSubtorus) -> bool:
     """
     if s_hat.torus.dim != s.torus.dim:
         return False
-    return kernel_basis(s.eqns) == s_hat.eqns
-
-
-def _int_inverse(v: IntMatrix) -> IntMatrix:
-    inv = v.to_rat().inverse()
-    return IntMatrix(tuple(tuple(int(e) for e in row) for row in inv.rows), v.ncols)
+    return s.direction_basis() == s_hat.eqns
 
 
 def intersect(s1: AffineSubtorus, s2: AffineSubtorus) -> list[AffineSubtorus]:
@@ -221,19 +250,21 @@ def intersect(s1: AffineSubtorus, s2: AffineSubtorus) -> list[AffineSubtorus]:
     c = s1.offset + s2.offset
     if a.nrows == 0:
         return [whole_torus(s1.torus)]
-    d, u, v = snf(a)
+    d, u, _ = snf(a)
     cprime = u.to_rat().mul_vector(c)
     r = sum(1 for i in range(min(d.nrows, d.ncols)) if d.rows[i][i] != 0)
     for i in range(r, d.nrows):
         if mod1(cprime[i]) != 0:
             return []
-    vinv = _int_inverse(v)
     divisors = [d.rows[i][i] for i in range(r)]
+    # Row i of U a is d_i times row i of V^-1.
+    rows = IntMatrix(
+        tuple(tuple(e // di for e in row) for row, di in zip((u @ a).rows, divisors)), g
+    )
     components: list[AffineSubtorus] = []
 
     def build(i: int, fixed: list[Fraction]):
         if i == r:
-            rows = IntMatrix(vinv.rows[:r], g)
             components.append(
                 subtorus_from_equations(s1.torus, rows, [-z for z in fixed])
             )

@@ -7,6 +7,7 @@ library under test must agree with these on small inputs.
 
 import itertools
 import math
+from fractions import Fraction
 
 from torusfm.exact_linalg import IntMatrix, solve_particular
 from torusfm.expr import eval_at
@@ -28,6 +29,20 @@ def naive_det(m):
         )
         total += (-1) ** j * m.rows[0][j] * naive_det(minor)
     return total
+
+
+def sylvester_positive_definite(m):
+    """Symmetric, with every leading principal minor positive (Laplace minors).
+
+    Entries may be rational; the matrix is scaled by a positive common
+    denominator first, which keeps the sign of every minor.
+    """
+    n = m.nrows
+    if m.ncols != n or any(m.rows[i][j] != m.rows[j][i] for i in range(n) for j in range(i)):
+        return False
+    scale = math.lcm(*(Fraction(e).denominator for row in m.rows for e in row))
+    ints = [[int(e * scale) for e in row] for row in m.rows]
+    return all(naive_det(IntMatrix([r[:t] for r in ints[:t]], t)) > 0 for t in range(1, n + 1))
 
 
 def gcd_of_minors(m, k):

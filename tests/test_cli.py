@@ -379,3 +379,30 @@ def test_directory_mode_json_keys_are_file_names(tmp_path, capsys):
 def test_empty_directory_exits_1(tmp_path, capsys):
     assert main(["transform", str(tmp_path)]) == 1
     assert "no .scene files" in capsys.readouterr().err
+
+
+TRIG_SECTION = SECTION.replace(
+    "alpha = x1; 0", "alpha = sin(x1 + x2); sin(x1)*cos(x2) + cos(x1)*sin(x2)"
+)
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--grid", "0"), ("--grid", "-2"), ("--grid", "1.5"), ("--grid", "many"),
+     ("--tol", "inf"), ("--tol", "-inf"), ("--tol", "nan"), ("--tol", "-1"),
+     ("--tol", "0"), ("--tol", "tiny")],
+)
+def test_meaningless_flag_values_are_usage_errors(tmp_path, capsys, flag, value):
+    scene = write(tmp_path, "trig.scene", TRIG_SECTION)
+    with pytest.raises(SystemExit) as exc:
+        main(["check", scene, f"{flag}={value}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}:" in captured.err
+
+
+def test_smallest_valid_grid_and_tol_are_accepted(tmp_path, capsys):
+    scene = write(tmp_path, "trig.scene", TRIG_SECTION)
+    assert main(["check", scene, "--grid", "1", "--tol", "1e-300"]) == 0
+    assert "flat: holds (numerical, tol 1e-300)" in capsys.readouterr().out

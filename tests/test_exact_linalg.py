@@ -13,6 +13,7 @@ from oracles import (
     is_canonical_hnf,
     naive_det,
     random_unimodular,
+    sylvester_positive_definite,
 )
 
 from torusfm.exact_linalg import (
@@ -224,6 +225,45 @@ def test_positive_definite():
     assert RatMatrix([[2, 1], [1, 2]]).is_positive_definite()
     assert not RatMatrix([[1, 2], [2, 1]]).is_positive_definite()
     assert not RatMatrix([[1, 2], [3, 4]]).is_positive_definite()
+
+
+def rational_entries(span=3):
+    return st.builds(Fraction, st.integers(-span, span), st.integers(1, 3))
+
+
+@st.composite
+def symmetric_rational_matrices(draw):
+    """Random symmetric matrices, singular PSD B B^T, and shifted B B^T."""
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(("symmetric", "gram", "shifted")))
+    if kind == "symmetric":
+        upper = {(i, j): draw(rational_entries()) for i in range(n) for j in range(i, n)}
+        return RatMatrix([[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)])
+    k = draw(st.integers(0, n))
+    b = RatMatrix([[draw(rational_entries()) for _ in range(k)] for _ in range(n)], k)
+    gram = b @ b.transpose()
+    shift = draw(st.integers(-2, 2)) if kind == "shifted" else 0
+    return RatMatrix(
+        [[e + shift * (i == j) for j, e in enumerate(row)] for i, row in enumerate(gram.rows)]
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_rational_matrices())
+def test_positive_definite_matches_sylvester_oracle(m):
+    assert m.is_positive_definite() == sylvester_positive_definite(m)
+
+
+def test_positive_definite_edge_cases():
+    singular_psd = RatMatrix([[1, 1], [1, 1]])
+    assert not singular_psd.is_positive_definite()
+    assert not sylvester_positive_definite(singular_psd)
+    # Leading 1x1 minor positive, the 2x2 minor negative.
+    assert not RatMatrix([[1, 0], [0, -1]]).is_positive_definite()
+    # A zero first pivot ends the elimination.
+    assert not RatMatrix([[0, 1], [1, 2]]).is_positive_definite()
+    hilbert = RatMatrix([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(1, 4)]])
+    assert hilbert.is_positive_definite()
 
 
 def test_mod1_lands_in_unit_interval():

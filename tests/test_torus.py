@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import gcd_of_minors
 
-from torusfm.exact_linalg import IntMatrix, RatMatrix, kernel_basis
+from torusfm.exact_linalg import IntMatrix, RatMatrix, kernel_basis, saturate
+from torusfm.fm_absolute import SubtorusLocalSystem, transform
 from torusfm.torus import (
     AffineSubtorus,
     Torus,
@@ -180,6 +182,90 @@ def test_normality_is_metric_independent():
     hat, _ = dual_support(s, (0, 0))
     assert hat.torus.metric == metric.inverse()
     assert is_normal_to(s, hat)
+
+
+# ---------------------------------------------------------------- trusted paths
+
+
+@st.composite
+def tori(draw, g):
+    """The standard torus, or a metric L L^T + I with L unit lower triangular."""
+    if draw(st.booleans()):
+        return Torus(g)
+    low = [[draw(st.integers(-2, 2)) if j < i else int(i == j) for j in range(g)] for i in range(g)]
+    metric = [[sum(low[i][t] * low[j][t] for t in range(g)) + (i == j) for j in range(g)]
+              for i in range(g)]
+    return Torus(g, RatMatrix(metric))
+
+
+@st.composite
+def raw_systems(draw, max_g=6):
+    g = draw(st.integers(1, max_g))
+    codim = draw(st.integers(0, g))
+    rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=g, max_size=g),
+                         min_size=codim, max_size=codim))
+    if codim >= 2 and draw(st.integers(0, 3)) == 0:
+        # A dependent last row, so the degenerate branch is exercised.
+        rows[-1] = [2 * a - 3 * b for a, b in zip(rows[0], rows[1])]
+    offsets = [F(draw(st.integers(-6, 6)), draw(st.integers(1, 6))) for _ in range(codim)]
+    return draw(tori(g)), IntMatrix(rows, g), offsets
+
+
+def revalidated(s):
+    """The same subtorus built through the validating public constructor."""
+    return AffineSubtorus(s.torus, s.eqns, s.offset)
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_systems(), st.data())
+def test_trusted_paths_build_what_the_constructor_accepts(system, data):
+    torus, a, c = system
+    g = torus.dim
+    if a.nrows and gcd_of_minors(a, a.nrows) == 0:
+        with pytest.raises(ValueError, match="degenerate equations"):
+            subtorus_from_equations(torus, a, c)
+        with pytest.raises(ValueError, match="rank deficient"):
+            saturate(a)
+        return
+    s = subtorus_from_equations(torus, a, c)
+    assert s == revalidated(s)
+    holonomy = [F(data.draw(st.integers(0, 5)), 6) for _ in range(s.dim)]
+    once = transform(SubtorusLocalSystem(s, holonomy)).system.support
+    assert once == revalidated(once)
+    assert once.direction_basis() == kernel_basis(once.eqns)
+    assert transform(SubtorusLocalSystem(once, s.offset)).system.support == s
+    moved = s.translate([F(data.draw(st.integers(-4, 4)), 5) for _ in range(g)])
+    assert moved == revalidated(moved)
+    line = [data.draw(st.integers(-2, 2)) for _ in range(g - 1)] + [1]
+    other = subtorus_from_equations(torus, [line], [F(1, 3)])
+    for component in intersect(s, other):
+        assert component == revalidated(component)
+    if s.codim:
+        eqns = [list(r) for r in s.eqns.rows]
+        scaled = [[2 * e for e in eqns[0]]] + eqns[1:]
+        negated = [[-e for e in eqns[0]]] + eqns[1:]
+        for bad in (scaled, negated):
+            with pytest.raises(ValueError, match="not in canonical saturated form"):
+                AffineSubtorus(torus, IntMatrix(bad, g), s.offset)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6).flatmap(tori))
+def test_dual_torus_is_cached_inverse_and_links_back(t):
+    hat = t.dual()
+    assert hat is t.dual()
+    assert hat.dual() is t
+    assert t.metric @ hat.metric == RatMatrix.identity(t.dim)
+    assert hat == Torus(t.dim, hat.metric)
+
+
+def test_public_constructors_still_reject_bad_data():
+    with pytest.raises(ValueError, match="symmetric positive definite"):
+        Torus(2, RatMatrix([[1, 2], [2, 1]]))
+    with pytest.raises(ValueError, match="metric shape"):
+        Torus(2, RatMatrix.identity(3))
+    with pytest.raises(ValueError, match="not in canonical saturated form"):
+        AffineSubtorus(T2, IntMatrix([[0, 1], [1, 0]]), (F(0), F(0)))
 
 
 # ---------------------------------------------------------------- directions
