@@ -504,7 +504,7 @@ def _nf_scale(nf, c: Fraction):
 def _nf_add(a, b):
     out = dict(a)
     for m, v in b.items():
-        s = out.get(m, Fraction(0)) + v
+        s = out.get(m, 0) + v
         if s:
             out[m] = s
         else:
@@ -524,12 +524,16 @@ def _nf_mul(a, b):
     for ma, ca in a.items():
         for mb, cb in b.items():
             m = _mono_mul(ma, mb)
-            s = out.get(m, Fraction(0)) + ca * cb
+            s = out.get(m, 0) + ca * cb
             if s:
                 out[m] = s
             else:
                 out.pop(m, None)
     return out
+
+
+def _nf_sub(a, b):
+    return _nf_add(a, _nf_scale(b, -1))
 
 
 def _nf_key(nf) -> str:
@@ -576,6 +580,69 @@ def normal_form(e: Expr):
             return {((("sin", key), 1),): sign}
         return {((("cos", key), 1),): Fraction(1)}
     raise TypeError(f"not an expression: {e!r}")
+
+
+# Atoms of a polynomial over Q: nonzero polynomials in them are nonzero
+# functions, since pi is transcendental.
+POLYNOMIAL_ATOMS = frozenset(("v", "pi"))
+
+
+def atom_kinds(nf) -> frozenset[str]:
+    """Kinds of atom in a normal form: a subset of "v", "pi", "sin", "cos"."""
+    return frozenset(atom[0] for mono in nf for atom, _ in mono)
+
+
+def laplace_minors(m, zero, add_, sub_, mul_):
+    """Minors of the matrix m as a function (rows, cols) -> determinant.
+
+    rows and cols are increasing index tuples of one length.  Each minor is
+    a Laplace expansion along its first column, memoized on (rows, cols),
+    so minors of every size share their sub-minors.  Only the ring
+    operations are used, never division: m may hold normal forms (see
+    `nf_minors`), trig atoms included, or numbers.  Entries that test
+    false are zero and skipped.
+    """
+    memo = {}
+
+    def minor(rows, cols):
+        d = memo.get((rows, cols))
+        if d is None:
+            if len(rows) == 1:
+                d = m[rows[0]][cols[0]]
+            else:
+                d = zero
+                rest = cols[1:]
+                for i, r in enumerate(rows):
+                    e = m[r][cols[0]]
+                    if e:
+                        t = mul_(e, minor(rows[:i] + rows[i + 1 :], rest))
+                        d = add_(d, t) if i % 2 == 0 else sub_(d, t)
+            memo[(rows, cols)] = d
+        return d
+
+    return minor
+
+
+def nf_minors(nfs):
+    """Exact minors of a matrix of normal forms, as `laplace_minors` gives them.
+
+    Each row is first scaled by the common denominator of its coefficients,
+    so the shared expansion runs on integers; a minor is divided by the
+    scales of its rows when it is handed out.
+    """
+    scales = []
+    scaled = []
+    for row in nfs:
+        d = math.lcm(*(c.denominator for nf in row for c in nf.values()))
+        scales.append(d)
+        scaled.append([{m: int(c * d) for m, c in nf.items()} for nf in row])
+    minor = laplace_minors(scaled, {}, _nf_add, _nf_sub, _nf_mul)
+
+    def exact(rows, cols):
+        d = math.prod(scales[r] for r in rows)
+        return {m: Fraction(c, d) for m, c in minor(rows, cols).items()}
+
+    return exact
 
 
 # ---------------------------------------------------------------- zero test
@@ -638,7 +705,7 @@ def is_zero(e: Expr, tol: float = 1e-9, grid: int = 17) -> Verdict:
     nf = normal_form(e)
     if not nf:
         return Verdict.proven_zero()
-    if all(atom[0] in ("v", "pi") for mono in nf for atom, _ in mono):
+    if atom_kinds(nf) <= POLYNOMIAL_ATOMS:
         return Verdict.proven_nonzero()
     points = weyl_points(max_var(e), grid)
     worst = max(abs(eval_at(e, p)) for p in points)

@@ -38,20 +38,25 @@ from typing import NamedTuple, Sequence
 from .exact_linalg import RatMatrix, mod1, rat_vector
 from .expr import (
     PI,
+    POLYNOMIAL_ATOMS,
     ZERO,
     Expr,
     Verdict,
     add,
     all_zero,
+    atom_kinds,
     diff,
     eval_at,
     eval_exact,
     is_constant,
     is_zero,
+    laplace_minors,
     linear_combination,
     max_var,
     mul,
     neg,
+    nf_minors,
+    normal_form,
     num,
     sub,
     var,
@@ -306,26 +311,20 @@ def check_C1_lagrangian(
     return _gather("C1", labelled, tol, grid)
 
 
-def _expr_minor_det(rows: list[list[Expr]]) -> Expr:
-    if len(rows) == 1:
-        return rows[0][0]
-    total = ZERO
-    for r in range(len(rows)):
-        sub_rows = [row[1:] for j, row in enumerate(rows) if j != r]
-        cof = mul(rows[r][0], _expr_minor_det(sub_rows))
-        total = add(total, cof) if r % 2 == 0 else sub(total, cof)
-    return total
-
-
 def check_C2_C3(
     s: RelativeSupport, tol: float = 1e-9, grid: int = 17
 ) -> tuple[ConditionReport, ConditionReport]:
     """Constant fibre dimension (C2) and constant slope matrix (C3).
 
     C2 asks that the rank of the slope matrix not drop anywhere on the
-    base: the top nonvanishing minor size is found symbolically, then
-    sampled for common zeros of all its minors.  C3 asks that every
-    entry be constant, with offending entries named a[j][m], 1-based.
+    base.  Its minors are expanded exactly, largest size first, until one
+    does not vanish.  C2 is proven when every entry is constant, or when
+    some minor of that top size is a nonzero element of Q[pi] while every
+    larger minor vanishes identically.  Otherwise the verdict is
+    numerical: the top minors are sampled at Weyl points and simple
+    rational probes for a common zero, or for a sign change when there
+    is only one.  C3 asks that every entry be constant, with offending
+    entries named a[j][m], 1-based.
     """
     k, m_free = s.k, s.g - s.k
 
@@ -345,6 +344,23 @@ def check_C2_C3(
     return c2, c3
 
 
+def _vadd(u, v):
+    return [x + y for x, y in zip(u, v)]
+
+
+def _vsub(u, v):
+    return [x - y for x, y in zip(u, v)]
+
+
+def _vmul(u, v):
+    return [x * y for x, y in zip(u, v)]
+
+
+# Simple rational probes for the rank-drop search, on the diagonal and on
+# each axis: generic sampling misses drops on sets of measure zero.
+_PROBES = (0.0, 0.5, 1 / 3, 2 / 3, 0.25, 0.75)
+
+
 def _constant_rank_verdict(a, k: int, tol: float, grid: int) -> Verdict:
     m_free = len(a[0]) if a else 0
     if k == 0 or m_free == 0:
@@ -352,48 +368,61 @@ def _constant_rank_verdict(a, k: int, tol: float, grid: int) -> Verdict:
     if all(is_constant(e) for row in a for e in row):
         return Verdict.proven_zero()
 
-    top_minors: list[Expr] = []
-    top_verdicts: list[Verdict] = []
-    larger_sizes_proven = True
-    for r in range(min(k, m_free), 0, -1):
-        minors = []
-        verdicts = []
-        for rows in itertools.combinations(range(k), r):
-            for cols in itertools.combinations(range(m_free), r):
-                d = _expr_minor_det([[a[i][j] for j in cols] for i in rows])
-                minors.append(d)
-                verdicts.append(is_zero(d, tol, grid))
-        if any(not v.is_zero for v in verdicts):
-            top_minors = minors
-            top_verdicts = verdicts
-            break
-        larger_sizes_proven = larger_sizes_proven and all(v.proven for v in verdicts)
-    if not top_minors:
-        return Verdict.proven_zero() if larger_sizes_proven else Verdict.numerically_zero(tol)
-
-    for d, v in zip(top_minors, top_verdicts):
-        if is_constant(d) and not v.is_zero:
-            return (
-                Verdict.proven_zero()
-                if larger_sizes_proven
-                else Verdict.numerically_zero(tol)
-            )
-
-    # Search for a common zero of the top minors, where the rank drops.
-    # Generic sampling misses measure-zero drops, so simple rational
-    # points are probed as well; a sign change of a lone minor implies a
-    # zero between two samples.
-    nvars = max([max_var(d) for d in top_minors] + [1])
+    minor = nf_minors([[normal_form(e) for e in row] for row in a])
+    nvars = max(max_var(e) for row in a for e in row)
     points = weyl_points(nvars, grid)
-    for t in (0.0, 0.5, 1 / 3, 2 / 3, 0.25, 0.75):
+    for t in _PROBES:
         points.append((t,) * nvars)
         for i in range(nvars):
             points.append(tuple(t if i == j else 0.0 for j in range(nvars)))
-    for p in points:
-        if all(abs(eval_at(d, p)) <= tol for d in top_minors):
+    sampled = None
+
+    def values(rows, cols) -> list[float]:
+        """The minor at every point; the first `grid` are the Weyl points."""
+        nonlocal sampled
+        if sampled is None:
+            at_points = [[[eval_at(e, p) for p in points] for e in row] for row in a]
+            sampled = laplace_minors(at_points, [0.0] * len(points), _vadd, _vsub, _vmul)
+        return sampled(rows, cols)
+
+    # Minors are decided from their normal forms, largest size first: an
+    # empty form is a proven zero, a form in variables and pi a proven
+    # nonzero, and a form with trig atoms is sampled.  The top size is the
+    # largest with a nonzero minor; a nonzero constant in Q[pi] there
+    # proves the rank constant.
+    larger_sizes_proven = True
+    for r in range(min(k, m_free), 0, -1):
+        live = []
+        nonzero = False
+        for rows in itertools.combinations(range(k), r):
+            for cols in itertools.combinations(range(m_free), r):
+                d = minor(rows, cols)
+                if not d:
+                    continue
+                kinds = atom_kinds(d)
+                if kinds <= {"pi"}:
+                    return (
+                        Verdict.proven_zero()
+                        if larger_sizes_proven
+                        else Verdict.numerically_zero(tol)
+                    )
+                live.append((rows, cols))
+                if kinds <= POLYNOMIAL_ATOMS or max(map(abs, values(rows, cols)[:grid])) > tol:
+                    nonzero = True
+        if nonzero:
+            break
+        larger_sizes_proven = larger_sizes_proven and not live
+    else:
+        return Verdict.proven_zero() if larger_sizes_proven else Verdict.numerically_zero(tol)
+
+    # Search for a common zero of the top minors, where the rank drops.  A
+    # sign change of a lone minor implies a zero between two samples.
+    table = [values(*rc) for rc in live]
+    for i in range(len(points)):
+        if all(abs(vals[i]) <= tol for vals in table):
             return Verdict.numerically_nonzero(tol)
-    if len(top_minors) == 1:
-        vals = [eval_at(top_minors[0], p) for p in points]
+    if r == k == m_free:
+        vals = table[0]
         if min(vals) < -tol and max(vals) > tol:
             return Verdict.numerically_nonzero(tol)
     return Verdict.numerically_zero(tol)

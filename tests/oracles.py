@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 
 from torusfm.exact_linalg import IntMatrix, solve_particular
-from torusfm.expr import eval_at
+from torusfm.expr import add, eval_at, mul, sub
 
 
 def naive_det(m):
@@ -28,6 +28,26 @@ def naive_det(m):
             tuple(tuple(row[c] for c in range(n) if c != j) for row in m.rows[1:]), n - 1
         )
         total += (-1) ** j * m.rows[0][j] * naive_det(minor)
+    return total
+
+
+def leibniz_minor(a, rows, cols):
+    """Permutation-sum determinant of the rows x cols submatrix of expressions.
+
+    Built from the expression constructors alone, one product per
+    permutation, with the sign from its inversion count.  The identity
+    permutation comes first, so the sum starts from an even term.
+    """
+    total = None
+    for perm in itertools.permutations(range(len(cols))):
+        term = a[rows[0]][cols[perm[0]]]
+        for i in range(1, len(rows)):
+            term = mul(term, a[rows[i]][cols[perm[i]]])
+        odd = sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm))) % 2
+        if total is None:
+            total = term
+        else:
+            total = sub(total, term) if odd else add(total, term)
     return total
 
 

@@ -1,5 +1,6 @@
 """Fibred supports: condition checks, dual bundles, curvature, inverse."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -13,7 +14,7 @@ from instances import (
     polynomial_instance,
     section_instance,
 )
-from oracles import fd_partial
+from oracles import fd_partial, leibniz_minor
 
 from torusfm.exact_linalg import IntMatrix
 from torusfm.expr import (
@@ -24,14 +25,17 @@ from torusfm.expr import (
     diff,
     eval_at,
     eval_exact,
+    is_constant,
     is_zero,
     max_var,
     mul,
     neg,
+    normal_form,
     num,
     parse,
     sub,
     var,
+    weyl_points,
 )
 from torusfm.fm_absolute import transform as absolute_transform
 from torusfm.fm_relative import (
@@ -273,6 +277,138 @@ def test_constant_slope_check_names_entries():
     assert c2.holds and c2.verdict.proven
     assert not c3.holds and c3.verdict.proven
     assert c3.failures == ("a[1][1]",)
+
+
+def test_constant_trig_minor_proves_nothing():
+    # The 1x1 minor sin(1) is constant, but that it is nonzero is only a
+    # numerical fact, so the constant rank is numerical too.
+    s = RelativeSupport(3, 1, (0, 0), ((parse("x1"), parse("sin(1)")),), (0,))
+    c2, _ = check_C2_C3(s)
+    assert c2.holds
+    assert c2.verdict.kind == "numerically_zero"
+
+
+def bidiagonal_times_constant(k, rng, drops=False):
+    """Slopes L*C: L unit lower bidiagonal with c*x_i below row i's one, C invertible.
+
+    det(L*C) = det(C) is a nonzero constant.  With drops, the last row is
+    multiplied by (x1 - 1/2), so the rank drops on x1 = 1/2.
+    """
+    while True:
+        c = [[rng.choice((-2, -1, 1, 2)) for _ in range(k)] for _ in range(k)]
+        if IntMatrix(c).det() != 0:
+            break
+    a = []
+    for i in range(k):
+        lower = mul(num(rng.choice((-2, -1, 1, 2))), var(i)) if i else ZERO
+        row = [add(num(c[i][j]), mul(lower, num(c[i - 1][j])) if i else ZERO) for j in range(k)]
+        a.append(row)
+    if drops:
+        a[-1] = [mul(e, parse("x1 - 1/2")) for e in a[-1]]
+    return RelativeSupport(2 * k, k, (0,) * k, tuple(tuple(row) for row in a), (0,) * k)
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_constant_determinant_of_varying_slopes_is_proven(k):
+    rng = random.Random(k)
+    c2, c3 = check_C2_C3(bidiagonal_times_constant(k, rng))
+    assert c2.holds and c2.verdict.kind == "proven_zero"
+    assert not c3.holds
+    c2, _ = check_C2_C3(bidiagonal_times_constant(k, rng, drops=True))
+    assert not c2.holds
+
+
+def test_unit_determinant_with_polynomial_entries_is_proven():
+    s = RelativeSupport(4, 2, (0, 0), ((1, parse("x1")), (parse("x2"), parse("x1*x2 + 1"))), (0, 0))
+    c2, _ = check_C2_C3(s)
+    assert c2.verdict.kind == "proven_zero"
+
+
+# Rank check from first principles: Leibniz minors, `is_zero`, and the
+# sampling points the library documents (Weyl points, then the diagonal
+# and axis probes at these coordinates).
+_PROBES = (0.0, 0.5, 1 / 3, 2 / 3, 0.25, 0.75)
+
+
+def reference_rank_check(a, k, tol=1e-9, grid=17):
+    """(holds, top minors or None, whether all larger minors are proven zero)."""
+    m = len(a[0])
+    if all(is_constant(e) for row in a for e in row):
+        return True, None, True
+    larger_proven = True
+    for r in range(min(k, m), 0, -1):
+        minors = [
+            leibniz_minor(a, rows, cols)
+            for rows in itertools.combinations(range(k), r)
+            for cols in itertools.combinations(range(m), r)
+        ]
+        verdicts = [is_zero(d, tol, grid) for d in minors]
+        if any(not v.is_zero for v in verdicts):
+            break
+        larger_proven = larger_proven and all(v.proven for v in verdicts)
+    else:
+        return True, None, larger_proven
+    nvars = max([max_var(d) for d in minors] + [1])
+    points = weyl_points(nvars, grid)
+    for t in _PROBES:
+        points.append((t,) * nvars)
+        points.extend(tuple(t if i == j else 0.0 for j in range(nvars)) for i in range(nvars))
+    table = [[eval_at(d, p) for p in points] for d in minors]
+    if any(all(abs(vals[i]) <= tol for vals in table) for i in range(len(points))):
+        return False, minors, larger_proven
+    if len(minors) == 1 and min(table[0]) < -tol and max(table[0]) > tol:
+        return False, minors, larger_proven
+    return True, minors, larger_proven
+
+
+def _in_q_pi(e):
+    nf = normal_form(e)
+    return bool(nf) and all(atom == ("pi",) for mono in nf for atom, _ in mono)
+
+
+@st.composite
+def slope_matrices(draw):
+    k = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    xs = st.integers(1, k).map(lambda i: f"x{i}")
+    factor = st.one_of(
+        st.integers(-2, 2).map(str),
+        st.just("pi"),
+        xs,
+        st.tuples(xs, xs).map("*".join),
+        xs.map(lambda x: f"({x} - 1/2)"),
+    )
+    poly = st.lists(st.tuples(st.integers(-2, 2), factor), min_size=1, max_size=2).map(
+        lambda terms: " + ".join(f"({c})*{f}" for c, f in terms)
+    )
+    trig = st.tuples(st.sampled_from(("sin", "cos")), xs, st.sampled_from(("", " + x1", " - 1", "*2"))).map(
+        lambda t: f"{t[0]}({t[1]}{t[2]})"
+    )
+    entry = st.one_of(st.just("0"), poly, poly, st.tuples(poly, trig).map(" + ".join), st.just("sin(1)"))
+    rows = []
+    for _ in range(k):
+        if rows and draw(st.integers(0, 3)) == 0:
+            f = parse(draw(poly))
+            rows.append([mul(f, e) for e in draw(st.sampled_from(rows))])
+        else:
+            rows.append([parse(draw(entry)) for _ in range(m)])
+    return k, m, tuple(tuple(row) for row in rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(slope_matrices())
+def test_constant_rank_agrees_with_leibniz_minors(case):
+    k, m, a = case
+    c2, _ = check_C2_C3(RelativeSupport(k + m, k, (0,) * m, a, (0,) * k))
+    holds, top, larger_proven = reference_rank_check(a, k)
+    assert c2.holds == holds
+    provable = all(is_constant(e) for row in a for e in row) or (
+        larger_proven and (top is None or any(_in_q_pi(d) for d in top))
+    )
+    # Proven exactly when the expanded top minors allow a proof.
+    assert c2.verdict.proven == provable
+    if c2.verdict.proven:
+        assert c2.verdict.kind == "proven_zero"
 
 
 def test_wit_index_is_the_fibre_dimension():
