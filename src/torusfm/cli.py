@@ -26,34 +26,20 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .expr import (
-    PI,
-    ZERO,
-    Verdict,
-    add,
-    all_zero,
-    diff,
-    eval_exact,
-    is_zero,
-    mul,
-    neg,
-    num,
-    sub,
-    to_str,
-)
+from .expr import Verdict, add, neg, sub, to_str
 from .fm_absolute import SubtorusLocalSystem, transform as absolute_transform
 from .fm_relative import (
     ConditionError,
     ConditionReport,
-    DualBundleInput,
     RelativeSupport,
+    TransformedBundle,
+    _gather,
     check_C1_lagrangian,
     check_C2_C3,
     check_D_conditions,
     check_cauchy_riemann,
     check_flat,
     check_section_lagrangian,
-    dual_input_from_bundle,
     fibre_of_transform,
     fibre_system,
     hodge_components,
@@ -107,20 +93,15 @@ def _note(warnings: list, label: str, v: Verdict) -> None:
         warnings.append(f"{label} decided numerically (tol {v.tol:g})")
 
 
+def _differs(rep: ConditionReport) -> str:
+    return "differs [" + ", ".join(rep.failures) + "]"
+
+
 def _equality(labelled, tol, grid, warnings, key) -> str:
     """Summarize entrywise zero tests of differences as one report value."""
-    verdicts = []
-    failures = []
-    for label, e in labelled:
-        v = is_zero(e, tol, grid)
-        verdicts.append(v)
-        if not v.is_zero:
-            failures.append(label)
-    total = all_zero(verdicts)
-    _note(warnings, key, total)
-    if total.is_zero:
-        return f"exact ({_strength(total)})"
-    return "differs [" + ", ".join(failures) + "]"
+    rep = _gather(key, labelled, tol, grid)
+    _note(warnings, key, rep.verdict)
+    return f"exact ({_strength(rep.verdict)})" if rep.holds else _differs(rep)
 
 
 def _put_absolute(out: dict, prefix: str, system: SubtorusLocalSystem) -> None:
@@ -152,64 +133,36 @@ def _put_relative_input(out: dict, s: RelativeSupport, system) -> None:
     out["input.xi"] = _vec(system.xi)
 
 
-def _put_dual_input(out: dict, b: DualBundleInput) -> None:
+def _put_dual_input(out: dict, b: TransformedBundle) -> None:
     out["input.k"] = b.k
     out["input.zeta"] = _evec(b.zeta)
-    out["input.P"] = _emat(b.P)
-    out["input.Q"] = _evec(b.Q)
+    out["input.P"] = _emat(b.gamma_tilde)
+    out["input.Q"] = _evec(b.varsigma)
     out["input.alpha"] = _evec(b.alpha)
-    out["input.beta"] = _evec(b.beta)
+    out["input.beta"] = _evec(b.fibre_turns)
 
 
 def _put_hodge(out: dict, alpha, turns, tol, grid, warnings: list) -> None:
     f20, f11, f02 = hodge_components(alpha, turns, tol, grid)
     for name, grid_ in (("F20", f20), ("F11", f11), ("F02", f02)):
         out[name] = _emat(grid_)
-        v = all_zero(is_zero(e, tol, grid) for row in grid_ for e in row)
+        v = _gather(name, ((name, e) for row in grid_ for e in row), tol, grid).verdict
         out[f"{name}.vanishes"] = _verdict_text(v)
         _note(warnings, f"{name}.vanishes", v)
 
 
-def _gauge_residuals(k, m_free, chi, q_exprs, alpha_out, alpha_in):
-    """Round-trip alpha drifts corrected by the predicted exact gauge term.
-
-    Raises ValueError when a needed coefficient is not a rational
-    constant, in which case no correction is available.
-    """
-    zeros = (Fraction(0),) * k
-    for j in range(1, k + 1):
-        corr = ZERO
-        for l in range(k):
-            c = m_free + l + 1
-            if c > k:
-                q = eval_exact(q_exprs[c - k - 1], zeros)
-                corr = add(corr, mul(num(q), diff(chi[l], j)))
-        drift = sub(alpha_out[j - 1], alpha_in[j - 1])
-        yield f"alpha[{j}]", add(drift, mul(num(2), mul(PI, corr)))
-
-
-def _alpha_comparison(k, m_free, chi, q_exprs, alpha_out, alpha_in, tol, grid, warnings):
-    plain = [
-        (f"alpha[{j}]", sub(alpha_out[j - 1], alpha_in[j - 1]))
-        for j in range(1, k + 1)
+def _alpha_comparison(alpha_out, alpha_in, gauge, tol, grid, warnings) -> str:
+    """Compare alpha exactly, then up to the gauge term the inverse subtracted."""
+    drift = [
+        (f"alpha[{j + 1}]", sub(out, inp)) for j, (out, inp) in enumerate(zip(alpha_out, alpha_in))
     ]
-    verdicts = [is_zero(e, tol, grid) for _, e in plain]
-    total = all_zero(verdicts)
-    if total.is_zero:
-        _note(warnings, "alpha", total)
-        return f"exact ({_strength(total)})"
-    try:
-        gauged = list(_gauge_residuals(k, m_free, chi, q_exprs, alpha_out, alpha_in))
-    except ValueError:
-        failures = [l for (l, _), v in zip(plain, verdicts) if not v.is_zero]
-        return "differs [" + ", ".join(failures) + "]"
-    gauged_verdicts = [is_zero(e, tol, grid) for _, e in gauged]
-    gauged_total = all_zero(gauged_verdicts)
-    if gauged_total.is_zero:
-        _note(warnings, "alpha", gauged_total)
-        return f"exact up to the gauge term ({_strength(gauged_total)})"
-    failures = [l for (l, _), v in zip(gauged, gauged_verdicts) if not v.is_zero]
-    return "differs [" + ", ".join(failures) + "]"
+    gauged = [(label, add(e, t)) for (label, e), t in zip(drift, gauge)]
+    for labelled, how in ((drift, "exact"), (gauged, "exact up to the gauge term")):
+        rep = _gather("alpha", labelled, tol, grid)
+        if rep.holds:
+            _note(warnings, "alpha", rep.verdict)
+            return f"{how} ({_strength(rep.verdict)})"
+    return _differs(rep)
 
 
 # ------------------------------------------------------------- subcommands
@@ -325,7 +278,7 @@ def _cmd_roundtrip(scene: Scene, args, out: dict, warnings: list) -> None:
     if scene.kind == "section":
         s = relative_from_section(scene.support)
         bundle = transform_section(scene.support, scene.system, tol, grid)
-        inv = inverse_transform(dual_input_from_bundle(bundle), tol, grid)
+        inv = inverse_transform(bundle, tol, grid)
         out["forward.wit_index"] = bundle.wit_index
         out["inverse.wit_index"] = inv.wit_index
         out["epsilon"] = _equality(
@@ -336,8 +289,7 @@ def _cmd_roundtrip(scene: Scene, args, out: dict, warnings: list) -> None:
             tol, grid, warnings, "epsilon",
         )
         out["alpha"] = _alpha_comparison(
-            s.k, 0, s.chi, bundle.varsigma,
-            inv.system.alpha, scene.system.alpha, tol, grid, warnings,
+            inv.system.alpha, scene.system.alpha, inv.gauge, tol, grid, warnings
         )
         out["xi"] = "exact" if inv.system.xi == scene.system.xi else "MISMATCH"
         if args.seed is not None:
@@ -347,7 +299,7 @@ def _cmd_roundtrip(scene: Scene, args, out: dict, warnings: list) -> None:
     if scene.kind == "relative":
         s, system = scene.support, scene.system
         bundle = transform_nontransversal(s, system, tol, grid)
-        inv = inverse_transform(dual_input_from_bundle(bundle), tol, grid)
+        inv = inverse_transform(bundle, tol, grid)
         out["forward.holomorphic"] = _verdict_text(bundle.holomorphic)
         _note(warnings, "forward.holomorphic", bundle.holomorphic)
         out["forward.wit_index"] = bundle.wit_index
@@ -371,8 +323,7 @@ def _cmd_roundtrip(scene: Scene, args, out: dict, warnings: list) -> None:
             tol, grid, warnings, "chi",
         )
         out["alpha"] = _alpha_comparison(
-            s.k, s.g - s.k, s.chi, bundle.varsigma,
-            inv.system.alpha, system.alpha, tol, grid, warnings,
+            inv.system.alpha, system.alpha, inv.gauge, tol, grid, warnings
         )
         out["xi"] = "exact" if inv.system.xi == system.xi else "MISMATCH"
         if args.seed is not None:
@@ -387,7 +338,7 @@ def _cmd_roundtrip(scene: Scene, args, out: dict, warnings: list) -> None:
     out["zeta"] = "exact" if fwd.zeta == b.zeta else "MISMATCH"
     out["P"] = _equality(
         [
-            (f"P[{j + 1}][{i + 1}]", sub(fwd.gamma_tilde[j][i], b.P[j][i]))
+            (f"P[{j + 1}][{i + 1}]", sub(fwd.gamma_tilde[j][i], b.gamma_tilde[j][i]))
             for j in range(b.g - b.k)
             for i in range(b.k)
         ],
@@ -395,22 +346,19 @@ def _cmd_roundtrip(scene: Scene, args, out: dict, warnings: list) -> None:
     )
     out["Q"] = _equality(
         [
-            (f"Q[{j + 1}]", sub(fwd.varsigma[j], b.Q[j]))
+            (f"Q[{j + 1}]", sub(fwd.varsigma[j], b.varsigma[j]))
             for j in range(b.g - b.k)
         ],
         tol, grid, warnings, "Q",
     )
     out["beta"] = _equality(
         [
-            (f"beta[{j + 1}]", sub(fwd.fibre_turns[j], b.beta[j]))
+            (f"beta[{j + 1}]", sub(fwd.fibre_turns[j], b.fibre_turns[j]))
             for j in range(b.k)
         ],
         tol, grid, warnings, "beta",
     )
-    out["alpha"] = _alpha_comparison(
-        b.k, b.g - b.k, inv.support.chi, b.Q,
-        fwd.alpha, b.alpha, tol, grid, warnings,
-    )
+    out["alpha"] = _alpha_comparison(fwd.alpha, b.alpha, inv.gauge, tol, grid, warnings)
     if args.seed is not None:
         _slices(out, args.seed, inv.support, inv.system, fwd)
 
@@ -431,8 +379,8 @@ def _cmd_curvature(scene: Scene, args, out: dict, warnings: list) -> None:
         _put_hodge(out, bundle.alpha, bundle.fibre_turns, tol, grid, warnings)
     else:
         _put_dual_input(out, scene.bundle)
-        out["fibre_turns"] = _evec(scene.bundle.beta)
-        _put_hodge(out, scene.bundle.alpha, scene.bundle.beta, tol, grid, warnings)
+        out["fibre_turns"] = _evec(scene.bundle.fibre_turns)
+        _put_hodge(out, scene.bundle.alpha, scene.bundle.fibre_turns, tol, grid, warnings)
 
 
 _BUILDERS = {

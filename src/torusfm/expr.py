@@ -178,7 +178,7 @@ def linear_combination(coeffs: Sequence, exprs: Sequence[Expr]) -> Expr:
 
 # ---------------------------------------------------------------- parsing
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([()+\-*/^,]))")
+_TOKEN = re.compile(r"\s*(\d+|[A-Za-z][A-Za-z0-9]*|[()+\-*/^,])")
 
 
 class ParseError(ValueError):
@@ -187,16 +187,31 @@ class ParseError(ValueError):
         self.offset = offset
 
 
+# Deepest expression the parser accepts.  The depth of an atom is 1; each
+# operator, unary minus, sin/cos and parenthesized group adds one level on
+# top of its deepest operand, so the tree built is never deeper.  The tree
+# walkers recurse once per level and the parser three times per group, which
+# keeps both well inside Python's default recursion limit of 1000.
+MAX_DEPTH = 200
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
         self.last_start = 0
+        self.groups = 0  # parenthesized groups open at the current position
 
     def error(self, message: str, offset: int | None = None) -> ParseError:
         return ParseError(message, self.pos if offset is None else offset)
 
-    def peek(self):
+    def nested(self, depth: int, offset: int) -> int:
+        if depth > MAX_DEPTH:
+            raise self.error(f"expression nested deeper than {MAX_DEPTH} levels", offset)
+        return depth
+
+    def match(self):
+        """The match of the next token, or None at the end of the input."""
         m = _TOKEN.match(self.text, self.pos)
         if m is None:
             rest = self.text[self.pos :]
@@ -206,16 +221,19 @@ class _Parser:
                     f"unexpected character {stripped[0]!r}",
                     self.pos + len(rest) - len(stripped),
                 )
-            return None, self.pos
-        return m, m.start(1) if m.group(1) else m.start(2) if m.group(2) else m.start(3)
+        return m
+
+    def peek_token(self):
+        m = self.match()
+        return m and m[1]
 
     def next_token(self):
-        m, start = self.peek()
+        m = self.match()
         if m is None:
             return None
         self.pos = m.end()
-        self.last_start = start
-        return m.group(1) or m.group(2) or m.group(3)
+        self.last_start = m.start(1)
+        return m[1]
 
     def expect(self, token: str):
         got = self.next_token()
@@ -223,80 +241,77 @@ class _Parser:
             raise self.error(f"expected {token!r}", self.last_start if got else self.pos)
 
     def parse(self) -> Expr:
-        e = self.parse_sum()
+        e, _ = self.parse_sum()
         if self.next_token() is not None:
             raise self.error("trailing input", self.last_start)
         return e
 
-    def parse_sum(self) -> Expr:
-        e = self.parse_term()
-        while True:
-            m, _ = self.peek()
-            tok = m and (m.group(1) or m.group(2) or m.group(3))
-            if tok == "+":
-                self.next_token()
-                e = add(e, self.parse_term())
-            elif tok == "-":
-                self.next_token()
-                e = sub(e, self.parse_term())
-            else:
-                return e
+    # Each parse_* method returns the expression and its depth.
 
-    def parse_term(self) -> Expr:
-        e = self.parse_factor()
-        while True:
-            m, _ = self.peek()
-            tok = m and (m.group(1) or m.group(2) or m.group(3))
-            if tok == "*":
-                self.next_token()
-                e = mul(e, self.parse_factor())
-            elif tok == "/":
-                self.next_token()
-                d = self.parse_factor()
-                if not isinstance(d, Num) or d.value == 0:
+    def parse_sum(self) -> tuple[Expr, int]:
+        e, d = self.parse_term()
+        while (tok := self.peek_token()) in ("+", "-"):
+            self.next_token()
+            at = self.last_start
+            r, rd = self.parse_term()
+            e = add(e, r) if tok == "+" else sub(e, r)
+            d = self.nested(max(d, rd) + 1, at)
+        return e, d
+
+    def parse_term(self) -> tuple[Expr, int]:
+        e, d = self.parse_factor()
+        while (tok := self.peek_token()) in ("*", "/"):
+            self.next_token()
+            at = self.last_start
+            r, rd = self.parse_factor()
+            if tok == "/":
+                if not isinstance(r, Num) or r.value == 0:
                     raise self.error("denominator must be a nonzero rational literal")
-                e = mul(e, Num(1 / d.value))
-            else:
-                return e
+                r = Num(1 / r.value)
+            e = mul(e, r)
+            d = self.nested(max(d, rd) + 1, at)
+        return e, d
 
-    def parse_factor(self) -> Expr:
-        m, _ = self.peek()
-        tok = m and (m.group(1) or m.group(2) or m.group(3))
-        if tok == "-":
+    def parse_factor(self) -> tuple[Expr, int]:
+        """Unary minus signs, an atom or parenthesized group, an exponent."""
+        signs = []
+        while self.peek_token() == "-":
             self.next_token()
-            return neg(self.parse_factor())
-        e = self.parse_atom()
-        m, _ = self.peek()
-        tok = m and (m.group(1) or m.group(2) or m.group(3))
-        if tok == "^":
-            self.next_token()
-            exp_tok = self.next_token()
-            if exp_tok is None or not exp_tok.isdigit():
-                raise self.error("expected a nonnegative integer exponent")
-            return pow_(e, int(exp_tok))
-        return e
-
-    def parse_atom(self) -> Expr:
+            signs.append(self.last_start)
         tok = self.next_token()
         if tok is None:
             raise self.error("unexpected end of input")
-        if tok == "(":
-            e = self.parse_sum()
+        at = self.last_start
+        if tok in ("(", "sin", "cos"):
+            if tok != "(":
+                self.expect("(")
+            # Checked on the way in as well, so deep nesting cannot exhaust
+            # the stack before its depth is known.
+            self.groups += 1
+            self.nested(self.groups, at)
+            e, d = self.parse_sum()
             self.expect(")")
-            return e
-        if tok.isdigit():
-            return Num(Fraction(int(tok)))
-        if tok == "pi":
-            return PI
-        if tok in ("sin", "cos"):
-            self.expect("(")
-            arg = self.parse_sum()
-            self.expect(")")
-            return sin_(arg) if tok == "sin" else cos_(arg)
-        vm = re.fullmatch(r"x([1-9][0-9]*)", tok)
-        if vm:
-            return Var(int(vm.group(1)))
-        raise self.error(f"unknown name {tok!r}", self.last_start)
+            self.groups -= 1
+            e = sin_(e) if tok == "sin" else cos_(e) if tok == "cos" else e
+            d = self.nested(d + 1, at)
+        elif tok.isdigit():
+            e, d = Num(Fraction(int(tok))), 1
+        elif tok == "pi":
+            e, d = PI, 1
+        elif vm := re.fullmatch(r"x([1-9][0-9]*)", tok):
+            e, d = Var(int(vm.group(1))), 1
+        else:
+            raise self.error(f"unknown name {tok!r}", at)
+        if self.peek_token() == "^":
+            self.next_token()
+            at = self.last_start
+            exp_tok = self.next_token()
+            if exp_tok is None or not exp_tok.isdigit():
+                raise self.error("expected a nonnegative integer exponent")
+            e, d = pow_(e, int(exp_tok)), self.nested(d + 1, at)
+        for at in reversed(signs):
+            e, d = neg(e), self.nested(d + 1, at)
+        return e, d
 
 
 def parse(text: str) -> Expr:
@@ -326,7 +341,11 @@ def _needs_parens_in_product(e: Expr, right: bool) -> bool:
 
 
 def to_str(e: Expr) -> str:
-    """Canonical text form; parse(to_str(e)) reproduces e exactly."""
+    """Canonical text form; parse(to_str(e)) reproduces e exactly.
+
+    The printed form may nest deeper than e itself, by its parentheses;
+    parse rejects it when that exceeds MAX_DEPTH.
+    """
     if isinstance(e, Num):
         return str(e.value)
     if isinstance(e, Pi):
@@ -536,10 +555,17 @@ def _nf_sub(a, b):
     return _nf_add(a, _nf_scale(b, -1))
 
 
+def _atom_key(atom) -> str:
+    return f"x{atom[1]}" if atom[0] == "v" else "pi" if atom[0] == "pi" else f"{atom[0]}[{atom[1]}]"
+
+
 def _nf_key(nf) -> str:
-    # repr of nested tuples of ints, strings and Fractions is injective,
-    # so equal keys mean equal normal forms.
-    return repr(sorted(nf.items()))
+    # Nested trig keys sit between brackets, which appear nowhere else, so
+    # the key is injective and grows linearly with the nesting depth.
+    return " ".join(
+        f"{c}" + "".join(f"*{_atom_key(a)}^{k}" for a, k in mono)
+        for mono, c in sorted(nf.items())
+    )
 
 
 def normal_form(e: Expr):

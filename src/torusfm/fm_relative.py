@@ -68,7 +68,6 @@ from .torus import AffineSubtorus, Torus, subtorus_from_equations
 __all__ = [
     "ConditionError",
     "ConditionReport",
-    "DualBundleInput",
     "InverseResult",
     "LocalSystemData",
     "RelativeSupport",
@@ -148,14 +147,46 @@ class ConditionError(ValueError):
         self.report = report
 
 
+def _report(name: str, labelled_verdicts) -> ConditionReport:
+    pairs = list(labelled_verdicts)
+    failures = tuple(label for label, v in pairs if not v.is_zero)
+    return ConditionReport(name, all_zero(v for _, v in pairs), failures)
+
+
 def _gather(name: str, labelled, tol: float, grid: int) -> ConditionReport:
-    labels = []
-    verdicts = []
-    for label, e in labelled:
-        labels.append(label)
-        verdicts.append(is_zero(e, tol, grid))
-    failures = tuple(l for l, v in zip(labels, verdicts) if not v.is_zero)
-    return ConditionReport(name, all_zero(verdicts), failures)
+    """Zero-test each labelled expression; failures name the nonzero ones."""
+    return _report(name, ((label, is_zero(e, tol, grid)) for label, e in labelled))
+
+
+def _constancy(name: str, labelled, k: int, tol: float, grid: int) -> ConditionReport:
+    """Test each labelled expression for constancy in x1..xk."""
+    return _report(
+        name,
+        (
+            (label, all_zero(is_zero(diff(e, v), tol, grid) for v in range(1, k + 1)))
+            for label, e in labelled
+        ),
+    )
+
+
+def _antisymmetric_jacobian(
+    name: str, label: str, row, tol: float, grid: int
+) -> ConditionReport:
+    """Whether d(sum row[j] dx^j) vanishes, i.e. the Jacobian of row is symmetric.
+
+    A failing pair j < m is named label.format(j, m).
+    """
+    n = len(row)
+    return _gather(
+        name,
+        (
+            (label.format(j, m), sub(diff(row[m - 1], j), diff(row[j - 1], m)))
+            for j in range(1, n + 1)
+            for m in range(j + 1, n + 1)
+        ),
+        tol,
+        grid,
+    )
 
 
 # ------------------------------------------------------------------ supports
@@ -322,25 +353,15 @@ def check_C2_C3(
     some minor of that top size is a nonzero element of Q[pi] while every
     larger minor vanishes identically.  Otherwise the verdict is
     numerical: the top minors are sampled at Weyl points and simple
-    rational probes for a common zero, or for a sign change when there
-    is only one.  C3 asks that every entry be constant, with offending
-    entries named a[j][m], 1-based.
+    rational probes for a common zero, or for a sign change when only one
+    of them does not vanish identically.  C3 asks that every entry be
+    constant, with offending entries named a[j][m], 1-based.
     """
-    k, m_free = s.k, s.g - s.k
-
-    c3_labels = []
-    c3_verdicts = []
-    for j in range(k):
-        for m in range(m_free):
-            vs = [is_zero(diff(s.a[j][m], v), tol, grid) for v in range(1, k + 1)]
-            c3_labels.append(f"a[{j + 1}][{m + 1}]")
-            c3_verdicts.append(all_zero(vs))
-    c3_failures = tuple(
-        l for l, v in zip(c3_labels, c3_verdicts) if not v.is_zero
+    entries = (
+        (f"a[{j + 1}][{m + 1}]", e) for j, row in enumerate(s.a) for m, e in enumerate(row)
     )
-    c3 = ConditionReport("C3", all_zero(c3_verdicts), c3_failures)
-
-    c2 = ConditionReport("C2", _constant_rank_verdict(s.a, k, tol, grid))
+    c3 = _constancy("C3", entries, s.k, tol, grid)
+    c2 = ConditionReport("C2", _constant_rank_verdict(s.a, s.k, tol, grid))
     return c2, c3
 
 
@@ -415,13 +436,14 @@ def _constant_rank_verdict(a, k: int, tol: float, grid: int) -> Verdict:
     else:
         return Verdict.proven_zero() if larger_sizes_proven else Verdict.numerically_zero(tol)
 
-    # Search for a common zero of the top minors, where the rank drops.  A
-    # sign change of a lone minor implies a zero between two samples.
+    # Search for a common zero of the top minors, where the rank drops.  When
+    # every other top minor vanishes identically, a sign change of the one
+    # left implies a zero between two samples.
     table = [values(*rc) for rc in live]
     for i in range(len(points)):
         if all(abs(vals[i]) <= tol for vals in table):
             return Verdict.numerically_nonzero(tol)
-    if r == k == m_free:
+    if len(table) == 1:
         vals = table[0]
         if min(vals) < -tol and max(vals) > tol:
             return Verdict.numerically_nonzero(tol)
@@ -442,15 +464,24 @@ def wit_index(s: RelativeSupport, tol: float = 1e-9, grid: int = 17) -> int:
 # ------------------------------------------------------------ transform data
 
 
+_BUNDLE_FIELDS = ("zeta", "gamma_tilde", "varsigma", "alpha", "fibre_turns")
+
+
 @dataclass(frozen=True)
 class TransformedBundle:
-    """Dual-side bundle produced by the transform.
+    """Bundle data on the dual side: transform output and inverse input.
 
     The support is x^{k+i} = zeta[i] together with
     w^{k+i} = sum_j gamma_tilde[i][j] w^j + varsigma[i]; the connection
     form is i * sum alpha[j] dx^j + 2 pi i * sum fibre_turns[j] dw^j.
     holomorphic records whether gamma_tilde is constant, which is the
-    Cauchy-Riemann condition for the support in z^j = x^j + i w^j.
+    Cauchy-Riemann condition for the support in z^j = x^j + i w^j; the
+    transforms set it, and it is None on bundles given as input.  The
+    inverse transform needs gamma_tilde and varsigma constant; that is
+    checked, not assumed.
+
+    The public constructor validates its data.  The transforms, whose
+    data is valid by construction, use `_trusted`, which skips the check.
     """
 
     g: int
@@ -460,11 +491,19 @@ class TransformedBundle:
     varsigma: tuple[Expr, ...]
     alpha: tuple[Expr, ...]
     fibre_turns: tuple[Expr, ...]
-    holomorphic: Verdict
-    wit_index: int
+    holomorphic: Verdict | None = None
+
+    @classmethod
+    def _trusted(cls, *values) -> "TransformedBundle":
+        b = object.__new__(cls)
+        for name, value in zip(("g", "k", *_BUNDLE_FIELDS, "holomorphic"), values):
+            object.__setattr__(b, name, value)
+        return b
 
     def __post_init__(self):
-        for name in ("zeta", "gamma_tilde", "varsigma", "alpha", "fibre_turns"):
+        if self.g < 1 or not 0 <= self.k <= self.g:
+            raise ValueError("need g >= 1 and 0 <= k <= g")
+        for name in _BUNDLE_FIELDS:
             val = getattr(self, name)
             if name == "gamma_tilde":
                 conv = tuple(tuple(_as_expr(e) for e in row) for row in val)
@@ -472,16 +511,25 @@ class TransformedBundle:
                 conv = tuple(_as_expr(e) for e in val)
             object.__setattr__(self, name, conv)
         m = self.g - self.k
-        if (
-            len(self.zeta) != m
-            or len(self.gamma_tilde) != m
-            or len(self.varsigma) != m
-        ):
+        if len(self.zeta) != m or len(self.gamma_tilde) != m or len(self.varsigma) != m:
             raise ValueError("one dual fibre equation per constrained coordinate")
         if any(len(row) != self.k for row in self.gamma_tilde):
             raise ValueError(f"slope matrix must be {m} by {self.k}")
         if len(self.alpha) != self.k or len(self.fibre_turns) != self.k:
             raise ValueError("one connection coefficient per free coordinate")
+        _check_base_only(self.zeta, self.k, "base equations")
+        _check_base_only(
+            itertools.chain((e for row in self.gamma_tilde for e in row), self.varsigma),
+            self.k,
+            "dual fibre coefficients",
+        )
+        _check_base_only(self.alpha, self.k, "connection coefficients")
+        _check_base_only(self.fibre_turns, self.k, "connection coefficients")
+
+    @property
+    def wit_index(self) -> int:
+        """Index of the nonvanishing transform degree: the fibre dimension g - k."""
+        return self.g - self.k
 
 
 def _validate_system(s: RelativeSupport, system: LocalSystemData) -> None:
@@ -549,22 +597,11 @@ def transform_nontransversal(
             t = add(t, mul(s.chi[jp - 1], w))
         turns.append(neg(t))
 
-    holomorphic = all_zero(
-        is_zero(diff(e, v), tol, grid)
-        for row in gamma
-        for e in row
-        for v in range(1, k + 1)
+    holomorphic = _constancy(
+        "holomorphic", (("", e) for row in gamma for e in row), k, tol, grid
     )
-    return TransformedBundle(
-        g=g,
-        k=k,
-        zeta=s.zeta,
-        gamma_tilde=gamma,
-        varsigma=tuple(varsigma),
-        alpha=system.alpha,
-        fibre_turns=tuple(turns),
-        holomorphic=holomorphic,
-        wit_index=m_free,
+    return TransformedBundle._trusted(
+        g, k, s.zeta, gamma, tuple(varsigma), system.alpha, tuple(turns), holomorphic.verdict
     )
 
 
@@ -576,13 +613,7 @@ def check_section_lagrangian(
     Failing pairs are labelled dx{j}^dx{m} like the curl part of the
     fibred Lagrangian check, which this specializes at k = g.
     """
-    g = s.g
-    sym = [
-        (f"dx{j}^dx{m}", sub(diff(s.epsilon[m - 1], j), diff(s.epsilon[j - 1], m)))
-        for j in range(1, g + 1)
-        for m in range(j + 1, g + 1)
-    ]
-    return _gather("lagrangian", sym, tol, grid)
+    return _antisymmetric_jacobian("lagrangian", "dx{}^dx{}", s.epsilon, tol, grid)
 
 
 def check_flat(alpha, tol: float = 1e-9, grid: int = 17) -> ConditionReport:
@@ -617,27 +648,13 @@ def transform_section(
     if not closed.holds:
         raise ConditionError("flat", closed)
 
-    return TransformedBundle(
-        g=g,
-        k=g,
-        zeta=(),
-        gamma_tilde=(),
-        varsigma=(),
-        alpha=system.alpha,
-        fibre_turns=tuple(neg(e) for e in s.epsilon),
-        holomorphic=Verdict.proven_zero(),
-        wit_index=0,
+    return TransformedBundle._trusted(
+        g, g, (), (), (), system.alpha, tuple(neg(e) for e in s.epsilon), Verdict.proven_zero()
     )
 
 
-def _closure_report(alpha, tol: float, grid: int) -> ConditionReport:
-    n = len(alpha)
-    labelled = [
-        (f"dalpha[{j}][{m}]", sub(diff(alpha[m - 1], j), diff(alpha[j - 1], m)))
-        for j in range(1, n + 1)
-        for m in range(j + 1, n + 1)
-    ]
-    return _gather("flat", labelled, tol, grid)
+def _closure_report(alpha, tol: float, grid: int, name: str = "flat") -> ConditionReport:
+    return _antisymmetric_jacobian(name, "dalpha[{}][{}]", alpha, tol, grid)
 
 
 # ------------------------------------------------------------------ curvature
@@ -730,112 +747,52 @@ def check_F02_iff_lagrangian(
 # ------------------------------------------------------------------- inverse
 
 
-@dataclass(frozen=True)
-class DualBundleInput:
-    """Bundle data on the dual side, as input to the inverse transform.
+def dual_input_from_bundle(bundle: TransformedBundle) -> TransformedBundle:
+    """The bundle unchanged: a transform output is already an inverse input.
 
-    The support is x^{k+j} = zeta[j] and w^{k+j} = sum_i P[j][i] w^i +
-    Q[j]; the connection form is i * sum alpha[j] dx^j +
-    2 pi i * sum beta[j] dw^j.  P and Q must be constant for the inverse
-    to exist; that is checked, not assumed.
+    Kept as a name that existing callers use.
     """
-
-    g: int
-    k: int
-    zeta: tuple[Expr, ...]
-    P: tuple[tuple[Expr, ...], ...]
-    Q: tuple[Expr, ...]
-    alpha: tuple[Expr, ...]
-    beta: tuple[Expr, ...]
-
-    def __post_init__(self):
-        if self.g < 1 or not 0 <= self.k <= self.g:
-            raise ValueError("need g >= 1 and 0 <= k <= g")
-        for name in ("zeta", "P", "Q", "alpha", "beta"):
-            val = getattr(self, name)
-            if name == "P":
-                conv = tuple(tuple(_as_expr(e) for e in row) for row in val)
-            else:
-                conv = tuple(_as_expr(e) for e in val)
-            object.__setattr__(self, name, conv)
-        m = self.g - self.k
-        if len(self.zeta) != m or len(self.P) != m or len(self.Q) != m:
-            raise ValueError("one dual fibre equation per constrained coordinate")
-        if any(len(row) != self.k for row in self.P):
-            raise ValueError(f"slope matrix must be {m} by {self.k}")
-        if len(self.alpha) != self.k or len(self.beta) != self.k:
-            raise ValueError("one connection coefficient per free coordinate")
-        _check_base_only(self.zeta, self.k, "base equations")
-        _check_base_only(
-            itertools.chain((e for row in self.P for e in row), self.Q),
-            self.k,
-            "dual fibre coefficients",
-        )
-        _check_base_only(self.alpha, self.k, "connection coefficients")
-        _check_base_only(self.beta, self.k, "connection coefficients")
-
-
-def dual_input_from_bundle(bundle: TransformedBundle) -> DualBundleInput:
-    """Repackage a transform output as input for the inverse transform."""
-    return DualBundleInput(
-        g=bundle.g,
-        k=bundle.k,
-        zeta=bundle.zeta,
-        P=bundle.gamma_tilde,
-        Q=bundle.varsigma,
-        alpha=bundle.alpha,
-        beta=bundle.fibre_turns,
-    )
+    return bundle
 
 
 def check_D_conditions(
-    bundle: DualBundleInput, tol: float = 1e-9, grid: int = 17
+    bundle: TransformedBundle, tol: float = 1e-9, grid: int = 17
 ) -> tuple[ConditionReport, ConditionReport, ConditionReport]:
     """The three dual-side conditions, one report each.
 
     D1: the dual fibre equations have constant coefficients, so the
-    support is affine along the fibres.  D2: the dx-part of the
-    connection is closed.  D3: no coefficient depends on the dual
+    support is affine along the fibres; offending entries of gamma_tilde
+    and varsigma are named P[j][i] and Q[j], 1-based.  D2: the dx-part
+    of the connection is closed.  D3: no coefficient depends on the dual
     angles, which the representation enforces, so it is reported proven.
     """
-    k = bundle.k
-    d1_labelled = []
-    for j, row in enumerate(bundle.P):
-        for i, e in enumerate(row):
-            for v in range(1, k + 1):
-                d1_labelled.append((f"P[{j + 1}][{i + 1}]", diff(e, v)))
-    for j, e in enumerate(bundle.Q):
-        for v in range(1, k + 1):
-            d1_labelled.append((f"Q[{j + 1}]", diff(e, v)))
-    d1_raw = _gather("D1", d1_labelled, tol, grid)
-    seen = []
-    for f in d1_raw.failures:
-        if f not in seen:
-            seen.append(f)
-    d1 = ConditionReport("D1", d1_raw.verdict, tuple(seen))
-
-    d2_raw = _closure_report(bundle.alpha, tol, grid)
-    d2 = ConditionReport("D2", d2_raw.verdict, d2_raw.failures)
-
+    entries = itertools.chain(
+        (
+            (f"P[{j + 1}][{i + 1}]", e)
+            for j, row in enumerate(bundle.gamma_tilde)
+            for i, e in enumerate(row)
+        ),
+        ((f"Q[{j + 1}]", e) for j, e in enumerate(bundle.varsigma)),
+    )
+    d1 = _constancy("D1", entries, bundle.k, tol, grid)
+    d2 = _closure_report(bundle.alpha, tol, grid, "D2")
     d3 = ConditionReport("D3", Verdict.proven_zero())
     return d1, d2, d3
 
 
 def check_cauchy_riemann(
-    bundle: DualBundleInput, tol: float = 1e-9, grid: int = 17
+    bundle: TransformedBundle, tol: float = 1e-9, grid: int = 17
 ) -> ConditionReport:
     """Whether the dual support is complex for z^j = x^j + i w^j.
 
-    Requires the w-slope to equal the Jacobian of the base equations,
-    entry by entry; offending entries are named P[j][i], 1-based.
+    Requires the w-slope gamma_tilde to equal the Jacobian of the base
+    equations, entry by entry; offending entries are named P[j][i],
+    1-based.
     """
     labelled = [
-        (
-            f"P[{j + 1}][{i + 1}]",
-            sub(bundle.P[j][i], diff(bundle.zeta[j], i + 1)),
-        )
-        for j in range(len(bundle.P))
-        for i in range(bundle.k)
+        (f"P[{j + 1}][{i + 1}]", sub(e, diff(bundle.zeta[j], i + 1)))
+        for j, row in enumerate(bundle.gamma_tilde)
+        for i, e in enumerate(row)
     ]
     return _gather("cauchy-riemann", labelled, tol, grid)
 
@@ -844,13 +801,15 @@ class InverseResult(NamedTuple):
     support: RelativeSupport
     system: LocalSystemData
     wit_index: int
+    gauge: tuple[Expr, ...]
 
 
 def inverse_transform(
-    bundle: DualBundleInput, tol: float = 1e-9, grid: int = 17
+    bundle: TransformedBundle, tol: float = 1e-9, grid: int = 17
 ) -> InverseResult:
     """Local system on the original side whose transform is the bundle.
 
+    Write P = gamma_tilde, Q = varsigma and beta = fibre_turns.
     Dualizing the fibre equations w^{k+j} = sum_i P[j][i] w^i + Q[j]
     back gives, with M = (delta_{l,c} + P^c_l), the support equations
     sum_c M[l][c] y_c + beta_l = 0, re-solved for the last k angles; the
@@ -858,10 +817,11 @@ def inverse_transform(
     return to holonomy phases.  The wit_index reported is that of the
     input bundle, the dimension k of its fibre traces.
 
-    The returned alpha is the chart form of the induced connection,
-    which differs from the dx-row fed into the forward transform by the
-    exact gauge term 2 pi d(sum_c Q_c chi_c); for constant offsets the
-    two agree and the round trip is an identity.
+    The returned alpha is the chart form of the induced connection: the
+    dx-row of the bundle minus the exact gauge term
+    gauge[j] = 2 pi d_j(sum_c Q_c chi_c), which is returned too.  For
+    constant offsets chi the gauge term is zero and the round trip is an
+    identity.
     """
     d1, d2, _ = check_D_conditions(bundle, tol, grid)
     if not d1.holds:
@@ -872,10 +832,8 @@ def inverse_transform(
     g, k = bundle.g, bundle.k
     m_free = g - k
     try:
-        p_val = [
-            [eval_exact(e, ()) for e in row] for row in bundle.P
-        ]
-        q_val = [eval_exact(e, ()) for e in bundle.Q]
+        p_val = [[eval_exact(e, ()) for e in row] for row in bundle.gamma_tilde]
+        q_val = [eval_exact(e, ()) for e in bundle.varsigma]
     except ValueError as exc:
         raise ValueError(
             "inverse transform needs rational constant fibre coefficients"
@@ -919,7 +877,7 @@ def inverse_transform(
     ]
     a_rows = tuple(tuple(num(e) for e in row) for row in a_exact)
     chi_out = tuple(
-        linear_combination([-m_inv.rows[l][lp] for lp in range(k)], bundle.beta)
+        linear_combination([-m_inv.rows[l][lp] for lp in range(k)], bundle.fibre_turns)
         for l in range(k)
     )
 
@@ -934,18 +892,19 @@ def inverse_transform(
         for m in range(m_free)
     )
 
-    alpha_out = []
+    gauge = []
     for j in range(1, k + 1):
         corr: Expr = ZERO
         for l in range(k):
             q = q_of(m_free + l + 1)
             if q:
                 corr = add(corr, mul(num(q), diff(chi_out[l], j)))
-        alpha_out.append(sub(bundle.alpha[j - 1], mul(num(2), mul(PI, corr))))
+        gauge.append(mul(num(2), mul(PI, corr)))
+    alpha_out = tuple(sub(a, t) for a, t in zip(bundle.alpha, gauge))
 
     support = RelativeSupport(g, k, bundle.zeta, a_rows, chi_out)
-    system = LocalSystemData(tuple(alpha_out), xi_out)
-    return InverseResult(support, system, k)
+    system = LocalSystemData(alpha_out, xi_out)
+    return InverseResult(support, system, k, tuple(gauge))
 
 
 # ------------------------------------------------------------- fibre slices

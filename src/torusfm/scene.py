@@ -25,8 +25,9 @@ Support kinds and their keys:
     relative     k, zeta, a, chi; [system] may set alpha, xi
 
 A [bundle] section instead carries dual-side data under the keys k,
-zeta, P, Q, alpha, beta.  Keys whose shape is determined by g and k
-default to zeros when omitted.
+zeta, P, Q, alpha, beta; P, Q and beta fill the gamma_tilde, varsigma
+and fibre_turns fields of a TransformedBundle.  Keys whose shape is
+determined by g and k default to zeros when omitted.
 """
 
 from __future__ import annotations
@@ -39,10 +40,10 @@ from .exact_linalg import RatMatrix
 from .expr import Expr, parse
 from .fm_absolute import SubtorusLocalSystem, skyscraper
 from .fm_relative import (
-    DualBundleInput,
     LocalSystemData,
     RelativeSupport,
     SectionSupport,
+    TransformedBundle,
 )
 from .torus import Torus, subtorus_from_equations
 
@@ -83,7 +84,7 @@ class Scene:
     absolute: SubtorusLocalSystem | None = None
     support: RelativeSupport | SectionSupport | None = None
     system: LocalSystemData | None = None
-    bundle: DualBundleInput | None = None
+    bundle: TransformedBundle | None = None
 
 
 def _int(value: str, where: str) -> int:
@@ -261,7 +262,7 @@ def _parse_bundle(torus: Torus, bd: dict) -> Scene:
     alpha = _exprs(bd["alpha"], "[bundle] alpha") if "alpha" in bd else _zeros(k)
     beta = _exprs(bd["beta"], "[bundle] beta") if "beta" in bd else _zeros(k)
     return Scene(
-        torus, "bundle", bundle=DualBundleInput(g, k, zeta, p, q, alpha, beta)
+        torus, "bundle", bundle=TransformedBundle(g, k, zeta, p, q, alpha, beta)
     )
 
 

@@ -44,9 +44,9 @@ from torusfm.expr import (
 from torusfm.fm_absolute import SubtorusLocalSystem
 from torusfm.fm_absolute import transform as absolute_transform
 from torusfm.fm_relative import (
-    DualBundleInput,
     RelativeSupport,
     SectionSupport,
+    TransformedBundle,
     check_C1_lagrangian,
     check_C2_C3,
     check_D_conditions,
@@ -425,7 +425,7 @@ def test_09_failed_conditions_are_proven_not_numerical():
                 e = add(e, mul(num(_rat(rng)), var(j)))
             zeta.append(e)
         zeta = tuple(zeta)
-        paired = DualBundleInput(
+        paired = TransformedBundle(
             g,
             k,
             zeta,

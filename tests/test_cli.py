@@ -6,9 +6,9 @@ from fractions import Fraction as F
 import pytest
 
 from torusfm import (
-    DualBundleInput,
     RelativeSupport,
     SectionSupport,
+    TransformedBundle,
     parse_scene,
 )
 from torusfm.cli import main
@@ -147,12 +147,12 @@ def test_relative_defaults_fill_every_shape():
 def test_parse_bundle_scene():
     scene = parse_scene(BUNDLE)
     b = scene.bundle
-    assert isinstance(b, DualBundleInput)
+    assert isinstance(b, TransformedBundle)
     assert (b.g, b.k) == (2, 1)
-    assert b.P == ((parse("-1"),),)
-    assert b.Q == (parse("-1/3"),)
+    assert b.gamma_tilde == ((parse("-1"),),)
+    assert b.varsigma == (parse("-1/3"),)
     assert b.alpha == (parse("0"),)
-    assert b.beta == (parse("1/4"),)
+    assert b.fibre_turns == (parse("1/4"),)
 
 
 def test_parse_torus_metric():
@@ -282,6 +282,59 @@ def test_roundtrip_of_a_bundle_scene(tmp_path, capsys):
     assert out.count("matches the sliced transform") == 3
 
 
+# Fibre offsets that vary along the base: the inverse returns alpha shifted
+# by the exact gauge term 2 pi d(sum_c Q_c chi_c), here -(4/3) pi x1 dx1.
+GAUGED_RELATIVE = """
+[torus]
+g = 3
+
+[support]
+kind = relative
+k = 1
+zeta = 2*x1; -x1
+a = 1, 2
+chi = x1^2
+
+[system]
+alpha = 0
+xi = 1/3 5/6
+"""
+
+GAUGED_BUNDLE = """
+[torus]
+g = 3
+
+[bundle]
+k = 1
+zeta = 2*x1; -x1
+P = 2; -1
+Q = -1/6; -1/3
+alpha = x1
+beta = x1^2
+"""
+
+
+def test_roundtrip_of_a_relative_scene_up_to_the_gauge_term(tmp_path, capsys):
+    assert main(["roundtrip", write(tmp_path, "r.scene", GAUGED_RELATIVE), "--seed", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "a: exact (proven)" in out
+    assert "chi: exact (proven)" in out
+    assert "alpha: exact up to the gauge term (proven)" in out
+    assert "xi: exact" in out
+    assert out.count("matches the sliced transform") == 3
+    assert out.endswith("warnings: none\n")
+
+
+def test_roundtrip_of_a_bundle_scene_up_to_the_gauge_term(tmp_path, capsys):
+    assert main(["roundtrip", write(tmp_path, "b.scene", GAUGED_BUNDLE), "--seed", "3"]) == 0
+    out = capsys.readouterr().out
+    for line in ("P: exact (proven)", "Q: exact (proven)", "beta: exact (proven)"):
+        assert line in out
+    assert "alpha: exact up to the gauge term (proven)" in out
+    assert out.count("matches the sliced transform") == 3
+    assert out.endswith("warnings: none\n")
+
+
 def test_curvature_of_a_gradient_section(tmp_path, capsys):
     assert main(["curvature", write(tmp_path, "s.scene", SECTION)]) == 0
     out = capsys.readouterr().out
@@ -302,6 +355,20 @@ def test_malformed_expression_exits_1_with_offset(tmp_path, capsys):
     text = "[torus]\ng = 2\n[support]\nkind = section\nepsilon = x1 +; x2"
     assert main(["transform", write(tmp_path, "bad.scene", text)]) == 1
     assert "at offset 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "epsilon, offset",
+    [("(" * 3000 + "x1" + ")" * 3000, 200), ("-" * 3000 + "x1", 2800), ("+".join(["x1"] * 3000), 599)],
+    ids=["parentheses", "minus signs", "sum"],
+)
+def test_too_deep_expression_exits_1_with_offset(tmp_path, capsys, epsilon, offset):
+    text = f"[torus]\ng = 1\n[support]\nkind = section\nepsilon = {epsilon}\n"
+    assert main(["check", write(tmp_path, "deep.scene", text)]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: [support] epsilon: expression nested deeper than 200 levels at offset {offset}\n"
+    )
 
 
 def test_missing_file_exits_1(tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusfm.expr import (
+    MAX_DEPTH,
     PI,
     Cos,
     Mul,
@@ -107,6 +108,68 @@ def test_parse_error_offsets():
         parse("x1^x2")
     with pytest.raises(ParseError):
         parse("")
+
+
+def deep_text(shape, n):
+    """An expression n levels of one shape deep."""
+    if shape == "parentheses":
+        return "(" * n + "x1" + ")" * n
+    if shape == "minus signs":
+        return "-" * n + "x1"
+    return "+".join(["x1"] * n)
+
+
+@pytest.mark.parametrize(
+    "shape, offset",
+    [("parentheses", MAX_DEPTH), ("minus signs", 3000 - MAX_DEPTH), ("sum", 3 * MAX_DEPTH - 1)],
+)
+def test_deep_expressions_raise_parse_error(shape, offset):
+    with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH} levels") as e:
+        parse(deep_text(shape, 3000))
+    assert e.value.offset == offset
+
+
+@pytest.mark.parametrize(
+    "shape, deepest", [("parentheses", MAX_DEPTH - 1), ("minus signs", MAX_DEPTH - 1), ("sum", MAX_DEPTH)]
+)
+def test_depth_limit_is_exact(shape, deepest):
+    parse(deep_text(shape, deepest))
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse(deep_text(shape, deepest + 1))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "+".join(["x1"] * MAX_DEPTH),
+        "*".join(["x1"] * MAX_DEPTH),
+        "sin(" * (MAX_DEPTH - 1) + "x1" + ")" * (MAX_DEPTH - 1),
+    ],
+    ids=["sum", "product", "nested sin"],
+)
+def test_tree_walkers_handle_the_deepest_accepted_tree(text):
+    e = parse(text)
+    assert parse(to_str(e)) == e
+    d = diff(e, 1)
+    assert normal_form(d) and normal_form(e)
+    assert abs(eval_at(e, (0.5,))) > 0
+    assert not is_zero(e).is_zero
+    if "sin" not in text:
+        assert eval_exact(e, (1,)) == (MAX_DEPTH if "+" in text else 1)
+        assert eval_exact(d, (1,)) == MAX_DEPTH
+
+
+def test_nested_trig_normal_forms_grow_linearly():
+    # Each sin atom holds the key of its argument's normal form; escaping
+    # that key anew at every level would double its size per level.
+    def nested(n):
+        return parse("sin(" * n + "x1" + ")" * n)
+
+    sizes = [len(repr(normal_form(nested(n)))) for n in (10, 20)]
+    assert sizes[1] < 3 * sizes[0]
+    e = nested(20)
+    assert is_zero(add(sin_(neg(e)), sin_(e))).kind == "proven_zero"
+    assert is_zero(sub(cos_(neg(e)), cos_(e))).kind == "proven_zero"
 
 
 @settings(max_examples=300, deadline=None)

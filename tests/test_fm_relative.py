@@ -40,7 +40,6 @@ from torusfm.expr import (
 from torusfm.fm_absolute import transform as absolute_transform
 from torusfm.fm_relative import (
     ConditionError,
-    DualBundleInput,
     LocalSystemData,
     RelativeSupport,
     SectionSupport,
@@ -356,7 +355,9 @@ def reference_rank_check(a, k, tol=1e-9, grid=17):
     table = [[eval_at(d, p) for p in points] for d in minors]
     if any(all(abs(vals[i]) <= tol for vals in table) for i in range(len(points))):
         return False, minors, larger_proven
-    if len(minors) == 1 and min(table[0]) < -tol and max(table[0]) > tol:
+    # A sign change proves a zero when every other top minor vanishes identically.
+    live = [vals for vals, v in zip(table, verdicts) if v.kind != "proven_zero"]
+    if len(live) == 1 and min(live[0]) < -tol and max(live[0]) > tol:
         return False, minors, larger_proven
     return True, minors, larger_proven
 
@@ -409,6 +410,15 @@ def test_constant_rank_agrees_with_leibniz_minors(case):
     assert c2.verdict.proven == provable
     if c2.verdict.proven:
         assert c2.verdict.kind == "proven_zero"
+
+
+def test_sign_change_of_the_one_live_minor_is_a_rank_drop():
+    # The zero column adds a 1x1 minor that vanishes identically; the
+    # other, x1 - 1/7, changes sign, so the rank drops at x1 = 1/7.
+    s = RelativeSupport(3, 1, (0, 0), ((parse("x1 - 1/7"), 0),), (0,))
+    c2, _ = check_C2_C3(s)
+    assert c2.verdict.kind == "numerically_nonzero"
+    assert reference_rank_check(s.a, 1)[0] is False
 
 
 def test_wit_index_is_the_fibre_dimension():
@@ -506,13 +516,26 @@ def test_bundle_shape_validation():
     with pytest.raises(ValueError, match="one dual fibre equation"):
         TransformedBundle(
             2, 1, (), ((ZERO,),), (ZERO,), (ZERO,), (ZERO,),
-            Verdict.proven_zero(), 1,
+            Verdict.proven_zero(),
         )
     with pytest.raises(ValueError, match="one connection coefficient"):
         TransformedBundle(
             2, 1, (ZERO,), ((ZERO,),), (ZERO,), (), (ZERO,),
-            Verdict.proven_zero(), 1,
+            Verdict.proven_zero(),
         )
+
+
+def test_bundle_given_as_input_is_validated():
+    with pytest.raises(ValueError, match="need g >= 1"):
+        TransformedBundle(2, 3, (), (), (), (), ())
+    with pytest.raises(ValueError, match="dual fibre coefficients may depend on x1..x1 only"):
+        TransformedBundle(2, 1, (0,), ((parse("x2"),),), (0,), (0,), (0,))
+    with pytest.raises(ValueError, match="connection coefficients"):
+        TransformedBundle(2, 1, (0,), ((0,),), (0,), (0,), (parse("x2"),))
+    b = TransformedBundle(3, 1, (0, 0), ((0,), (0,)), (0, 0), (0,), (0,))
+    assert b.holomorphic is None
+    assert b.wit_index == 2
+    assert dual_input_from_bundle(b) is b
 
 
 # ------------------------------------------------------------------ sections
@@ -662,7 +685,6 @@ def test_f02_tracks_the_lagrangian_curl():
         alpha=(ZERO, ZERO),
         fibre_turns=fibre_turns_of(s_bad),
         holomorphic=Verdict.proven_nonzero(),
-        wit_index=1,
     )
     assert check_F02_iff_lagrangian(s_bad, manual).kind == "proven_zero"
     _, _, f02 = curvature_hodge(manual)
@@ -682,20 +704,20 @@ def test_dual_conditions_on_a_transformed_bundle():
 
 
 def test_dual_condition_failures_are_named():
-    bad_p = DualBundleInput(
+    bad_p = TransformedBundle(
         2, 1, (0,), ((parse("x1"),),), (0,), (0,), (0,)
     )
     d1, _, _ = check_D_conditions(bad_p)
     assert not d1.holds
     assert d1.failures == ("P[1][1]",)
 
-    bad_q = DualBundleInput(
+    bad_q = TransformedBundle(
         2, 1, (0,), ((0,),), (parse("x1"),), (0,), (0,)
     )
     d1, _, _ = check_D_conditions(bad_q)
     assert d1.failures == ("Q[1]",)
 
-    bad_alpha = DualBundleInput(
+    bad_alpha = TransformedBundle(
         3, 2, (0,), ((0, 0),), (0,), (parse("x2"), 0), (0, 0)
     )
     _, d2, _ = check_D_conditions(bad_alpha)
@@ -715,7 +737,7 @@ def test_inverse_rejects_varying_fibre_coefficients():
 
 
 def test_inverse_needs_rational_coefficients():
-    b = DualBundleInput(2, 1, (0,), ((PI,),), (0,), (0,), (0,))
+    b = TransformedBundle(2, 1, (0,), ((PI,),), (0,), (0,), (0,))
     with pytest.raises(ValueError, match="rational constant"):
         inverse_transform(b)
 
@@ -728,7 +750,7 @@ def test_cauchy_riemann_check():
     assert rep.name == "cauchy-riemann"
     assert rep.holds and rep.verdict.proven
 
-    skew = DualBundleInput(
+    skew = TransformedBundle(
         3, 1, (parse("2*x1"), parse("-x1")), ((2,), (0,)), (0, 0), (0,), (0,)
     )
     rep = check_cauchy_riemann(skew)
@@ -739,7 +761,7 @@ def test_cauchy_riemann_check():
 def test_flat_dual_support_is_not_a_graph():
     # Zero slopes and offsets with k < g: the dual fibre equations
     # degenerate and no solved-form support exists on the other side.
-    b = DualBundleInput(2, 1, (0,), ((0,),), (0,), (0,), (0,))
+    b = TransformedBundle(2, 1, (0,), ((0,),), (0,), (0,), (0,))
     with pytest.raises(ConditionError) as exc:
         inverse_transform(b)
     assert exc.value.condition == "chart"
@@ -749,7 +771,7 @@ def test_flat_dual_support_is_not_a_graph():
 def test_trivial_bundle_inverts_to_the_zero_section():
     # With k = g there are no angle constraints to re-solve and the
     # trivial bundle comes back as the zero section with no twist.
-    b = DualBundleInput(2, 2, (), (), (), (0, 0), (0, 0))
+    b = TransformedBundle(2, 2, (), (), (), (0, 0), (0, 0))
     inv = inverse_transform(b)
     assert inv.wit_index == 2
     assert inv.support.a == ((), ())
@@ -885,6 +907,18 @@ def test_polynomial_instances_transform_fibrewise(shape, seed):
     assert all(max_var(e) <= k for e in bundle_expressions(bundle))
     assert check_F02_iff_lagrangian(s, bundle).kind == "proven_zero"
     assert_slices_match(s, sys_in, bundle, rational_base_point(rng, k))
+
+
+def test_inverse_returns_the_gauge_term_it_subtracts():
+    s = twisted_line_support()
+    inv = inverse_transform(transform_nontransversal(s, TWISTED_SYSTEM))
+    # 2 pi d(Q_3 chi_1) with Q_3 = -1/3 and chi_1 = x1^2.
+    assert_proven_zero(sub(inv.gauge[0], parse("-4/3*pi*x1")))
+    assert_proven_zero(sub(inv.system.alpha[0], sub(TWISTED_SYSTEM.alpha[0], inv.gauge[0])))
+    # Constant offsets: no gauge term.
+    inv = inverse_transform(transform_nontransversal(antidiagonal_support(), ANTIDIAGONAL_SYSTEM))
+    assert len(inv.gauge) == 1
+    assert_proven_zero(inv.gauge[0])
 
 
 @settings(max_examples=25, deadline=None)
