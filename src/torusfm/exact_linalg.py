@@ -33,6 +33,16 @@ def dot(u: Sequence, v: Sequence) -> Fraction:
     return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
 
 
+def _integral(e, i: int, j: int) -> int:
+    """The entry as an int; a value that int() would truncate is an error."""
+    if type(e) is int:
+        return e
+    v = int(e)
+    if v != e:
+        raise ValueError(f"entry {e!r} at row {i}, column {j} is not an integer")
+    return v
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """Immutable integer matrix, stored as a tuple of row tuples."""
@@ -41,7 +51,9 @@ class IntMatrix:
     ncols: int
 
     def __init__(self, rows: Iterable[Iterable[int]], ncols: int | None = None):
-        rs = tuple(tuple(int(e) for e in row) for row in rows)
+        rs = tuple(
+            tuple(_integral(e, i, j) for j, e in enumerate(row)) for i, row in enumerate(rows)
+        )
         if rs:
             width = len(rs[0])
             if any(len(r) != width for r in rs):
@@ -54,6 +66,14 @@ class IntMatrix:
         object.__setattr__(self, "rows", rs)
         object.__setattr__(self, "ncols", int(ncols))
 
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple[int, ...], ...], ncols: int) -> "IntMatrix":
+        """Wrap rows that are already a rectangular tuple of int tuples, unchecked."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "ncols", ncols)
+        return m
+
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -64,16 +84,20 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
+        return IntMatrix._trusted(
+            tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n
+        )
 
     @staticmethod
     def zero(nrows: int, ncols: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(0 for _ in range(ncols)) for _ in range(nrows)), ncols)
+        return IntMatrix._trusted(
+            tuple(tuple(0 for _ in range(ncols)) for _ in range(nrows)), ncols
+        )
 
     def transpose(self) -> "IntMatrix":
         if not self.rows:
-            return IntMatrix(tuple(() for _ in range(self.ncols)), 0)
-        return IntMatrix(tuple(zip(*self.rows)), self.nrows)
+            return IntMatrix._trusted(tuple(() for _ in range(self.ncols)), 0)
+        return IntMatrix._trusted(tuple(zip(*self.rows)), self.nrows)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
@@ -82,7 +106,7 @@ class IntMatrix:
         out = tuple(
             tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.rows
         )
-        return IntMatrix(out, other.ncols)
+        return IntMatrix._trusted(out, other.ncols)
 
     def mul_vector(self, v: Sequence) -> RatVector:
         if len(v) != self.ncols:
@@ -259,6 +283,10 @@ def solve_particular(a: RatMatrix, b: Sequence) -> RatVector:
     return tuple(y)
 
 
+def _tuples(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    return tuple(map(tuple, rows))
+
+
 def _identity_rows(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
@@ -321,7 +349,7 @@ def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             _addmul_row(u, i, pivot_row, q)
         pivot_cols.append(col)
         pivot_row += 1
-    return IntMatrix(work, ncols), IntMatrix(u, nrows)
+    return IntMatrix._trusted(_tuples(work), ncols), IntMatrix._trusted(_tuples(u), nrows)
 
 
 def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -402,7 +430,11 @@ def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             _negate_row(work, t)
             _negate_row(u, t)
         t += 1
-    return IntMatrix(work, ncols), IntMatrix(u, nrows), IntMatrix(v, ncols)
+    return (
+        IntMatrix._trusted(_tuples(work), ncols),
+        IntMatrix._trusted(_tuples(u), nrows),
+        IntMatrix._trusted(_tuples(v), ncols),
+    )
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
@@ -417,29 +449,56 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     d, _, v = snf(m)
     rank = sum(1 for i in range(min(d.nrows, d.ncols)) if d.rows[i][i] != 0)
     if rank == ncols:
-        return IntMatrix((), ncols)
+        return IntMatrix._trusted((), ncols)
     basis = tuple(tuple(v.rows[r][j] for r in range(ncols)) for j in range(rank, ncols))
-    h, _ = hnf(IntMatrix(basis, ncols))
-    return IntMatrix(h.rows[: ncols - rank], ncols)
+    h, _ = hnf(IntMatrix._trusted(basis, ncols))
+    return IntMatrix._trusted(h.rows[: ncols - rank], ncols)
 
 
 def saturate(m: IntMatrix) -> IntMatrix:
     """Canonical basis of (Q-span of the rows) intersected with Z^n.
 
-    With D = U m V in Smith form and r nonzero invariant factors, the first
-    r rows of V^-1 are a basis of the saturation; row i of U m is d_i times
-    row i of V^-1, so no inverse is needed.  The input rows must be linearly
-    independent over Q; otherwise raises ValueError("rank deficient").
+    With D = U m V in Smith form and invariant factors d_1 | ... | d_r, the
+    first r rows of V^-1 are a basis B of the saturation; row i of U m is
+    d_i times row i of B, so no inverse is needed.  The result is the
+    Hermite form U_h B.  The input rows must be linearly independent over
+    Q; otherwise raises ValueError("rank deficient").
+
+    The multipliers also carry offsets across: the system m y + c = 0 has
+    the same solutions mod 1 as sat y + chi = 0 with
+    chi = U_h D^-1 U c mod 1 (Cohen, GTM 138, section 2.4).
     """
-    if m.nrows == 0:
-        return IntMatrix((), m.ncols)
+    return _saturation(m)[0]
+
+
+def _saturation(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix, list[int]]:
+    """saturate(m) together with U, U_h and the divisors d_1 | ... | d_r."""
     d, u, _ = snf(m)
     divisors = [d.rows[i][i] for i in range(min(d.nrows, d.ncols)) if d.rows[i][i] != 0]
     if len(divisors) != m.nrows:
         raise ValueError("rank deficient")
     rows = (u @ m).rows
     basis = tuple(tuple(e // di for e in row) for row, di in zip(rows, divisors))
-    return hnf(IntMatrix(basis, m.ncols))[0]
+    sat, u_h = hnf(IntMatrix._trusted(basis, m.ncols))
+    return sat, u, u_h, divisors
+
+
+def _saturated_offset(
+    u: IntMatrix, u_h: IntMatrix, divisors: Sequence[int], n: Sequence[int], denom: int
+) -> RatVector:
+    """chi = U_h D^-1 U (n / denom) mod 1, in integer arithmetic.
+
+    With M = denom * d_r, entry i of D^-1 U n / denom is w_i / M where
+    w_i = (U n)_i * d_r / d_i; only w mod M matters, so multiplier growth
+    never reaches a Fraction, and one Fraction is built per output entry.
+    """
+    top = divisors[-1]
+    mod = denom * top
+    w = [
+        sum(a * b for a, b in zip(row, n)) * (top // di) % mod
+        for row, di in zip(u.rows, divisors)
+    ]
+    return tuple(Fraction(sum(a * b for a, b in zip(row, w)) % mod, mod) for row in u_h.rows)
 
 
 def is_unimodular(m: IntMatrix) -> bool:
@@ -449,4 +508,4 @@ def is_unimodular(m: IntMatrix) -> bool:
 def stack(top: IntMatrix, bottom: IntMatrix) -> IntMatrix:
     if top.ncols != bottom.ncols:
         raise ValueError("dimension mismatch")
-    return IntMatrix(top.rows + bottom.rows, top.ncols)
+    return IntMatrix._trusted(top.rows + bottom.rows, top.ncols)

@@ -47,6 +47,17 @@ class SubtorusLocalSystem:
         object.__setattr__(self, "holonomy", holonomy)
         object.__setattr__(self, "rank", rank)
 
+    @classmethod
+    def _trusted(
+        cls, support: AffineSubtorus, holonomy: RatVector, rank: int = 1
+    ) -> "SubtorusLocalSystem":
+        """Wrap a holonomy already reduced into [0, 1), one phase per direction, unchecked."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "support", support)
+        object.__setattr__(s, "holonomy", holonomy)
+        object.__setattr__(s, "rank", rank)
+        return s
+
     @property
     def torus(self) -> Torus:
         return self.support.torus
@@ -93,7 +104,7 @@ def transform(system: SubtorusLocalSystem) -> TransformResult:
     """
     hat, dual_holonomy = dual_support(system.support, system.holonomy)
     return TransformResult(
-        SubtorusLocalSystem(hat, dual_holonomy, system.rank), system.support.dim
+        SubtorusLocalSystem._trusted(hat, dual_holonomy, system.rank), system.support.dim
     )
 
 

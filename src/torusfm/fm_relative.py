@@ -29,6 +29,7 @@ vanishes exactly when the input support was Lagrangian.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -922,6 +923,12 @@ def _rational_rows_to_subtorus(torus: Torus, rows, offsets) -> AffineSubtorus:
     return subtorus_from_equations(torus, int_rows, int_offsets)
 
 
+@functools.cache
+def _standard_torus(g: int) -> Torus:
+    """One standard torus per dimension, shared by every slice that needs one."""
+    return Torus(g)
+
+
 def fibre_support(
     s: RelativeSupport, base: Sequence, torus: Torus | None = None
 ) -> AffineSubtorus:
@@ -930,7 +937,7 @@ def fibre_support(
     base gives the free coordinates x^1..x^k; coefficients are evaluated
     there and the solved equations are rewritten as integer constraints.
     """
-    t = torus if torus is not None else Torus(s.g)
+    t = torus if torus is not None else _standard_torus(s.g)
     b = rat_vector(base)
     if len(b) != s.k:
         raise ValueError("one coordinate per free base direction")
@@ -962,10 +969,10 @@ def fibre_system(
     sup = fibre_support(s, base, torus)
     m_free = s.g - s.k
     hol = tuple(
-        sum(Fraction(d[m]) * system.xi[m] for m in range(m_free))
+        mod1(sum(d[m] * system.xi[m] for m in range(m_free)))
         for d in sup.direction_basis().rows
     )
-    return SubtorusLocalSystem(sup, hol)
+    return SubtorusLocalSystem._trusted(sup, hol)
 
 
 def fibre_of_transform(
@@ -978,7 +985,7 @@ def fibre_of_transform(
     with the dw-coefficient row.
     """
     # The standard torus is self-dual.
-    t = torus if torus is not None else Torus(bundle.g)
+    t = torus if torus is not None else _standard_torus(bundle.g)
     b = rat_vector(base)
     if len(b) != bundle.k:
         raise ValueError("one coordinate per free base direction")
@@ -996,7 +1003,7 @@ def fibre_of_transform(
     sup = _rational_rows_to_subtorus(t, rows, offsets)
     turns_at_b = [eval_exact(e, b) for e in bundle.fibre_turns]
     hol = tuple(
-        mod1(sum(Fraction(d[j]) * turns_at_b[j] for j in range(k)))
+        mod1(sum(d[j] * turns_at_b[j] for j in range(k)))
         for d in sup.direction_basis().rows
     )
-    return SubtorusLocalSystem(sup, hol)
+    return SubtorusLocalSystem._trusted(sup, hol)

@@ -11,15 +11,17 @@ equal stored data and dataclass equality is set equality.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .exact_linalg import (
     IntMatrix,
     RatMatrix,
     RatVector,
-    dot,
+    _saturated_offset,
+    _saturation,
     kernel_basis,
     mod1,
     mod1_vector,
@@ -181,6 +183,13 @@ def subtorus_from_equations(torus: Torus, rows, offsets) -> AffineSubtorus:
     The rows may be any integer vectors with full row rank; the result is
     stored in canonical form.  Rationally dependent rows raise
     ValueError("degenerate equations").
+
+    With D = U A V in Smith form, invariant factors d_1 | ... | d_r, and
+    the saturation sat = U_h B, where B is the rows of U A divided by the
+    d_i, the canonical offset is chi = U_h D^-1 U c mod 1.  It is computed
+    on one common denominator: with L the lcm of the offset denominators,
+    n = L c and M = L d_r, w_i = (U n)_i d_r / d_i mod M and
+    chi_j = ((U_h w)_j mod M) / M.
     """
     a = rows if isinstance(rows, IntMatrix) else IntMatrix(rows, torus.dim)
     c = rat_vector(offsets)
@@ -191,12 +200,17 @@ def subtorus_from_equations(torus: Torus, rows, offsets) -> AffineSubtorus:
     if a.nrows == 0:
         return whole_torus(torus)
     try:
-        sat = saturate(a)
+        sat, u, u_h, divisors = _saturation(a)
     except ValueError:
         raise ValueError("degenerate equations") from None
-    y0 = solve_particular(a.to_rat(), [-ci for ci in c])
-    chi = mod1_vector(-v for v in sat.mul_vector(y0))
-    return AffineSubtorus._canonical(torus, sat, chi)
+    n, denom = _numerators(c)
+    return AffineSubtorus._canonical(torus, sat, _saturated_offset(u, u_h, divisors, n, denom))
+
+
+def _numerators(c: RatVector) -> tuple[list[int], int]:
+    """Integer numerators of c over the lcm of its denominators, and that lcm."""
+    denom = math.lcm(*(x.denominator for x in c))
+    return [x.numerator * (denom // x.denominator) for x in c], denom
 
 
 def whole_torus(torus: Torus) -> AffineSubtorus:
@@ -251,26 +265,25 @@ def intersect(s1: AffineSubtorus, s2: AffineSubtorus) -> list[AffineSubtorus]:
     if a.nrows == 0:
         return [whole_torus(s1.torus)]
     d, u, _ = snf(a)
-    cprime = u.to_rat().mul_vector(c)
     r = sum(1 for i in range(min(d.nrows, d.ncols)) if d.rows[i][i] != 0)
-    for i in range(r, d.nrows):
-        if mod1(cprime[i]) != 0:
-            return []
+    # U c over the common denominator L of c; rows past r must be integral.
+    n, denom = _numerators(c)
+    un = [sum(e * ni for e, ni in zip(row, n)) for row in u.rows]
+    if any(x % denom for x in un[r:]):
+        return []
     divisors = [d.rows[i][i] for i in range(r)]
     # Row i of U a is d_i times row i of V^-1.
-    rows = IntMatrix(
+    rows = IntMatrix._trusted(
         tuple(tuple(e // di for e in row) for row, di in zip((u @ a).rows, divisors)), g
     )
-    components: list[AffineSubtorus] = []
-
-    def build(i: int, fixed: list[Fraction]):
-        if i == r:
-            components.append(
-                subtorus_from_equations(s1.torus, rows, [-z for z in fixed])
-            )
-            return
-        for t in range(divisors[i]):
-            build(i + 1, fixed + [(t - cprime[i]) / divisors[i]])
-
-    build(0, [])
+    # One saturation serves every component; only the offsets differ.
+    sat, u_rows, u_h, rows_divisors = _saturation(rows)
+    top = divisors[-1]
+    components = []
+    for t in itertools.product(*(range(di) for di in divisors)):
+        # Component t solves rows y + ((U c)_i - t_i) / d_i = 0; over the
+        # common denominator L d_r its numerators are ((U n)_i - L t_i) d_r / d_i.
+        num = [(x - denom * ti) * (top // di) for x, ti, di in zip(un, t, divisors)]
+        chi = _saturated_offset(u_rows, u_h, rows_divisors, num, denom * top)
+        components.append(AffineSubtorus._canonical(s1.torus, sat, chi))
     return components

@@ -2,32 +2,34 @@
 
 Everything here is deliberately slow and simple: Laplace determinants,
 exhaustive minor enumeration, membership tests via rational solves.  The
-library under test must agree with these on small inputs.
+library under test must agree with these on small inputs.  Only the
+library's matrix container is used; every algorithm here is its own.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
-from torusfm.exact_linalg import IntMatrix, solve_particular
+from torusfm.exact_linalg import IntMatrix
 from torusfm.expr import add, eval_at, mul, sub
 
 
 def naive_det(m):
     """Laplace expansion along the first row."""
-    n = m.nrows
+    return _laplace(m.rows)
+
+
+def _laplace(rows):
+    n = len(rows)
     if n == 0:
         return 1
     if n == 1:
-        return m.rows[0][0]
+        return rows[0][0]
     total = 0
-    for j in range(n):
-        if m.rows[0][j] == 0:
-            continue
-        minor = IntMatrix(
-            tuple(tuple(row[c] for c in range(n) if c != j) for row in m.rows[1:]), n - 1
-        )
-        total += (-1) ** j * m.rows[0][j] * naive_det(minor)
+    for j, e in enumerate(rows[0]):
+        if e:
+            minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
+            total += (-1) ** j * e * _laplace(minor)
     return total
 
 
@@ -66,12 +68,18 @@ def sylvester_positive_definite(m):
 
 
 def gcd_of_minors(m, k):
-    vals = []
+    """gcd of all k x k minors, 0 when there are none or all vanish.
+
+    The enumeration stops once the running gcd is 1, which no further
+    minor can change.
+    """
+    g = 0
     for rows in itertools.combinations(range(m.nrows), k):
         for cols in itertools.combinations(range(m.ncols), k):
-            sub = IntMatrix(tuple(tuple(m.rows[i][j] for j in cols) for i in rows), k)
-            vals.append(naive_det(sub))
-    return math.gcd(*vals) if vals else 0
+            g = math.gcd(g, _laplace([tuple(m.rows[i][j] for j in cols) for i in rows]))
+            if g == 1:
+                return 1
+    return g
 
 
 def is_canonical_hnf(h):
@@ -94,15 +102,61 @@ def is_canonical_hnf(h):
     return True
 
 
+def _gauss_jordan(rows, width):
+    """Reduced echelon form over Q of the first width columns: (rows, pivots)."""
+    rows = [[Fraction(e) for e in row] for row in rows]
+    pivots = []
+    for c in range(width):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [e / rows[r][c] for e in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def rational_rank(rows, ncols):
+    return len(_gauss_jordan(rows, ncols)[1])
+
+
+def rational_solve(rows, rhs, ncols):
+    """One solution of rows y = rhs over Q, free coordinates zero, or None.
+
+    Returns None when the system is inconsistent.
+    """
+    reduced, pivots = _gauss_jordan([list(row) + [b] for row, b in zip(rows, rhs)], ncols)
+    if any(row[ncols] for row in reduced[len(pivots):]):
+        return None
+    y = [Fraction(0)] * ncols
+    for row, c in zip(reduced, pivots):
+        y[c] = row[ncols]
+    return y
+
+
 def in_row_span_z(vec, basis):
     """Membership of an integer vector in the Z-span of the basis rows."""
     if basis.nrows == 0:
         return all(e == 0 for e in vec)
-    try:
-        coeffs = solve_particular(basis.to_rat().transpose(), vec)
-    except ValueError:
-        return False
-    return all(c.denominator == 1 for c in coeffs)
+    columns = list(zip(*basis.rows))
+    coeffs = rational_solve(columns, vec, basis.nrows)
+    return coeffs is not None and all(c.denominator == 1 for c in coeffs)
+
+
+def offset_by_particular_solution(sat, rows, offsets, ncols):
+    """Canonical offset by a rational particular solution.
+
+    With y0 solving rows y0 = -offsets, the saturated equations sat give
+    chi = -sat y0 mod 1; the saturated rows span the same rational space,
+    so any solution gives the same chi.
+    """
+    y0 = rational_solve(rows, [-Fraction(c) for c in offsets], ncols)
+    return y0, tuple(-sum(a * y for a, y in zip(row, y0)) % 1 for row in sat)
 
 
 def random_unimodular(n, rng, steps=12):

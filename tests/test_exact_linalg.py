@@ -277,3 +277,28 @@ def test_stack():
     assert s.rows == ((1, 2), (3, 4))
     with pytest.raises(ValueError):
         stack(IntMatrix([[1, 2]]), IntMatrix([[1]]))
+
+
+# ---------------------------------------------------------------- validation
+
+
+def test_int_matrix_rejects_non_integral_entries():
+    with pytest.raises(ValueError, match=r"entry Fraction\(1, 2\) at row 0, column 0"):
+        IntMatrix([[Fraction(1, 2), 1.7]])
+    with pytest.raises(ValueError, match="entry 1.7 at row 1, column 0"):
+        IntMatrix([[1, 2], [1.7, 3]])
+    with pytest.raises(ValueError, match="at row 0, column 2"):
+        IntMatrix([[0, 0, Fraction(-7, 3)]])
+    m = IntMatrix([[Fraction(4, 2), -3], [True, Fraction(0)]])
+    assert m.rows == ((2, -3), (1, 0))
+    assert all(type(e) is int for row in m.rows for e in row)
+
+
+def test_trusted_results_hold_plain_int_tuples():
+    m = IntMatrix([[2, 4, 1], [6, 8, 3]])
+    products = [m @ m.transpose(), *hnf(m), *snf(m), kernel_basis(m), saturate(m)]
+    for p in products:
+        assert type(p.rows) is tuple
+        assert all(type(r) is tuple and len(r) == p.ncols for r in p.rows)
+        assert all(type(e) is int for r in p.rows for e in r)
+        assert p == IntMatrix(p.rows, p.ncols)
