@@ -7,6 +7,7 @@ every result is exact.  Matrices are immutable and safe to share.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -263,45 +264,63 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     return rows, pivots
 
 
-def solve_particular(a: RatMatrix, b: Sequence) -> RatVector:
-    """One exact solution of A y = b, free coordinates set to zero.
-
-    Raises ValueError("inconsistent system") when no solution exists.
-    """
-    if len(b) != a.nrows:
-        raise ValueError("dimension mismatch")
-    aug = [list(row) + [Fraction(bi)] for row, bi in zip(a.rows, (Fraction(e) for e in b))]
-    if not aug:
-        return tuple()
-    reduced, pivots = _rref(aug)
-    n = a.ncols
-    if any(p == n for p in pivots):
-        raise ValueError("inconsistent system")
-    y = [Fraction(0)] * n
-    for row, p in zip(reduced, pivots):
-        y[p] = row[n]
-    return tuple(y)
-
-
 def _tuples(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, rows))
 
 
-def _identity_rows(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+def _transpose_rows(rows, ncols: int) -> list[list[int]]:
+    return [list(col) for col in zip(*rows)] if rows else [[] for _ in range(ncols)]
 
 
-def _swap(rows: list[list[int]], i: int, j: int) -> None:
-    rows[i], rows[j] = rows[j], rows[i]
+def _echelon(rows: list[list[int]], ncols: int) -> list[int]:
+    """Row Hermite form in place, pivoting on the first ncols columns.
+
+    Pivots are positive, the entries above each pivot lie in [0, pivot),
+    and rows that are zero on those columns sink to the bottom.  Columns
+    past ncols ride along, so an appended identity block records the row
+    operations without any multiplier being kept.  Returns the pivot
+    columns.
+    """
+    nrows = len(rows)
+    pivots: list[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        # Euclidean reduction below the pivot position until one entry is left.
+        while True:
+            nz = [i for i in range(r, nrows) if rows[i][col]]
+            if not nz:
+                break
+            best = min(nz, key=lambda i: abs(rows[i][col]))
+            rows[r], rows[best] = rows[best], rows[r]
+            if len(nz) == 1:
+                break
+            prow = rows[r]
+            p = prow[col]
+            for i in range(r + 1, nrows):
+                q = rows[i][col] // p
+                if q:
+                    rows[i] = [a - q * b for a, b in zip(rows[i], prow)]
+        if not nz:
+            continue
+        if rows[r][col] < 0:
+            rows[r] = [-a for a in rows[r]]
+        prow = rows[r]
+        p = prow[col]
+        for i in range(r):
+            q = rows[i][col] // p
+            if q:
+                rows[i] = [a - q * b for a, b in zip(rows[i], prow)]
+        pivots.append(col)
+    return pivots
 
 
-def _addmul_row(rows: list[list[int]], dst: int, src: int, q: int) -> None:
-    if q:
-        rows[dst] = [a + q * b for a, b in zip(rows[dst], rows[src])]
-
-
-def _negate_row(rows: list[list[int]], i: int) -> None:
-    rows[i] = [-a for a in rows[i]]
+def _hermite_blocks(left, right, ncols: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Hermite form of [left | right], pivoting on left's ncols columns, in two blocks."""
+    rows = [[*a, *b] for a, b in zip(left, right)]
+    _echelon(rows, ncols)
+    return [r[:ncols] for r in rows], [r[ncols:] for r in rows]
 
 
 def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -310,46 +329,11 @@ def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     Returns (H, U) with H = U @ m, U unimodular, H in the canonical echelon
     shape: pivots positive, entries above each pivot reduced into [0, pivot),
     zero rows at the bottom.  The canonical form is unique, so two row spans
-    over Z are equal exactly when their HNFs agree.
+    over Z are equal exactly when their HNFs agree.  H and U are the two
+    blocks of the Hermite form of [m | I], pivoting on the columns of m.
     """
-    work = [list(r) for r in m.rows]
-    u = _identity_rows(m.nrows)
-    nrows, ncols = m.nrows, m.ncols
-    pivot_row = 0
-    pivot_cols: list[int] = []
-    for col in range(ncols):
-        if pivot_row == nrows:
-            break
-        # Euclidean reduction below the pivot position until one entry is left.
-        while True:
-            nz = [i for i in range(pivot_row, nrows) if work[i][col] != 0]
-            if not nz:
-                break
-            best = min(nz, key=lambda i: abs(work[i][col]))
-            if best != pivot_row:
-                _swap(work, pivot_row, best)
-                _swap(u, pivot_row, best)
-            if all(work[i][col] == 0 for i in range(pivot_row + 1, nrows)):
-                break
-            p = work[pivot_row][col]
-            for i in range(pivot_row + 1, nrows):
-                if work[i][col] != 0:
-                    q = -(work[i][col] // p)
-                    _addmul_row(work, i, pivot_row, q)
-                    _addmul_row(u, i, pivot_row, q)
-        if work[pivot_row][col] == 0:
-            continue
-        if work[pivot_row][col] < 0:
-            _negate_row(work, pivot_row)
-            _negate_row(u, pivot_row)
-        p = work[pivot_row][col]
-        for i in range(pivot_row):
-            q = -(work[i][col] // p)
-            _addmul_row(work, i, pivot_row, q)
-            _addmul_row(u, i, pivot_row, q)
-        pivot_cols.append(col)
-        pivot_row += 1
-    return IntMatrix._trusted(_tuples(work), ncols), IntMatrix._trusted(_tuples(u), nrows)
+    h, u = _hermite_blocks(m.rows, IntMatrix.identity(m.nrows).rows, m.ncols)
+    return IntMatrix._trusted(_tuples(h), m.ncols), IntMatrix._trusted(_tuples(u), m.nrows)
 
 
 def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -357,148 +341,76 @@ def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
     Returns (D, U, V) with D = U @ m @ V, U and V unimodular and D diagonal
     with nonnegative entries satisfying d1 | d2 | ... .
+
+    Row and column Hermite forms alternate until the matrix is diagonal
+    (Kannan and Bachem, SIAM J. Comput. 8, 1979).  When some d_i does not
+    divide a later d_j, column j is added to column i, which makes the
+    next d_i the proper divisor gcd(d_i, d_j), and the alternation goes on.
+    Each Hermite form reduces the entries above its pivots, so the entries
+    stay bounded.
     """
-    work = [list(r) for r in m.rows]
     nrows, ncols = m.nrows, m.ncols
-    u = _identity_rows(nrows)
-    v = _identity_rows(ncols)
-
-    def col_swap(j1: int, j2: int) -> None:
-        for row in work:
-            row[j1], row[j2] = row[j2], row[j1]
-        for row in v:
-            row[j1], row[j2] = row[j2], row[j1]
-
-    def col_addmul(dst: int, src: int, q: int) -> None:
-        if q:
-            for row in work:
-                row[dst] += q * row[src]
-            for row in v:
-                row[dst] += q * row[src]
-
-    def col_negate(j: int) -> None:
-        for row in work:
-            row[j] = -row[j]
-        for row in v:
-            row[j] = -row[j]
-
-    t = 0
-    while t < min(nrows, ncols):
-        entries = [(abs(work[i][j]), i, j) for i in range(t, nrows) for j in range(t, ncols) if work[i][j] != 0]
-        if not entries:
+    d, u, vt = m.rows, IntMatrix.identity(nrows).rows, IntMatrix.identity(ncols).rows
+    while True:
+        d, u = _hermite_blocks(d, u, ncols)
+        dt, vt = _hermite_blocks(_transpose_rows(d, ncols), vt, nrows)
+        d = _transpose_rows(dt, nrows)
+        if any(e for i, row in enumerate(d) for j, e in enumerate(row) if i != j):
+            continue
+        diag = [d[k][k] for k in range(min(nrows, ncols)) if d[k][k]]
+        pairs = itertools.combinations(range(len(diag)), 2)
+        bad = next(((i, j) for i, j in pairs if diag[j] % diag[i]), None)
+        if bad is None:
             break
-        _, bi, bj = min(entries)
-        if bi != t:
-            _swap(work, t, bi)
-            _swap(u, t, bi)
-        if bj != t:
-            col_swap(t, bj)
-        while True:
-            # Clear the pivot column, then the pivot row; repeat while remainders appear.
-            changed = False
-            p = work[t][t]
-            for i in range(t + 1, nrows):
-                if work[i][t] != 0:
-                    q = -(work[i][t] // p)
-                    _addmul_row(work, i, t, q)
-                    _addmul_row(u, i, t, q)
-                    if work[i][t] != 0:
-                        _swap(work, t, i)
-                        _swap(u, t, i)
-                        changed = True
-                        p = work[t][t]
-            for j in range(t + 1, ncols):
-                if work[t][j] != 0:
-                    q = -(work[t][j] // p)
-                    col_addmul(j, t, q)
-                    if work[t][j] != 0:
-                        col_swap(t, j)
-                        changed = True
-                        p = work[t][t]
-            if changed:
-                continue
-            # Divisibility sweep: fold any non-multiple into the pivot's row.
-            bad = next(
-                ((i, j) for i in range(t + 1, nrows) for j in range(t + 1, ncols) if work[i][j] % p != 0),
-                None,
-            )
-            if bad is None:
-                break
-            _addmul_row(work, t, bad[0], 1)
-            _addmul_row(u, t, bad[0], 1)
-        if work[t][t] < 0:
-            _negate_row(work, t)
-            _negate_row(u, t)
-        t += 1
+        i, j = bad
+        for row in d:
+            row[i] += row[j]
+        vt[i] = [a + b for a, b in zip(vt[i], vt[j])]
     return (
-        IntMatrix._trusted(_tuples(work), ncols),
+        IntMatrix._trusted(_tuples(d), ncols),
         IntMatrix._trusted(_tuples(u), nrows),
-        IntMatrix._trusted(_tuples(v), ncols),
+        IntMatrix._trusted(_tuples(_transpose_rows(vt, ncols)), ncols),
     )
+
+
+def _kernel_hermite(m: IntMatrix) -> tuple[list[list[int]], IntMatrix]:
+    """Hermite form of [m^T | I], pivoting on every column, split in two.
+
+    Returns (top, K).  The top rows are those nonzero on the left block,
+    one per unit of rank; there [H | U] satisfies U m^T = H with H in
+    Hermite form.  K is the right block of the rows that are zero on the
+    left: the canonical basis of the integer kernel of m.
+    """
+    r = m.nrows
+    columns = _transpose_rows(m.rows, m.ncols)
+    rows = [[*c, *e] for c, e in zip(columns, IntMatrix.identity(m.ncols).rows)]
+    rank = sum(1 for j in _echelon(rows, r + m.ncols) if j < r)
+    kernel = IntMatrix._trusted(tuple(tuple(row[r:]) for row in rows[rank:]), m.ncols)
+    return rows[:rank], kernel
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
     """Canonical basis of the saturated integer kernel {v : m @ v = 0}.
 
-    Rows form an HNF basis of the full lattice of integer solutions, which is
-    saturated by construction (they extend to a basis of Z^n).
+    The rows of the Hermite form of [m^T | I] that vanish on m^T carry, in
+    their right block, a Hermite basis of the full lattice of integer
+    solutions, which is saturated (Cohen, GTM 138, section 2.4).
     """
-    ncols = m.ncols
-    if m.nrows == 0:
-        return IntMatrix.identity(ncols)
-    d, _, v = snf(m)
-    rank = sum(1 for i in range(min(d.nrows, d.ncols)) if d.rows[i][i] != 0)
-    if rank == ncols:
-        return IntMatrix._trusted((), ncols)
-    basis = tuple(tuple(v.rows[r][j] for r in range(ncols)) for j in range(rank, ncols))
-    h, _ = hnf(IntMatrix._trusted(basis, ncols))
-    return IntMatrix._trusted(h.rows[: ncols - rank], ncols)
+    return _kernel_hermite(m)[1]
 
 
 def saturate(m: IntMatrix) -> IntMatrix:
     """Canonical basis of (Q-span of the rows) intersected with Z^n.
 
-    With D = U m V in Smith form and invariant factors d_1 | ... | d_r, the
-    first r rows of V^-1 are a basis B of the saturation; row i of U m is
-    d_i times row i of B, so no inverse is needed.  The result is the
-    Hermite form U_h B.  The input rows must be linearly independent over
-    Q; otherwise raises ValueError("rank deficient").
-
-    The multipliers also carry offsets across: the system m y + c = 0 has
-    the same solutions mod 1 as sat y + chi = 0 with
-    chi = U_h D^-1 U c mod 1 (Cohen, GTM 138, section 2.4).
+    The saturation is the kernel of the kernel, so it is two Hermite forms
+    and needs no Smith form; for a square nonsingular m it is the identity.
+    The input rows must be linearly independent over Q; otherwise raises
+    ValueError("rank deficient").
     """
-    return _saturation(m)[0]
-
-
-def _saturation(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix, list[int]]:
-    """saturate(m) together with U, U_h and the divisors d_1 | ... | d_r."""
-    d, u, _ = snf(m)
-    divisors = [d.rows[i][i] for i in range(min(d.nrows, d.ncols)) if d.rows[i][i] != 0]
-    if len(divisors) != m.nrows:
+    k = kernel_basis(m)
+    if k.nrows != m.ncols - m.nrows:
         raise ValueError("rank deficient")
-    rows = (u @ m).rows
-    basis = tuple(tuple(e // di for e in row) for row, di in zip(rows, divisors))
-    sat, u_h = hnf(IntMatrix._trusted(basis, m.ncols))
-    return sat, u, u_h, divisors
-
-
-def _saturated_offset(
-    u: IntMatrix, u_h: IntMatrix, divisors: Sequence[int], n: Sequence[int], denom: int
-) -> RatVector:
-    """chi = U_h D^-1 U (n / denom) mod 1, in integer arithmetic.
-
-    With M = denom * d_r, entry i of D^-1 U n / denom is w_i / M where
-    w_i = (U n)_i * d_r / d_i; only w mod M matters, so multiplier growth
-    never reaches a Fraction, and one Fraction is built per output entry.
-    """
-    top = divisors[-1]
-    mod = denom * top
-    w = [
-        sum(a * b for a, b in zip(row, n)) * (top // di) % mod
-        for row, di in zip(u.rows, divisors)
-    ]
-    return tuple(Fraction(sum(a * b for a, b in zip(row, w)) % mod, mod) for row in u_h.rows)
+    return kernel_basis(k)
 
 
 def is_unimodular(m: IntMatrix) -> bool:

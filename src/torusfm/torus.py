@@ -14,21 +14,20 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from fractions import Fraction
+from typing import Iterable, Iterator, Sequence
 
 from .exact_linalg import (
     IntMatrix,
     RatMatrix,
     RatVector,
-    _saturated_offset,
-    _saturation,
+    _kernel_hermite,
+    hnf,
     kernel_basis,
     mod1,
     mod1_vector,
     rat_vector,
     saturate,
-    snf,
-    solve_particular,
     stack,
 )
 
@@ -152,13 +151,24 @@ class AffineSubtorus:
     def direction_coordinates(self, vector: Sequence[int]) -> tuple[int, ...]:
         """Integer coordinates of a lattice direction in the canonical basis.
 
-        Raises ValueError if the vector is not a Z-combination of the basis.
+        The basis is in Hermite form, so each coordinate is read off at its
+        row's pivot, and the remainder must vanish.  Raises ValueError if the
+        vector is not a Z-combination of the basis.
         """
-        basis = self.direction_basis()
-        coeffs = solve_particular(basis.to_rat().transpose(), rat_vector(vector))
-        if any(c.denominator != 1 for c in coeffs):
+        if len(vector) != self.torus.dim:
+            raise ValueError("dimension mismatch")
+        rest = list(vector)
+        coeffs = []
+        for row in self.direction_basis().rows:
+            j = next(j for j, e in enumerate(row) if e)
+            q, r = divmod(rest[j], row[j])
+            if r:
+                raise ValueError("vector is not in the direction lattice")
+            rest = [a - q * b for a, b in zip(rest, row)]
+            coeffs.append(int(q))
+        if any(rest):
             raise ValueError("vector is not in the direction lattice")
-        return tuple(int(c) for c in coeffs)
+        return tuple(coeffs)
 
     def translate(self, shift: Iterable) -> "AffineSubtorus":
         t = rat_vector(shift)
@@ -173,8 +183,8 @@ class AffineSubtorus:
         """The unique point of a zero-dimensional subtorus."""
         if self.dim != 0:
             raise ValueError("subtorus is not a point")
-        y = solve_particular(self.eqns.to_rat(), [-c for c in self.offset])
-        return self.torus.point(y)
+        # A saturated square system is the identity: y = -offset.
+        return self.torus.point(-c for c in self.offset)
 
 
 def subtorus_from_equations(torus: Torus, rows, offsets) -> AffineSubtorus:
@@ -184,12 +194,11 @@ def subtorus_from_equations(torus: Torus, rows, offsets) -> AffineSubtorus:
     stored in canonical form.  Rationally dependent rows raise
     ValueError("degenerate equations").
 
-    With D = U A V in Smith form, invariant factors d_1 | ... | d_r, and
-    the saturation sat = U_h B, where B is the rows of U A divided by the
-    d_i, the canonical offset is chi = U_h D^-1 U c mod 1.  It is computed
-    on one common denominator: with L the lcm of the offset denominators,
-    n = L c and M = L d_r, w_i = (U n)_i d_r / d_i mod M and
-    chi_j = ((U_h w)_j mod M) / M.
+    One Hermite form of [A^T | I] gives everything: its kernel block is the
+    direction basis K, the saturation is the kernel of K, and its top block
+    U A^T = H gives the particular solution y0 = U^T z of A y0 = -c, where
+    H^T z = -c is solved by triangular substitution over one integer
+    denominator.  The canonical offset is chi = -sat y0 mod 1.
     """
     a = rows if isinstance(rows, IntMatrix) else IntMatrix(rows, torus.dim)
     c = rat_vector(offsets)
@@ -199,18 +208,47 @@ def subtorus_from_equations(torus: Torus, rows, offsets) -> AffineSubtorus:
         raise ValueError("one offset per equation row is required")
     if a.nrows == 0:
         return whole_torus(torus)
-    try:
-        sat, u, u_h, divisors = _saturation(a)
-    except ValueError:
-        raise ValueError("degenerate equations") from None
-    n, denom = _numerators(c)
-    return AffineSubtorus._canonical(torus, sat, _saturated_offset(u, u_h, divisors, n, denom))
+    return next(_components(torus, a, c))
 
 
-def _numerators(c: RatVector) -> tuple[list[int], int]:
-    """Integer numerators of c over the lcm of its denominators, and that lcm."""
+def _components(torus: Torus, a: IntMatrix, c: RatVector) -> Iterator[AffineSubtorus]:
+    """Components of {[y] : A y + c in Z^r} for A of full row rank.
+
+    In the Hermite form of [A^T | I] the top rows [H | U] have U A^T = H,
+    with H upper triangular with pivots p_k, and the kernel block K holds
+    the directions.  Every y is U^T z + K^T w, and A y = H^T z, so a
+    component is a class of z mod Z^r with H^T z + c integral.  Row k of
+    the lower triangular H^T pins z_k to
+    (t_k - c_k - sum_{l<k} H_{lk} z_l) / p_k for one residue t_k in
+    [0, p_k), which gives prod(p_k) components.  With L the lcm of the
+    offset denominators, z is kept as the integers z * M for
+    M = L * prod(p_k).  The residues t = 0 come first; they give the
+    solutions of A y + c = 0 itself.  Dependent rows raise
+    ValueError("degenerate equations").
+    """
+    r, g = a.nrows, torus.dim
+    top, directions = _kernel_hermite(a)
+    if len(top) < r:
+        raise ValueError("degenerate equations")
+    sat = kernel_basis(directions)
     denom = math.lcm(*(x.denominator for x in c))
-    return [x.numerator * (denom // x.denominator) for x in c], denom
+    n = [x.numerator * (denom // x.denominator) for x in c]
+    steps = [top[k][k] for k in range(r)]
+    mod = denom * math.prod(steps)
+    scale = mod // denom
+    for t in itertools.product(*(range(p) for p in steps)):
+        z: list[int] = []
+        for k, (tk, p) in enumerate(zip(t, steps)):
+            known = sum(row[k] * zl for row, zl in zip(top, z))
+            z.append(((tk * denom - n[k]) * scale - known) // p)
+        # y0 = U^T z, scaled by M.
+        y0 = [sum(row[r + i] * zl for row, zl in zip(top, z)) for i in range(g)]
+        chi = tuple(
+            Fraction(-sum(e * y for e, y in zip(row, y0)) % mod, mod) for row in sat.rows
+        )
+        s = AffineSubtorus._canonical(torus, sat, chi)
+        object.__setattr__(s, "_directions", directions)
+        yield s
 
 
 def whole_torus(torus: Torus) -> AffineSubtorus:
@@ -251,39 +289,23 @@ def is_normal_to(s: AffineSubtorus, s_hat: AffineSubtorus) -> bool:
 def intersect(s1: AffineSubtorus, s2: AffineSubtorus) -> list[AffineSubtorus]:
     """Connected components of the intersection, possibly empty.
 
-    Components are found by a Smith reduction of the stacked constraints:
-    after the unimodular change of coordinates z = V^-1 y the combined
-    system pins each of the first r coordinates of z to finitely many
-    values, one component per choice, so there are d_1 * ... * d_r
-    components of dimension g - r.
+    The Hermite form W A = [A'; 0] of the stacked constraints A y + c in
+    Z^r splits them into the full-rank system A' y + (W c)' in Z^rank and
+    the consistency condition that the rest of W c be integral.  The
+    full-rank part goes through the same Hermite form of [A'^T | I] as
+    `subtorus_from_equations`: one residue per pivot names a component.
+    The components share one saturation and one direction basis, and are
+    returned sorted by offset.
     """
     if s1.torus != s2.torus:
         raise ValueError("subtori live on different tori")
-    g = s1.torus.dim
     a = stack(s1.eqns, s2.eqns)
-    c = s1.offset + s2.offset
     if a.nrows == 0:
         return [whole_torus(s1.torus)]
-    d, u, _ = snf(a)
-    r = sum(1 for i in range(min(d.nrows, d.ncols)) if d.rows[i][i] != 0)
-    # U c over the common denominator L of c; rows past r must be integral.
-    n, denom = _numerators(c)
-    un = [sum(e * ni for e, ni in zip(row, n)) for row in u.rows]
-    if any(x % denom for x in un[r:]):
+    h, w = hnf(a)
+    rank = sum(1 for row in h.rows if any(row))
+    wc = w.mul_vector(s1.offset + s2.offset)
+    if any(x.denominator != 1 for x in wc[rank:]):
         return []
-    divisors = [d.rows[i][i] for i in range(r)]
-    # Row i of U a is d_i times row i of V^-1.
-    rows = IntMatrix._trusted(
-        tuple(tuple(e // di for e in row) for row, di in zip((u @ a).rows, divisors)), g
-    )
-    # One saturation serves every component; only the offsets differ.
-    sat, u_rows, u_h, rows_divisors = _saturation(rows)
-    top = divisors[-1]
-    components = []
-    for t in itertools.product(*(range(di) for di in divisors)):
-        # Component t solves rows y + ((U c)_i - t_i) / d_i = 0; over the
-        # common denominator L d_r its numerators are ((U n)_i - L t_i) d_r / d_i.
-        num = [(x - denom * ti) * (top // di) for x, ti, di in zip(un, t, divisors)]
-        chi = _saturated_offset(u_rows, u_h, rows_divisors, num, denom * top)
-        components.append(AffineSubtorus._canonical(s1.torus, sat, chi))
-    return components
+    independent = IntMatrix._trusted(h.rows[:rank], a.ncols)
+    return sorted(_components(s1.torus, independent, wc[:rank]), key=lambda s: s.offset)

@@ -25,7 +25,6 @@ from torusfm.exact_linalg import (
     mod1,
     saturate,
     snf,
-    solve_particular,
     stack,
 )
 
@@ -203,14 +202,6 @@ def test_bareiss_det_matches_laplace(rows):
 
 
 # ---------------------------------------------------------------- rational solving
-
-
-def test_solve_particular_and_inconsistency():
-    a = RatMatrix([[1, 2], [2, 4]])
-    y = solve_particular(a, [3, 6])
-    assert a.mul_vector(y) == (Fraction(3), Fraction(6))
-    with pytest.raises(ValueError, match="inconsistent system"):
-        solve_particular(a, [3, 7])
 
 
 def test_rat_inverse():

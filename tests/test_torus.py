@@ -2,15 +2,25 @@
 
 import itertools
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import gcd_of_minors, offset_by_particular_solution, rational_rank
+from oracles import (
+    gcd_of_minors,
+    in_row_span_z,
+    naive_det,
+    offset_by_particular_solution,
+    rational_rank,
+)
 
+import torusfm.exact_linalg
+import torusfm.torus
 from torusfm.exact_linalg import IntMatrix, RatMatrix, kernel_basis, saturate, snf, stack
-from torusfm.fm_absolute import SubtorusLocalSystem, transform
+from torusfm.fm_absolute import SubtorusLocalSystem, restrict_system, transform
 from torusfm.torus import (
     AffineSubtorus,
     Torus,
@@ -152,10 +162,7 @@ def full_rank_systems(draw):
                          min_size=codim, max_size=codim))
     assume(rational_rank(rows, g) == codim)
     # Scaled rows are not primitive; the saturation divides them out.
-    # Scales stay at most 6: with 35 in the set, 23 of 3,000 random systems
-    # at g = 5 to 8 ran past 2 s inside `snf` (see CHANGES.md).  Large
-    # multipliers are covered by the fixed system below.
-    scales = draw(st.lists(st.sampled_from([1, 1, -1, 2, -3, 6]),
+    scales = draw(st.lists(st.sampled_from([1, 1, -1, 2, -3, 6, 35]),
                            min_size=codim, max_size=codim))
     rows = [[k * e for e in row] for k, row in zip(scales, rows)]
     offsets = draw(st.lists(
@@ -189,20 +196,95 @@ def test_offset_matches_a_rational_particular_solution(system):
     assert_offset_pinned(*system)
 
 
+# Systems on which a Smith reduction that pivots on the smallest entry
+# without reducing the others runs for seconds to minutes: the entries of
+# its multipliers grow to thousands of bits.
+G6_SLICE = [  # a g = 6 fibre slice; no entry exceeds 810
+    [60, -90, 75, 0, 0, 0],
+    [60, 660, 0, 350, 0, 0],
+    [90, -60, 0, 0, 175, 0],
+    [-360, -810, 0, 0, 0, 525],
+]
+HARD_SYSTEMS = {
+    "5x5": [
+        [-70, -35, 70, 105, 0],
+        [-12, -6, -6, 12, 24],
+        [-35, -70, -70, 105, 140],
+        [-140, 70, 70, 0, 105],
+        [-6, 4, 4, 6, -8],
+    ],
+    "8x8": [  # a nonsingular {-1, 0, 1} matrix with scaled rows
+        [k * e for e in row]
+        for k, row in zip(
+            (2, 35, 6, 6, 2, 6, -3, -3),
+            [
+                [1, -1, 0, 0, -1, -1, -1, 1],
+                [1, 0, 1, 0, 0, -1, 0, 0],
+                [-1, 1, 0, 1, 1, 1, -1, -1],
+                [1, 1, 1, 1, 0, 1, 1, 1],
+                [-1, 0, 0, -1, 0, 0, 0, 0],
+                [1, -1, -1, 1, 1, 0, -1, -1],
+                [1, -1, 1, 0, 0, -1, 1, 1],
+                [1, 1, 1, -1, 1, 0, -1, 1],
+            ],
+        )
+    ],
+    "g6 slice": G6_SLICE,
+}
+
+
 def test_offset_survives_huge_smith_multipliers():
-    # A g = 6 fibre slice whose Smith multipliers reach thousands of bits
-    # with the current reduction, although no entry exceeds 810.
-    rows = [
-        [60, -90, 75, 0, 0, 0],
-        [60, 660, 0, 350, 0, 0],
-        [90, -60, 0, 0, 175, 0],
-        [-360, -810, 0, 0, 0, 525],
-    ]
     offsets = [-188, 577, 113, 38]
     torus = Torus(6)
-    assert_offset_pinned(torus, rows, offsets)
-    assert_offset_pinned(torus, rows, [F(c, 7) for c in offsets])
-    assert_offset_pinned(torus, rows, [F(-c, 10**9 + 7) + F(1, 3) for c in offsets])
+    assert_offset_pinned(torus, G6_SLICE, offsets)
+    assert_offset_pinned(torus, G6_SLICE, [F(c, 7) for c in offsets])
+    assert_offset_pinned(torus, G6_SLICE, [F(-c, 10**9 + 7) + F(1, 3) for c in offsets])
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block once the wall clock passes the deadline."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("name", list(HARD_SYSTEMS))
+def test_hard_systems_finish_under_a_deadline(name):
+    rows = HARD_SYSTEMS[name]
+    m = IntMatrix(rows)
+    r, g = m.shape
+    offsets = [F(k + 1, 7) for k in range(r)]
+    with deadline(2):
+        s = subtorus_from_equations(Torus(g), rows, offsets)
+        sat = saturate(m)
+        kernel = kernel_basis(m)
+        d, u, v = snf(m)
+    assert s.eqns == sat
+    assert s.offset == offset_by_particular_solution(sat.rows, rows, offsets, g)[1]
+    assert gcd_of_minors(sat, r) == 1
+    assert all(in_row_span_z(row, sat) for row in rows)
+    assert kernel.nrows == g - r
+    assert all(not any(m.mul_vector(row)) for row in kernel.rows)
+    if kernel.nrows:
+        assert gcd_of_minors(kernel, kernel.nrows) == 1
+    assert u @ m @ v == d
+    assert abs(naive_det(u)) == 1 and abs(naive_det(v)) == 1
+    diag = [d.rows[i][i] for i in range(r)]
+    assert all(d.rows[i][j] == 0 for i in range(r) for j in range(g) if i != j)
+    product = 1
+    for k, e in enumerate(diag, start=1):
+        assert e > 0 and (k == 1 or e % diag[k - 2] == 0)
+        product *= e
+        assert product == gcd_of_minors(m, k)
 
 
 # ---------------------------------------------------------------- duality
@@ -359,6 +441,9 @@ def test_direction_basis_and_coordinates():
     assert s.direction_coordinates(combo) == (3, -2)
     with pytest.raises(ValueError):
         s.direction_coordinates((1, 0, 0))
+    # Zero at both pivot columns, yet not a direction.
+    with pytest.raises(ValueError, match="not in the direction lattice"):
+        s.direction_coordinates((0, 0, 1))
 
 
 def test_translate():
@@ -447,7 +532,10 @@ def test_intersect_matches_brute_force_membership(data):
 
 
 def components_one_at_a_time(s1, s2):
-    """Components built one canonical form at a time, as a fresh system each."""
+    """Components built one canonical form at a time, as a fresh system each.
+
+    Sorted by offset, the order `intersect` promises.
+    """
     a = stack(s1.eqns, s2.eqns)
     c = s1.offset + s2.offset
     d, u, _ = snf(a)
@@ -457,12 +545,13 @@ def components_one_at_a_time(s1, s2):
         return []
     divisors = [d.rows[i][i] for i in range(r)]
     rows = [[e // di for e in row] for row, di in zip((u @ a).rows, divisors)]
-    return [
+    components = [
         subtorus_from_equations(
             s1.torus, rows, [(x - ti) / di for x, ti, di in zip(cprime, t, divisors)]
         )
         for t in itertools.product(*(range(di) for di in divisors))
     ]
+    return sorted(components, key=lambda s: s.offset)
 
 
 def test_intersect_many_components_match_fresh_canonical_forms():
@@ -485,6 +574,52 @@ def test_intersect_many_components_match_fresh_canonical_forms():
     # The same rows with an inconsistent offset meet nowhere.
     s3 = subtorus_from_equations(t4, [[4, -2, 0, -2], [1, 2, -1, -3]], [F(1, 15), F(2, 7)])
     assert intersect(s1, s3) == [] == components_one_at_a_time(s1, s3)
+
+
+def test_intersect_cost_follows_the_components_not_the_row_order():
+    # One transverse point of a line with large coprime coefficients.  A
+    # residue enumeration over the stacked rows as given would try about
+    # 10^7 classes when the line comes first.
+    p = T2.point((F(1, 7), F(2, 7))).as_subtorus()
+    line = subtorus_from_equations(T2, [[10**7, 10**7 + 1]], [F(-3 * 10**7 - 2, 7)])
+    with deadline(2):
+        assert intersect(line, p) == [p] == intersect(p, line)
+        assert intersect(line, p.translate((F(1, 3), 0))) == []
+
+
+def test_library_paths_never_reach_snf(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("snf called")
+
+    monkeypatch.setattr(torusfm.exact_linalg, "snf", forbidden)
+    monkeypatch.setattr(torusfm.torus, "snf", forbidden, raising=False)
+    corpus = [
+        (T2, [[2, -1]]),
+        (T3, [[2, 1, 0], [0, 3, 1]]),
+        (Torus(4), [[1, 0, 3, -1], [-3, 2, 3, 1]]),
+        *((Torus(len(rows[0])), rows) for rows in HARD_SYSTEMS.values()),
+    ]
+    for torus, rows in corpus:
+        s = subtorus_from_equations(torus, rows, [F(k + 1, 7) for k in range(len(rows))])
+        system = SubtorusLocalSystem(s, [F(1, k + 2) for k in range(s.dim)])
+        assert transform(transform(system).system).system == system
+        directions = s.direction_basis()
+        for k, row in enumerate(directions.rows):
+            assert s.direction_coordinates(row) == tuple(int(i == k) for i in range(s.dim))
+        assert restrict_system(system, s) == system
+        # Fixing the coordinates at the pivots of the Hermite direction basis
+        # cuts a subtorus transverse to s, which meets it in points.
+        pivots = [next(j for j, e in enumerate(row) if e) for row in directions.rows]
+        fixed = [[int(j == p) for j in range(torus.dim)] for p in pivots]
+        other = subtorus_from_equations(torus, fixed, [F(1, 3)] * len(fixed))
+        points = intersect(s, other)
+        assert points and all(p.dim == 0 for p in points)
+        assert all(s.contains(p.single_point()) and other.contains(p.single_point())
+                   for p in points)
+        if directions.nrows:
+            cut = subtorus_from_equations(torus, directions.rows[:1], [F(2, 5)])
+            for component in intersect(s, cut):
+                assert restrict_system(system, component).support == component
 
 
 def test_intersect_requires_same_torus():
