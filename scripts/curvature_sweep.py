@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from torusfm import SectionSupport, curvature_hodge
-from torusfm.expr import ZERO, add, diff, eval_at, is_zero, mul, num, var
+from torusfm.expr import ZERO, diff, eval_at, is_zero, num, var
 
 
 def random_potential(rng, g, terms=4, degree=4):
@@ -26,8 +26,8 @@ def random_potential(rng, g, terms=4, degree=4):
             continue
         t = num(c)
         for _ in range(rng.randint(2, degree)):
-            t = mul(t, var(rng.randint(1, g)))
-        e = add(e, t)
+            t = t * var(rng.randint(1, g))
+        e = e + t
     return e
 
 
@@ -78,7 +78,7 @@ def main(argv=None):
         c = args.shear * step / args.steps
         eps = list(base)
         if c:
-            eps[j0 - 1] = add(eps[j0 - 1], mul(num(c), var(m0)))
+            eps[j0 - 1] = eps[j0 - 1] + c * var(m0)
         f20, f11, f02 = curvature_hodge(SectionSupport(tuple(eps)))
         rows.append(
             {

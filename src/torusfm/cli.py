@@ -26,7 +26,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .expr import Verdict, add, neg, sub, to_str
+from .expr import Verdict, to_str
 from .fm_absolute import SubtorusLocalSystem, transform as absolute_transform
 from .fm_relative import (
     ConditionError,
@@ -154,9 +154,9 @@ def _put_hodge(out: dict, alpha, turns, tol, grid, warnings: list) -> None:
 def _alpha_comparison(alpha_out, alpha_in, gauge, tol, grid, warnings) -> str:
     """Compare alpha exactly, then up to the gauge term the inverse subtracted."""
     drift = [
-        (f"alpha[{j + 1}]", sub(out, inp)) for j, (out, inp) in enumerate(zip(alpha_out, alpha_in))
+        (f"alpha[{j + 1}]", out - inp) for j, (out, inp) in enumerate(zip(alpha_out, alpha_in))
     ]
-    gauged = [(label, add(e, t)) for (label, e), t in zip(drift, gauge)]
+    gauged = [(label, e + t) for (label, e), t in zip(drift, gauge)]
     for labelled, how in ((drift, "exact"), (gauged, "exact up to the gauge term")):
         rep = _gather("alpha", labelled, tol, grid)
         if rep.holds:
@@ -283,7 +283,7 @@ def _cmd_roundtrip(scene: Scene, args, out: dict, warnings: list) -> None:
         out["inverse.wit_index"] = inv.wit_index
         out["epsilon"] = _equality(
             [
-                (f"epsilon[{j + 1}]", sub(inv.support.chi[j], scene.support.epsilon[j]))
+                (f"epsilon[{j + 1}]", inv.support.chi[j] - scene.support.epsilon[j])
                 for j in range(s.g)
             ],
             tol, grid, warnings, "epsilon",
@@ -309,7 +309,7 @@ def _cmd_roundtrip(scene: Scene, args, out: dict, warnings: list) -> None:
         )
         out["a"] = _equality(
             [
-                (f"a[{j + 1}][{m + 1}]", sub(inv.support.a[j][m], s.a[j][m]))
+                (f"a[{j + 1}][{m + 1}]", inv.support.a[j][m] - s.a[j][m])
                 for j in range(s.k)
                 for m in range(s.g - s.k)
             ],
@@ -317,7 +317,7 @@ def _cmd_roundtrip(scene: Scene, args, out: dict, warnings: list) -> None:
         )
         out["chi"] = _equality(
             [
-                (f"chi[{j + 1}]", sub(inv.support.chi[j], s.chi[j]))
+                (f"chi[{j + 1}]", inv.support.chi[j] - s.chi[j])
                 for j in range(s.k)
             ],
             tol, grid, warnings, "chi",
@@ -338,7 +338,7 @@ def _cmd_roundtrip(scene: Scene, args, out: dict, warnings: list) -> None:
     out["zeta"] = "exact" if fwd.zeta == b.zeta else "MISMATCH"
     out["P"] = _equality(
         [
-            (f"P[{j + 1}][{i + 1}]", sub(fwd.gamma_tilde[j][i], b.gamma_tilde[j][i]))
+            (f"P[{j + 1}][{i + 1}]", fwd.gamma_tilde[j][i] - b.gamma_tilde[j][i])
             for j in range(b.g - b.k)
             for i in range(b.k)
         ],
@@ -346,14 +346,14 @@ def _cmd_roundtrip(scene: Scene, args, out: dict, warnings: list) -> None:
     )
     out["Q"] = _equality(
         [
-            (f"Q[{j + 1}]", sub(fwd.varsigma[j], b.varsigma[j]))
+            (f"Q[{j + 1}]", fwd.varsigma[j] - b.varsigma[j])
             for j in range(b.g - b.k)
         ],
         tol, grid, warnings, "Q",
     )
     out["beta"] = _equality(
         [
-            (f"beta[{j + 1}]", sub(fwd.fibre_turns[j], b.fibre_turns[j]))
+            (f"beta[{j + 1}]", fwd.fibre_turns[j] - b.fibre_turns[j])
             for j in range(b.k)
         ],
         tol, grid, warnings, "beta",
@@ -369,7 +369,7 @@ def _cmd_curvature(scene: Scene, args, out: dict, warnings: list) -> None:
     if scene.kind == "section":
         out["input.epsilon"] = _evec(scene.support.epsilon)
         out["input.alpha"] = _evec(scene.system.alpha)
-        turns = tuple(neg(e) for e in scene.support.epsilon)
+        turns = tuple(-e for e in scene.support.epsilon)
         out["fibre_turns"] = _evec(turns)
         _put_hodge(out, scene.system.alpha, turns, tol, grid, warnings)
     elif scene.kind == "relative":

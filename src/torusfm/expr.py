@@ -1,16 +1,36 @@
-"""Symbolic coefficient expressions over the rationals.
+"""Symbolic coefficient expressions over the rationals, in one canonical form.
 
-The grammar covers what coefficient data in this package needs: rational
-literals, the constant pi, variables x1, x2, ..., sums, differences,
-products, integer powers, sin and cos.  Expressions are immutable trees;
-the module-level constructor functions fold constants so that parsing,
-differentiation and algebra all land on the same normal shapes.
+The grammar: rational literals, pi, variables x1, x2, ..., sums,
+differences, products, division by a rational constant, nonnegative integer
+powers, sin and cos.
 
-Zero testing is four-valued.  An expression whose expanded normal form is
-empty is zero, proven.  A nonempty normal form built only from variables
-and pi is a nonzero polynomial (pi is transcendental), so it is nonzero,
-proven.  Anything involving trig atoms falls back to sampling on a Weyl
-low-discrepancy grid and the verdict is only numerical.
+An `Expr` is canonical when it is built: a sparse map from terms to nonzero
+Fractions, so two expressions are equal exactly when their maps are.  A term
+is a monomial in the variables, pi and opaque atoms, times a real character.
+
+- The character is 1, cos(w.x) or sin(w.x).  The frequency w is a nonzero
+  linear form with coefficients in Q + Q*pi, signed so that its first
+  nonzero rational coefficient is positive; this pairs w with -w, so values
+  stay real.  Products of characters reduce by the product-to-sum rules.
+- sin or cos of w.x + b with b in (pi/2)*Z becomes a character, up to a sign
+  or a swap of sin and cos, so sin(pi) is exactly 0.  Any other sin or cos,
+  such as sin(x1^2), sin(x1 + 1) or sin(1), is an opaque atom keyed by its
+  argument, signed so that sin(-u) = -sin(u) and cos(-u) = cos(u).
+
+Zero testing is four-valued.  The empty map is zero, proven.  A nonempty map
+without opaque atoms is nonzero, proven: each coefficient of a character is
+a polynomial in x and pi, pi is transcendental, and characters with distinct
+frequencies are linearly independent over polynomials.  What this proves is
+therefore every identity among polynomials in x and pi times characters of
+(Q + Q*pi)-linear frequencies.  A map with opaque atoms is sampled on a Weyl
+low-discrepancy grid and the verdict is only numerical: identities among
+such functions are undecidable in general (Richardson, J. Symb. Logic 33,
+1968).
+
+`parse` bounds what it builds.  A sum may not exceed MAX_TERMS terms, nor a
+product MAX_TERMS pairs of terms; exponents are at most MAX_EXPONENT and
+coefficients below 2**MAX_COEFFICIENT_BITS.  Syntax nests at most MAX_DEPTH
+levels.
 """
 
 from __future__ import annotations
@@ -19,161 +39,265 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Sequence
+
+# A monomial is a sorted tuple of (atom, exponent) pairs.  Atoms sort as
+# pi (0,), then the variables x_i (1, i), then opaque sin and cos atoms
+# (`_Opaque`).  A character is None for 1, or (kind, frequency) with the
+# frequency a tuple of (i, a, b) for the coefficient a + b*pi of x_i, by
+# increasing i.
+_PI = (0,)
+_UNIT = Fraction(1)
 
 
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
+class Expr:
+    """An immutable sum of terms; `terms` maps (monomial, character) to a Fraction.
+
+    Build expressions with `parse`, `num`, `var`, `PI`, `sin`, `cos` and the
+    arithmetic operators, which accept ints and Fractions too.  `terms` is
+    read-only.
+    """
+
+    __slots__ = ("terms", "_hash", "_text")
+
+    def __new__(cls, terms: dict):
+        self = object.__new__(cls)
+        self.terms = terms
+        self._hash = None
+        self._text = None
+        return self
+
+    def __add__(self, other):
+        other = as_expr(other)
+        return Expr(_add(self.terms, other.terms)) if isinstance(other, Expr) else NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = as_expr(other)
+        return Expr(_add(self.terms, other.terms, -1)) if isinstance(other, Expr) else NotImplemented
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __neg__(self):
+        return Expr({t: -c for t, c in self.terms.items()})
+
+    def __mul__(self, other):
+        other = as_expr(other)
+        return Expr(_mul(self.terms, other.terms)) if isinstance(other, Expr) else NotImplemented
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent: int):
+        if exponent < 0:
+            raise ValueError("exponents must be nonnegative integers")
+        out = ONE
+        for _ in range(exponent):
+            out = out * self
+        return out
+
+    def __eq__(self, other):
+        return self.terms == other.terms if isinstance(other, Expr) else NotImplemented
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(frozenset(self.terms.items()))
+        return self._hash
+
+    def __repr__(self):
+        return f"parse({to_str(self)!r})"
 
 
-@dataclass(frozen=True)
-class Pi:
-    pass
+def as_expr(value):
+    """An int or Fraction as a constant Expr; any other value unchanged."""
+    if isinstance(value, Expr):  # before Fraction, whose isinstance check is slow
+        return value
+    return num(value) if isinstance(value, (int, Fraction)) else value
 
 
-@dataclass(frozen=True)
-class Var:
-    index: int  # 1-based, printed as x1, x2, ...
+def num(value) -> Expr:
+    c = Fraction(value)
+    return Expr({((), None): c} if c else {})
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
-
-
-@dataclass(frozen=True)
-class Add:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "Expr"
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Sin:
-    argument: "Expr"
-
-
-@dataclass(frozen=True)
-class Cos:
-    argument: "Expr"
-
-
-Expr = Union[Num, Pi, Var, Neg, Add, Sub, Mul, Pow, Sin, Cos]
-
-PI = Pi()
-ZERO = Num(Fraction(0))
-ONE = Num(Fraction(1))
-
-
-def num(value) -> Num:
-    return Num(Fraction(value))
-
-
-def var(index: int) -> Var:
+def var(index: int) -> Expr:
     if index < 1:
         raise ValueError("variable indices start at 1")
-    return Var(index)
+    return Expr({((((1, index), 1),), None): _UNIT})
 
 
-def neg(e: Expr) -> Expr:
-    if isinstance(e, Num):
-        return Num(-e.value)
-    if isinstance(e, Neg):
-        return e.operand
-    return Neg(e)
+ZERO = Expr({})
+ONE = num(1)
+PI = Expr({(((_PI, 1),), None): _UNIT})
 
 
-def add(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.value + b.value)
-    if isinstance(a, Num) and a.value == 0:
-        return b
-    if isinstance(b, Num) and b.value == 0:
-        return a
-    return Add(a, b)
+# ---------------------------------------------------------------- term maps
+#
+# Sums and products of raw term maps.  Coefficients may be any exact
+# numbers: `exact_minors` runs them on integers.
 
 
-def sub(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.value - b.value)
-    if isinstance(b, Num) and b.value == 0:
-        return a
-    if isinstance(a, Num) and a.value == 0:
-        return neg(b)
-    if a == b:
-        return ZERO
-    return Sub(a, b)
+def _put(out: dict, t, c) -> None:
+    """Add c to the coefficient of t, dropping it when the sum is zero."""
+    s = out.get(t)
+    if s is None:
+        out[t] = c
+    else:
+        s += c
+        if s:
+            out[t] = s
+        else:
+            del out[t]
 
 
-def mul(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.value * b.value)
-    if isinstance(a, Num):
-        if a.value == 0:
-            return ZERO
-        if a.value == 1:
-            return b
-        if a.value == -1:
-            return neg(b)
-    if isinstance(b, Num):
-        if b.value == 0:
-            return ZERO
-        if b.value == 1:
-            return a
-        if b.value == -1:
-            return neg(a)
-    return Mul(a, b)
+def _add(a: dict, b: dict, sign: int = 1) -> dict:
+    """a + sign*b for sign = 1 or -1."""
+    out = dict(a)
+    for t, c in b.items():
+        s = out.get(t)
+        if s is None:
+            out[t] = c if sign > 0 else -c
+        else:
+            s = s + c if sign > 0 else s - c
+            if s:
+                out[t] = s
+            else:
+                del out[t]
+    return out
 
 
-def pow_(base: Expr, exponent: int) -> Expr:
-    exponent = int(exponent)
-    if exponent < 0:
-        raise ValueError("exponents must be nonnegative integers")
-    if exponent == 0:
-        return ONE
-    if exponent == 1:
-        return base
-    if isinstance(base, Num):
-        return Num(base.value**exponent)
-    return Pow(base, exponent)
+def _mono_mul(ma: tuple, mb: tuple) -> tuple:
+    if not ma:
+        return mb
+    if not mb:
+        return ma
+    exps = dict(ma)
+    for atom, k in mb:
+        exps[atom] = exps.get(atom, 0) + k
+    return tuple(sorted(exps.items()))
 
 
-def sin_(e: Expr) -> Expr:
-    if isinstance(e, Num) and e.value == 0:
-        return ZERO
-    return Sin(e)
+def _mul(a: dict, b: dict) -> dict:
+    if len(a) == 1 and ((), None) in a:
+        a, b = b, a
+    if len(b) == 1 and ((), None) in b:
+        k = b[((), None)]
+        return {t: c * k for t, c in a.items()}
+    out: dict = {}
+    for (ma, xa), ca in a.items():
+        for (mb, xb), cb in b.items():
+            m = _mono_mul(ma, mb)
+            # Variables and pi carry the shared unit; skip its Fraction product.
+            c = cb if ca is _UNIT else ca if cb is _UNIT else ca * cb
+            if xa is None or xb is None:
+                _put(out, (m, xa or xb), c)
+            else:
+                for x, f in _char_mul(xa, xb):
+                    _put(out, (m, x), c * f)
+    return out
 
 
-def cos_(e: Expr) -> Expr:
-    if isinstance(e, Num) and e.value == 0:
-        return ONE
-    return Cos(e)
+def _freq_combine(u: tuple, v: tuple, sign: int) -> tuple:
+    """The frequency u + sign*v, zero coefficients dropped."""
+    acc = {i: (a, b) for i, a, b in u}
+    for i, a, b in v:
+        p, q = acc.get(i, (0, 0))
+        acc[i] = (p + sign * a, q + sign * b)
+    return tuple((i, a, b) for i, (a, b) in sorted(acc.items()) if a or b)
 
 
-def linear_combination(coeffs: Sequence, exprs: Sequence[Expr]) -> Expr:
-    """Sum of coeff * expr with rational coefficients."""
-    total: Expr = ZERO
-    for c, e in zip(coeffs, exprs):
-        total = add(total, mul(num(c), e))
-    return total
+def _character(kind: str, freq: tuple):
+    """(character, sign) with kind(freq.x) = sign * character; sign 0 for sin(0)."""
+    if not freq:
+        return None, 0 if kind == "sin" else 1
+    _, a, b = freq[0]
+    if (a or b) < 0:
+        freq = tuple((i, -p, -q) for i, p, q in freq)
+        return (kind, freq), -1 if kind == "sin" else 1
+    return (kind, freq), 1
+
+
+def _char_mul(xa, xb) -> list:
+    """The product of two characters as (character, factor) pairs."""
+    (ka, fa), (kb, fb) = xa, xb
+    plus, minus = _freq_combine(fa, fb, 1), _freq_combine(fa, fb, -1)
+    if ka == kb:
+        pieces = (("cos", minus, 1), ("cos", plus, 1 if ka == "cos" else -1))
+    else:
+        pieces = (("sin", plus, 1), ("sin", minus, 1 if ka == "sin" else -1))
+    out = []
+    for kind, freq, s in pieces:
+        x, sign = _character(kind, freq)
+        if sign:
+            out.append((x, Fraction(s * sign, 2)))
+    return out
+
+
+# ---------------------------------------------------------------- sin and cos
+
+
+class _Opaque(tuple):
+    """An opaque atom (2, printed argument, "sin" or "cos", argument).
+
+    The printed argument is canonical, so it and the kind identify the
+    atom.  Comparing only them keeps equality and hashing flat however
+    deeply atoms nest.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return self[:3] == other[:3]
+
+    def __hash__(self):
+        return hash(self[:3])
+
+
+def _affine(terms: dict):
+    """(frequency, q) when terms is w.x + q*pi/2 with q an integer, else None."""
+    coeffs: dict = {}
+    quarter = 0
+    for (mono, x), c in terms.items():
+        if x is not None:
+            return None
+        if mono == ((_PI, 1),):
+            if (2 * c).denominator != 1:
+                return None
+            quarter = int(2 * c)
+            continue
+        if len(mono) == 1 and mono[0][0][0] == 1 and mono[0][1] == 1:
+            slot = 0
+        elif len(mono) == 2 and mono[0] == (_PI, 1) and mono[1][0][0] == 1 and mono[1][1] == 1:
+            slot = 1
+        else:
+            return None
+        coeffs.setdefault(mono[-1][0][1], [0, 0])[slot] = c
+    return tuple((i, a, b) for i, (a, b) in sorted(coeffs.items())), quarter
+
+
+def _trig(kind: str, arg: Expr) -> Expr:
+    affine = _affine(arg.terms)
+    if affine is not None:
+        freq, quarter = affine
+        # kind(t + q*pi/2) is sin(t + q'*pi/2) with q' = q, or q + 1 for cos,
+        # which is +sin, +cos, -sin, -cos of t as q' mod 4 is 0, 1, 2, 3.
+        q = (quarter + (kind == "cos")) % 4
+        x, sign = _character(("sin", "cos")[q % 2], freq)
+        sign *= (1, 1, -1, -1)[q]
+        return Expr({((), x): Fraction(sign)} if sign else {})
+    sign = 1
+    if min(arg.terms.items(), key=_term_key)[1] < 0:
+        arg, sign = -arg, -1 if kind == "sin" else 1
+    return Expr({(((_Opaque((2, to_str(arg), kind, arg)), 1),), None): Fraction(sign)})
+
+
+def sin(e: Expr) -> Expr:
+    return _trig("sin", e)
+
+
+def cos(e: Expr) -> Expr:
+    return _trig("cos", e)
 
 
 # ---------------------------------------------------------------- parsing
@@ -189,10 +313,16 @@ class ParseError(ValueError):
 
 # Deepest expression the parser accepts.  The depth of an atom is 1; each
 # operator, unary minus, sin/cos and parenthesized group adds one level on
-# top of its deepest operand, so the tree built is never deeper.  The tree
-# walkers recurse once per level and the parser three times per group, which
-# keeps both well inside Python's default recursion limit of 1000.
+# top of its deepest operand.  The parser recurses three times per group and
+# the calculus once or twice per nested sin or cos, which keeps both well
+# inside Python's default recursion limit of 1000.
 MAX_DEPTH = 200
+# Bounds on what parsing builds, so that the text's size bounds the work:
+# the terms of a sum and the pairs of terms a product expands, the value of
+# an exponent, and the bits of a coefficient's numerator and denominator.
+MAX_TERMS = 1000
+MAX_EXPONENT = 1000
+MAX_COEFFICIENT_BITS = 4096
 
 
 class _Parser:
@@ -209,6 +339,22 @@ class _Parser:
         if depth > MAX_DEPTH:
             raise self.error(f"expression nested deeper than {MAX_DEPTH} levels", offset)
         return depth
+
+    def bounded(self, e: Expr, changed, offset: int) -> Expr:
+        """e, once its size and its coefficients at the terms changed are checked."""
+        if len(e.terms) > MAX_TERMS:
+            raise self.error(f"expression has more than {MAX_TERMS} terms", offset)
+        for t in changed:
+            c = e.terms.get(t)
+            if c is not None and max(c.numerator.bit_length(), c.denominator.bit_length()) > MAX_COEFFICIENT_BITS:
+                raise self.error(f"coefficient exceeds {MAX_COEFFICIENT_BITS} bits", offset)
+        return e
+
+    def product(self, a: Expr, b: Expr, offset: int) -> Expr:
+        if len(a.terms) * len(b.terms) > MAX_TERMS:
+            raise self.error(f"product expands to more than {MAX_TERMS} terms", offset)
+        e = a * b
+        return self.bounded(e, e.terms, offset)
 
     def match(self):
         """The match of the next token, or None at the end of the input."""
@@ -254,7 +400,7 @@ class _Parser:
             self.next_token()
             at = self.last_start
             r, rd = self.parse_term()
-            e = add(e, r) if tok == "+" else sub(e, r)
+            e = self.bounded(e + r if tok == "+" else e - r, r.terms, at)
             d = self.nested(max(d, rd) + 1, at)
         return e, d
 
@@ -265,10 +411,13 @@ class _Parser:
             at = self.last_start
             r, rd = self.parse_factor()
             if tok == "/":
-                if not isinstance(r, Num) or r.value == 0:
+                c = r.terms.get(((), None))
+                if c is None or len(r.terms) != 1:
                     raise self.error("denominator must be a nonzero rational literal")
-                r = Num(1 / r.value)
-            e = mul(e, r)
+                e = Expr({t: v / c for t, v in e.terms.items()})
+                e = self.bounded(e, e.terms, at)
+            else:
+                e = self.product(e, r, at)
             d = self.nested(max(d, rd) + 1, at)
         return e, d
 
@@ -292,14 +441,17 @@ class _Parser:
             e, d = self.parse_sum()
             self.expect(")")
             self.groups -= 1
-            e = sin_(e) if tok == "sin" else cos_(e) if tok == "cos" else e
+            e = sin(e) if tok == "sin" else cos(e) if tok == "cos" else e
             d = self.nested(d + 1, at)
         elif tok.isdigit():
-            e, d = Num(Fraction(int(tok))), 1
+            # A literal of more than bits/3 digits is at least 2**bits.
+            if len(tok) > MAX_COEFFICIENT_BITS // 3 or int(tok).bit_length() > MAX_COEFFICIENT_BITS:
+                raise self.error(f"coefficient exceeds {MAX_COEFFICIENT_BITS} bits", at)
+            e, d = num(int(tok)), 1
         elif tok == "pi":
             e, d = PI, 1
         elif vm := re.fullmatch(r"x([1-9][0-9]*)", tok):
-            e, d = Var(int(vm.group(1))), 1
+            e, d = var(int(vm.group(1))), 1
         else:
             raise self.error(f"unknown name {tok!r}", at)
         if self.peek_token() == "^":
@@ -308,9 +460,16 @@ class _Parser:
             exp_tok = self.next_token()
             if exp_tok is None or not exp_tok.isdigit():
                 raise self.error("expected a nonnegative integer exponent")
-            e, d = pow_(e, int(exp_tok)), self.nested(d + 1, at)
+            # Compared as text first: int() refuses very long digit strings.
+            digits = exp_tok.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                raise self.error(f"exponent exceeds {MAX_EXPONENT}", self.last_start)
+            power = ONE
+            for _ in range(int(digits)):
+                power = self.product(power, e, at)
+            e, d = power, self.nested(d + 1, at)
         for at in reversed(signs):
-            e, d = neg(e), self.nested(d + 1, at)
+            e, d = -e, self.nested(d + 1, at)
         return e, d
 
 
@@ -321,110 +480,108 @@ def parse(text: str) -> Expr:
 
 # ---------------------------------------------------------------- printing
 
-_ATOMIC = (Var, Pi, Sin, Cos)
+
+def _term_key(item) -> tuple:
+    """Print order of (term, coefficient) items: polynomial terms first, then
+    by character, by falling degree in the variables, by the variables and
+    opaque atoms, then by pi."""
+    (mono, x), _ = item
+    pi = mono[0][1] if mono and mono[0][0] == _PI else 0
+    rest = mono[1:] if pi else mono
+    degree = sum(k for a, k in rest if a[0] == 1)
+    return (x is not None, x or (), -degree, tuple((a, -k) for a, k in rest), pi)
 
 
-def _needs_parens_in_sum_rhs(e: Expr) -> bool:
-    return isinstance(e, (Add, Sub)) or (isinstance(e, Num) and e.value < 0) or isinstance(e, Neg)
+def _atom_text(atom) -> str:
+    return "pi" if atom[0] == 0 else f"x{atom[1]}" if atom[0] == 1 else f"{atom[2]}({atom[1]})"
 
 
-def _needs_parens_in_product(e: Expr, right: bool) -> bool:
-    if isinstance(e, (Add, Sub)):
-        return True
-    if isinstance(e, Num):
-        # "a*(2/3)": an unparenthesized fraction literal on the right would
-        # re-associate as (a*2)/3; negative literals read better wrapped too.
-        return right and (e.value < 0 or e.value.denominator != 1)
-    if right and isinstance(e, (Mul, Neg)):
-        return True
-    return False
+def _freq_terms(freq: tuple) -> dict:
+    out = {}
+    for i, a, b in freq:
+        if a:
+            out[((((1, i), 1),), None)] = a
+        if b:
+            out[(((_PI, 1), ((1, i), 1)), None)] = b
+    return out
+
+
+def _format(terms: dict) -> str:
+    if not terms:
+        return "0"
+    out = []
+    for (mono, x), c in sorted(terms.items(), key=_term_key) if len(terms) > 1 else terms.items():
+        factors = [_atom_text(a) if k == 1 else f"{_atom_text(a)}^{k}" for a, k in mono]
+        if x is not None:
+            factors.append(f"{x[0]}({_format(_freq_terms(x[1]))})")
+        n, d = c.numerator, c.denominator
+        negative = n < 0
+        if negative:
+            n = -n
+        if n != 1 or d != 1 or not factors:
+            factors.insert(0, str(n) if d == 1 else f"{n}/{d}")
+        sign = ("-" if negative else "") if not out else " - " if negative else " + "
+        out.append(sign + "*".join(factors))
+    return "".join(out)
 
 
 def to_str(e: Expr) -> str:
-    """Canonical text form; parse(to_str(e)) reproduces e exactly.
+    """Canonical text form, a flat sum of products; parse(to_str(e)) == e.
 
-    The printed form may nest deeper than e itself, by its parentheses;
-    parse rejects it when that exceeds MAX_DEPTH.
+    The text of a sum of about MAX_DEPTH terms or more is deeper than
+    `parse` accepts.
     """
-    if isinstance(e, Num):
-        return str(e.value)
-    if isinstance(e, Pi):
-        return "pi"
-    if isinstance(e, Var):
-        return f"x{e.index}"
-    if isinstance(e, Neg):
-        inner = to_str(e.operand)
-        if isinstance(e.operand, _ATOMIC) or isinstance(e.operand, Pow):
-            return f"-{inner}"
-        return f"-({inner})"
-    if isinstance(e, Add):
-        lhs = to_str(e.left)
-        rhs = to_str(e.right)
-        if _needs_parens_in_sum_rhs(e.right):
-            rhs = f"({rhs})"
-        return f"{lhs} + {rhs}"
-    if isinstance(e, Sub):
-        lhs = to_str(e.left)
-        rhs = to_str(e.right)
-        if _needs_parens_in_sum_rhs(e.right):
-            rhs = f"({rhs})"
-        return f"{lhs} - {rhs}"
-    if isinstance(e, Mul):
-        lhs = to_str(e.left)
-        rhs = to_str(e.right)
-        if _needs_parens_in_product(e.left, right=False):
-            lhs = f"({lhs})"
-        if _needs_parens_in_product(e.right, right=True):
-            rhs = f"({rhs})"
-        return f"{lhs}*{rhs}"
-    if isinstance(e, Pow):
-        base = to_str(e.base)
-        if not isinstance(e.base, _ATOMIC):
-            base = f"({base})"
-        return f"{base}^{e.exponent}"
-    if isinstance(e, Sin):
-        return f"sin({to_str(e.argument)})"
-    if isinstance(e, Cos):
-        return f"cos({to_str(e.argument)})"
-    raise TypeError(f"not an expression: {e!r}")
+    if e._text is None:
+        e._text = _format(e.terms)
+    return e._text
 
 
 # ---------------------------------------------------------------- calculus
 
+
 def diff(e: Expr, index: int) -> Expr:
     """Partial derivative with respect to x<index>."""
-    if isinstance(e, (Num, Pi)):
-        return ZERO
-    if isinstance(e, Var):
-        return ONE if e.index == index else ZERO
-    if isinstance(e, Neg):
-        return neg(diff(e.operand, index))
-    if isinstance(e, Add):
-        return add(diff(e.left, index), diff(e.right, index))
-    if isinstance(e, Sub):
-        return sub(diff(e.left, index), diff(e.right, index))
-    if isinstance(e, Mul):
-        return add(mul(diff(e.left, index), e.right), mul(e.left, diff(e.right, index)))
-    if isinstance(e, Pow):
-        return mul(mul(num(e.exponent), pow_(e.base, e.exponent - 1)), diff(e.base, index))
-    if isinstance(e, Sin):
-        return mul(cos_(e.argument), diff(e.argument, index))
-    if isinstance(e, Cos):
-        return neg(mul(sin_(e.argument), diff(e.argument, index)))
-    raise TypeError(f"not an expression: {e!r}")
+    out: dict = {}
+    for (mono, x), c in e.terms.items():
+        for pos, (a, k) in enumerate(mono):
+            if a[0] == 0 or (a[0] == 1 and a[1] != index):
+                continue
+            rest = mono[:pos] + (((a, k - 1),) if k > 1 else ()) + mono[pos + 1 :]
+            if a[0] == 1:
+                _put(out, (rest, x), c * k if k > 1 else c)
+                continue
+            # d sin(u) = cos(u) du and d cos(u) = -sin(u) du, on the same u.
+            du = diff(a[3], index)
+            if du.terms:
+                other = _Opaque((2, a[1], "cos" if a[2] == "sin" else "sin", a[3]))
+                scale = c * k if a[2] == "sin" else -c * k
+                for t, v in _mul({(_mono_mul(rest, ((other, 1),)), x): scale}, du.terms).items():
+                    _put(out, t, v)
+        if x is not None:
+            # d cos(w.x) = -w_i sin(w.x) dx_i and d sin(w.x) = w_i cos(w.x) dx_i.
+            for i, p, q in x[1]:
+                if i == index:
+                    turned = ("sin" if x[0] == "cos" else "cos", x[1])
+                    s = -c if x[0] == "cos" else c
+                    if p:
+                        _put(out, (mono, turned), s * p)
+                    if q:
+                        _put(out, (_mono_mul(mono, ((_PI, 1),)), turned), s * q)
+    return Expr(out)
 
 
 def vars_of(e: Expr) -> frozenset[int]:
-    if isinstance(e, Var):
-        return frozenset((e.index,))
-    if isinstance(e, (Num, Pi)):
-        return frozenset()
-    if isinstance(e, (Neg, Sin, Cos)):
-        child = e.operand if isinstance(e, Neg) else e.argument
-        return vars_of(child)
-    if isinstance(e, Pow):
-        return vars_of(e.base)
-    return vars_of(e.left) | vars_of(e.right)
+    """Indices of the variables e depends on, inside opaque atoms too."""
+    out: set = set()
+    for mono, x in e.terms:
+        for a, _ in mono:
+            if a[0] == 1:
+                out.add(a[1])
+            elif a[0] == 2:
+                out |= vars_of(a[3])
+        if x is not None:
+            out.update(i for i, _, _ in x[1])
+    return frozenset(out)
 
 
 def max_var(e: Expr) -> int:
@@ -436,237 +593,88 @@ def is_constant(e: Expr) -> bool:
     return not vars_of(e)
 
 
-def substitute(e: Expr, mapping: Mapping[int, Expr]) -> Expr:
-    """Replace variables by expressions, refolding constants as it goes."""
-    if isinstance(e, Var):
-        return mapping.get(e.index, e)
-    if isinstance(e, (Num, Pi)):
-        return e
-    if isinstance(e, Neg):
-        return neg(substitute(e.operand, mapping))
-    if isinstance(e, Add):
-        return add(substitute(e.left, mapping), substitute(e.right, mapping))
-    if isinstance(e, Sub):
-        return sub(substitute(e.left, mapping), substitute(e.right, mapping))
-    if isinstance(e, Mul):
-        return mul(substitute(e.left, mapping), substitute(e.right, mapping))
-    if isinstance(e, Pow):
-        return pow_(substitute(e.base, mapping), e.exponent)
-    if isinstance(e, Sin):
-        return sin_(substitute(e.argument, mapping))
-    if isinstance(e, Cos):
-        return cos_(substitute(e.argument, mapping))
-    raise TypeError(f"not an expression: {e!r}")
+def has_opaque(e: Expr) -> bool:
+    """Whether some term holds an opaque sin or cos, which only sampling decides."""
+    return any(a[0] == 2 for mono, _ in e.terms for a, _ in mono)
+
+
+def _coordinate(point: Sequence, index: int):
+    if index > len(point):
+        raise ValueError(f"unbound variable x{index}")
+    return point[index - 1]
 
 
 def eval_at(e: Expr, point: Sequence) -> float:
     """Numeric value at a point; point[i-1] feeds x<i>."""
-    if isinstance(e, Num):
-        return float(e.value)
-    if isinstance(e, Pi):
-        return math.pi
-    if isinstance(e, Var):
-        if e.index > len(point):
-            raise ValueError(f"unbound variable x{e.index}")
-        return float(point[e.index - 1])
-    if isinstance(e, Neg):
-        return -eval_at(e.operand, point)
-    if isinstance(e, Add):
-        return eval_at(e.left, point) + eval_at(e.right, point)
-    if isinstance(e, Sub):
-        return eval_at(e.left, point) - eval_at(e.right, point)
-    if isinstance(e, Mul):
-        return eval_at(e.left, point) * eval_at(e.right, point)
-    if isinstance(e, Pow):
-        return eval_at(e.base, point) ** e.exponent
-    if isinstance(e, Sin):
-        return math.sin(eval_at(e.argument, point))
-    if isinstance(e, Cos):
-        return math.cos(eval_at(e.argument, point))
-    raise TypeError(f"not an expression: {e!r}")
+    total = 0.0
+    for (mono, x), c in e.terms.items():
+        v = float(c)
+        for a, k in mono:
+            if a[0] == 0:
+                v *= math.pi**k
+            elif a[0] == 1:
+                v *= float(_coordinate(point, a[1])) ** k
+            else:
+                u = eval_at(a[3], point)
+                v *= (math.sin(u) if a[2] == "sin" else math.cos(u)) ** k
+        if x is not None:
+            phase = sum((p + q * math.pi) * float(_coordinate(point, i)) for i, p, q in x[1])
+            v *= math.sin(phase) if x[0] == "sin" else math.cos(phase)
+        total += v
+    return total
 
 
 def eval_exact(e: Expr, point: Sequence) -> Fraction:
     """Exact value at a rational point; rejects pi, sin and cos."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        if e.index > len(point):
-            raise ValueError(f"unbound variable x{e.index}")
-        return Fraction(point[e.index - 1])
-    if isinstance(e, Neg):
-        return -eval_exact(e.operand, point)
-    if isinstance(e, Add):
-        return eval_exact(e.left, point) + eval_exact(e.right, point)
-    if isinstance(e, Sub):
-        return eval_exact(e.left, point) - eval_exact(e.right, point)
-    if isinstance(e, Mul):
-        return eval_exact(e.left, point) * eval_exact(e.right, point)
-    if isinstance(e, Pow):
-        return eval_exact(e.base, point) ** e.exponent
-    raise ValueError("not a rational expression")
+    total = None
+    for (mono, x), c in e.terms.items():
+        if x is not None:
+            raise ValueError("not a rational expression")
+        for a, k in mono:
+            if a[0] != 1:
+                raise ValueError("not a rational expression")
+            v = Fraction(_coordinate(point, a[1]))
+            c *= v if k == 1 else v**k
+        total = c if total is None else total + c
+    return Fraction(0) if total is None else total
 
 
-# ---------------------------------------------------------------- normal form
-
-# A monomial is a sorted tuple of (atom, exponent) pairs.  Atoms are
-# ("v", i), ("pi",) or ("sin"/"cos", canonical-argument-key).
-_NF = dict
-
-
-def _nf_scale(nf, c: Fraction):
-    if c == 0:
-        return {}
-    return {m: c * v for m, v in nf.items()}
-
-
-def _nf_add(a, b):
-    out = dict(a)
-    for m, v in b.items():
-        s = out.get(m, 0) + v
-        if s:
-            out[m] = s
-        else:
-            out.pop(m, None)
-    return out
-
-
-def _mono_mul(ma, mb):
-    exps = dict(ma)
-    for atom, k in mb:
-        exps[atom] = exps.get(atom, 0) + k
-    return tuple(sorted(exps.items()))
-
-
-def _nf_mul(a, b):
-    out = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            m = _mono_mul(ma, mb)
-            s = out.get(m, 0) + ca * cb
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-    return out
-
-
-def _nf_sub(a, b):
-    return _nf_add(a, _nf_scale(b, -1))
-
-
-def _atom_key(atom) -> str:
-    return f"x{atom[1]}" if atom[0] == "v" else "pi" if atom[0] == "pi" else f"{atom[0]}[{atom[1]}]"
-
-
-def _nf_key(nf) -> str:
-    # Nested trig keys sit between brackets, which appear nowhere else, so
-    # the key is injective and grows linearly with the nesting depth.
-    return " ".join(
-        f"{c}" + "".join(f"*{_atom_key(a)}^{k}" for a, k in mono)
-        for mono, c in sorted(nf.items())
-    )
-
-
-def normal_form(e: Expr):
-    """Fully expanded form: monomials in variable, pi and trig atoms."""
-    if isinstance(e, Num):
-        return {(): e.value} if e.value else {}
-    if isinstance(e, Pi):
-        return {((("pi",), 1),): Fraction(1)}
-    if isinstance(e, Var):
-        return {((("v", e.index), 1),): Fraction(1)}
-    if isinstance(e, Neg):
-        return _nf_scale(normal_form(e.operand), Fraction(-1))
-    if isinstance(e, Add):
-        return _nf_add(normal_form(e.left), normal_form(e.right))
-    if isinstance(e, Sub):
-        return _nf_add(normal_form(e.left), _nf_scale(normal_form(e.right), Fraction(-1)))
-    if isinstance(e, Mul):
-        return _nf_mul(normal_form(e.left), normal_form(e.right))
-    if isinstance(e, Pow):
-        out = {(): Fraction(1)}
-        base = normal_form(e.base)
-        for _ in range(e.exponent):
-            out = _nf_mul(out, base)
-        return out
-    if isinstance(e, (Sin, Cos)):
-        arg = normal_form(e.argument)
-        if not arg:
-            return {} if isinstance(e, Sin) else {(): Fraction(1)}
-        # Odd/even symmetry: normalize the argument sign so sin(-u) and
-        # -sin(u) share an atom, likewise cos(-u) and cos(u).
-        lead = min(arg)
-        sign = Fraction(1)
-        if arg[lead] < 0:
-            arg = _nf_scale(arg, Fraction(-1))
-            sign = Fraction(-1)
-        key = _nf_key(arg)
-        if isinstance(e, Sin):
-            return {((("sin", key), 1),): sign}
-        return {((("cos", key), 1),): Fraction(1)}
-    raise TypeError(f"not an expression: {e!r}")
-
-
-# Atoms of a polynomial over Q: nonzero polynomials in them are nonzero
-# functions, since pi is transcendental.
-POLYNOMIAL_ATOMS = frozenset(("v", "pi"))
-
-
-def atom_kinds(nf) -> frozenset[str]:
-    """Kinds of atom in a normal form: a subset of "v", "pi", "sin", "cos"."""
-    return frozenset(atom[0] for mono in nf for atom, _ in mono)
-
-
-def laplace_minors(m, zero, add_, sub_, mul_):
-    """Minors of the matrix m as a function (rows, cols) -> determinant.
+def exact_minors(matrix):
+    """Exact minors of a matrix of expressions as a function (rows, cols) -> Expr.
 
     rows and cols are increasing index tuples of one length.  Each minor is
     a Laplace expansion along its first column, memoized on (rows, cols),
-    so minors of every size share their sub-minors.  Only the ring
-    operations are used, never division: m may hold normal forms (see
-    `nf_minors`), trig atoms included, or numbers.  Entries that test
-    false are zero and skipped.
-    """
-    memo = {}
-
-    def minor(rows, cols):
-        d = memo.get((rows, cols))
-        if d is None:
-            if len(rows) == 1:
-                d = m[rows[0]][cols[0]]
-            else:
-                d = zero
-                rest = cols[1:]
-                for i, r in enumerate(rows):
-                    e = m[r][cols[0]]
-                    if e:
-                        t = mul_(e, minor(rows[:i] + rows[i + 1 :], rest))
-                        d = add_(d, t) if i % 2 == 0 else sub_(d, t)
-            memo[(rows, cols)] = d
-        return d
-
-    return minor
-
-
-def nf_minors(nfs):
-    """Exact minors of a matrix of normal forms, as `laplace_minors` gives them.
-
-    Each row is first scaled by the common denominator of its coefficients,
-    so the shared expansion runs on integers; a minor is divided by the
-    scales of its rows when it is handed out.
+    so minors of every size share their sub-minors.  Each row is first
+    scaled by the common denominator of its coefficients, so the expansion
+    runs on integer term maps; a minor is divided by the scales of its rows
+    when it is handed out.
     """
     scales = []
     scaled = []
-    for row in nfs:
-        d = math.lcm(*(c.denominator for nf in row for c in nf.values()))
+    for row in matrix:
+        d = math.lcm(*(c.denominator for e in row for c in e.terms.values()))
         scales.append(d)
-        scaled.append([{m: int(c * d) for m, c in nf.items()} for nf in row])
-    minor = laplace_minors(scaled, {}, _nf_add, _nf_sub, _nf_mul)
+        scaled.append([{t: int(c * d) for t, c in e.terms.items()} for e in row])
+    memo: dict = {}
 
-    def exact(rows, cols):
+    def minor(rows, cols) -> dict:
+        d = memo.get((rows, cols))
+        if d is None:
+            if len(rows) == 1:
+                d = scaled[rows[0]][cols[0]]
+            else:
+                d = {}
+                for i, r in enumerate(rows):
+                    e = scaled[r][cols[0]]
+                    if e:
+                        t = _mul(e, minor(rows[:i] + rows[i + 1 :], cols[1:]))
+                        d = _add(d, t, -1 if i % 2 else 1)
+            memo[(rows, cols)] = d
+        return d
+
+    def exact(rows, cols) -> Expr:
         d = math.prod(scales[r] for r in rows)
-        return {m: Fraction(c, d) for m, c in minor(rows, cols).items()}
+        return Expr({t: Fraction(c) / d for t, c in minor(rows, cols).items()})
 
     return exact
 
@@ -724,14 +732,13 @@ def weyl_points(nvars: int, n: int) -> list[tuple[float, ...]]:
 def is_zero(e: Expr, tol: float = 1e-9, grid: int = 17) -> Verdict:
     """Decide whether e vanishes identically as a function.
 
-    Polynomial content (variables and pi) is decided exactly from the
-    expanded normal form.  Trig content falls back to evaluation at `grid`
-    Weyl points with tolerance `tol`.
+    The empty map is a proven zero and a map without opaque atoms a proven
+    nonzero.  Opaque atoms fall back to evaluation at `grid` Weyl points
+    with tolerance `tol`.
     """
-    nf = normal_form(e)
-    if not nf:
+    if not e.terms:
         return Verdict.proven_zero()
-    if atom_kinds(nf) <= POLYNOMIAL_ATOMS:
+    if not has_opaque(e):
         return Verdict.proven_nonzero()
     points = weyl_points(max_var(e), grid)
     worst = max(abs(eval_at(e, p)) for p in points)

@@ -38,28 +38,22 @@ from typing import NamedTuple, Sequence
 
 from .exact_linalg import RatMatrix, mod1, rat_vector
 from .expr import (
+    ONE,
     PI,
-    POLYNOMIAL_ATOMS,
     ZERO,
     Expr,
     Verdict,
-    add,
     all_zero,
-    atom_kinds,
+    as_expr,
     diff,
     eval_at,
     eval_exact,
+    exact_minors,
+    has_opaque,
     is_constant,
     is_zero,
-    laplace_minors,
-    linear_combination,
     max_var,
-    mul,
-    neg,
-    nf_minors,
-    normal_form,
     num,
-    sub,
     var,
     weyl_points,
 )
@@ -92,13 +86,7 @@ __all__ = [
     "wit_index",
 ]
 
-_HALF_PI = mul(num(Fraction(1, 2)), PI)
-
-
-def _as_expr(value) -> Expr:
-    if isinstance(value, (int, Fraction)):
-        return num(value)
-    return value
+_HALF_PI = Fraction(1, 2) * PI
 
 
 def _check_base_only(entries, k: int, what: str) -> None:
@@ -181,7 +169,7 @@ def _antisymmetric_jacobian(
     return _gather(
         name,
         (
-            (label.format(j, m), sub(diff(row[m - 1], j), diff(row[j - 1], m)))
+            (label.format(j, m), diff(row[m - 1], j) - diff(row[j - 1], m))
             for j in range(1, n + 1)
             for m in range(j + 1, n + 1)
         ),
@@ -212,11 +200,11 @@ class RelativeSupport:
     def __post_init__(self):
         if self.g < 1 or not 0 <= self.k <= self.g:
             raise ValueError("need g >= 1 and 0 <= k <= g")
-        object.__setattr__(self, "zeta", tuple(_as_expr(e) for e in self.zeta))
+        object.__setattr__(self, "zeta", tuple(as_expr(e) for e in self.zeta))
         object.__setattr__(
-            self, "a", tuple(tuple(_as_expr(e) for e in row) for row in self.a)
+            self, "a", tuple(tuple(as_expr(e) for e in row) for row in self.a)
         )
-        object.__setattr__(self, "chi", tuple(_as_expr(e) for e in self.chi))
+        object.__setattr__(self, "chi", tuple(as_expr(e) for e in self.chi))
         m = self.g - self.k
         if len(self.zeta) != m:
             raise ValueError("one base equation per constrained base coordinate")
@@ -241,7 +229,7 @@ class SectionSupport:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "epsilon", tuple(_as_expr(e) for e in self.epsilon)
+            self, "epsilon", tuple(as_expr(e) for e in self.epsilon)
         )
         if not self.epsilon:
             raise ValueError("a section needs a positive-dimensional base")
@@ -276,7 +264,7 @@ class LocalSystemData:
     xi: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(_as_expr(e) for e in self.alpha))
+        object.__setattr__(self, "alpha", tuple(as_expr(e) for e in self.alpha))
         object.__setattr__(
             self, "xi", tuple(mod1(Fraction(x)) for x in self.xi)
         )
@@ -307,7 +295,7 @@ def _e1_terms(s: RelativeSupport, z: list[Expr]):
             e = diff(z[m - 1], j)
             for jp in range(1, k + 1):
                 c = m_free + jp
-                e = add(e, mul(s.a[jp - 1][m - 1], diff(z[c - 1], j)))
+                e = e + s.a[jp - 1][m - 1] * diff(z[c - 1], j)
             yield f"dy{m}^dx{j}", e
 
 
@@ -324,8 +312,7 @@ def _curl_terms(s: RelativeSupport, z: list[Expr]):
             for jp in range(1, k + 1):
                 c = m_free + jp
                 chi_c = s.chi[jp - 1]
-                e = add(e, mul(diff(z[c - 1], j), diff(chi_c, m)))
-                e = sub(e, mul(diff(z[c - 1], m), diff(chi_c, j)))
+                e = e + diff(z[c - 1], j) * diff(chi_c, m) - diff(z[c - 1], m) * diff(chi_c, j)
             yield f"dx{j}^dx{m}", e
 
 
@@ -366,18 +353,6 @@ def check_C2_C3(
     return c2, c3
 
 
-def _vadd(u, v):
-    return [x + y for x, y in zip(u, v)]
-
-
-def _vsub(u, v):
-    return [x - y for x, y in zip(u, v)]
-
-
-def _vmul(u, v):
-    return [x * y for x, y in zip(u, v)]
-
-
 # Simple rational probes for the rank-drop search, on the diagonal and on
 # each axis: generic sampling misses drops on sets of measure zero.
 _PROBES = (0.0, 0.5, 1 / 3, 2 / 3, 0.25, 0.75)
@@ -390,26 +365,22 @@ def _constant_rank_verdict(a, k: int, tol: float, grid: int) -> Verdict:
     if all(is_constant(e) for row in a for e in row):
         return Verdict.proven_zero()
 
-    minor = nf_minors([[normal_form(e) for e in row] for row in a])
+    minor = exact_minors(a)
     nvars = max(max_var(e) for row in a for e in row)
     points = weyl_points(nvars, grid)
     for t in _PROBES:
         points.append((t,) * nvars)
         for i in range(nvars):
             points.append(tuple(t if i == j else 0.0 for j in range(nvars)))
-    sampled = None
 
     def values(rows, cols) -> list[float]:
         """The minor at every point; the first `grid` are the Weyl points."""
-        nonlocal sampled
-        if sampled is None:
-            at_points = [[[eval_at(e, p) for p in points] for e in row] for row in a]
-            sampled = laplace_minors(at_points, [0.0] * len(points), _vadd, _vsub, _vmul)
-        return sampled(rows, cols)
+        d = minor(rows, cols)
+        return [eval_at(d, p) for p in points]
 
-    # Minors are decided from their normal forms, largest size first: an
-    # empty form is a proven zero, a form in variables and pi a proven
-    # nonzero, and a form with trig atoms is sampled.  The top size is the
+    # Minors are decided from their canonical forms, largest size first: an
+    # empty form is a proven zero, a form without opaque atoms a proven
+    # nonzero, and a form with opaque atoms is sampled.  The top size is the
     # largest with a nonzero minor; a nonzero constant in Q[pi] there
     # proves the rank constant.
     larger_sizes_proven = True
@@ -419,17 +390,16 @@ def _constant_rank_verdict(a, k: int, tol: float, grid: int) -> Verdict:
         for rows in itertools.combinations(range(k), r):
             for cols in itertools.combinations(range(m_free), r):
                 d = minor(rows, cols)
-                if not d:
+                if d == ZERO:
                     continue
-                kinds = atom_kinds(d)
-                if kinds <= {"pi"}:
+                if is_constant(d) and not has_opaque(d):
                     return (
                         Verdict.proven_zero()
                         if larger_sizes_proven
                         else Verdict.numerically_zero(tol)
                     )
                 live.append((rows, cols))
-                if kinds <= POLYNOMIAL_ATOMS or max(map(abs, values(rows, cols)[:grid])) > tol:
+                if not has_opaque(d) or max(map(abs, values(rows, cols)[:grid])) > tol:
                     nonzero = True
         if nonzero:
             break
@@ -507,9 +477,9 @@ class TransformedBundle:
         for name in _BUNDLE_FIELDS:
             val = getattr(self, name)
             if name == "gamma_tilde":
-                conv = tuple(tuple(_as_expr(e) for e in row) for row in val)
+                conv = tuple(tuple(as_expr(e) for e in row) for row in val)
             else:
-                conv = tuple(_as_expr(e) for e in val)
+                conv = tuple(as_expr(e) for e in val)
             object.__setattr__(self, name, conv)
         m = self.g - self.k
         if len(self.zeta) != m or len(self.gamma_tilde) != m or len(self.varsigma) != m:
@@ -581,9 +551,9 @@ def transform_nontransversal(
     n = min(k, m_free)
     varsigma = []
     for i in range(m_free):
-        e = linear_combination(system.xi[:n], gamma[i][:n])
+        e = sum((x * c for x, c in zip(system.xi[:n], gamma[i][:n])), ZERO)
         if k + 1 + i <= m_free:
-            e = sub(e, num(system.xi[k + i]))
+            e = e - system.xi[k + i]
         varsigma.append(e)
 
     turns = []
@@ -592,11 +562,11 @@ def transform_nontransversal(
         for jp in range(1, k + 1):
             c = m_free + jp
             if c <= k:
-                w = num(1) if c == j else ZERO
+                w = ONE if c == j else ZERO
             else:
                 w = gamma[c - k - 1][j - 1]
-            t = add(t, mul(s.chi[jp - 1], w))
-        turns.append(neg(t))
+            t = t + s.chi[jp - 1] * w
+        turns.append(-t)
 
     holomorphic = _constancy(
         "holomorphic", (("", e) for row in gamma for e in row), k, tol, grid
@@ -619,7 +589,7 @@ def check_section_lagrangian(
 
 def check_flat(alpha, tol: float = 1e-9, grid: int = 17) -> ConditionReport:
     """Whether i * sum alpha[j] dx^j is a flat connection, i.e. closed."""
-    return _closure_report(tuple(_as_expr(e) for e in alpha), tol, grid)
+    return _closure_report(tuple(as_expr(e) for e in alpha), tol, grid)
 
 
 def transform_section(
@@ -650,7 +620,7 @@ def transform_section(
         raise ConditionError("flat", closed)
 
     return TransformedBundle._trusted(
-        g, g, (), (), (), system.alpha, tuple(neg(e) for e in s.epsilon), Verdict.proven_zero()
+        g, g, (), (), (), system.alpha, tuple(-e for e in s.epsilon), Verdict.proven_zero()
     )
 
 
@@ -672,15 +642,15 @@ def _hodge_from_turns(turns):
     n = len(turns)
     dt = [[diff(turns[j], m + 1) for j in range(n)] for m in range(n)]
     f20 = tuple(
-        tuple(mul(_HALF_PI, sub(dt[m][j], dt[j][m])) for j in range(n))
+        tuple(_HALF_PI * (dt[m][j] - dt[j][m]) for j in range(n))
         for m in range(n)
     )
     f11 = tuple(
-        tuple(neg(mul(_HALF_PI, add(dt[m][j], dt[j][m]))) for j in range(n))
+        tuple(-_HALF_PI * (dt[m][j] + dt[j][m]) for j in range(n))
         for m in range(n)
     )
     f02 = tuple(
-        tuple(mul(_HALF_PI, sub(dt[j][m], dt[m][j])) for j in range(n))
+        tuple(_HALF_PI * (dt[j][m] - dt[m][j]) for j in range(n))
         for m in range(n)
     )
     return f20, f11, f02
@@ -696,8 +666,8 @@ def hodge_components(
     terms this real representation cannot carry, so that case raises
     ConditionError("flat").
     """
-    alpha = tuple(_as_expr(e) for e in alpha)
-    turns = tuple(_as_expr(e) for e in turns)
+    alpha = tuple(as_expr(e) for e in alpha)
+    turns = tuple(as_expr(e) for e in turns)
     if len(alpha) not in (0, len(turns)):
         raise ValueError("coefficient rows must have matching length")
     if alpha:
@@ -714,7 +684,7 @@ def curvature_hodge(data, tol: float = 1e-9, grid: int = 17):
     dual connection has dw-row -epsilon and no dx-part).
     """
     if isinstance(data, SectionSupport):
-        return hodge_components((), tuple(neg(e) for e in data.epsilon), tol, grid)
+        return hodge_components((), tuple(-e for e in data.epsilon), tol, grid)
     return hodge_components(data.alpha, data.fibre_turns, tol, grid)
 
 
@@ -738,10 +708,8 @@ def check_F02_iff_lagrangian(
     verdicts = []
     for j in range(1, s.k + 1):
         for m in range(j + 1, s.k + 1):
-            expected = mul(_HALF_PI, curls[f"dx{j}^dx{m}"])
-            verdicts.append(
-                is_zero(sub(f02[m - 1][j - 1], expected), tol, grid)
-            )
+            expected = _HALF_PI * curls[f"dx{j}^dx{m}"]
+            verdicts.append(is_zero(f02[m - 1][j - 1] - expected, tol, grid))
     return all_zero(verdicts)
 
 
@@ -791,7 +759,7 @@ def check_cauchy_riemann(
     1-based.
     """
     labelled = [
-        (f"P[{j + 1}][{i + 1}]", sub(e, diff(bundle.zeta[j], i + 1)))
+        (f"P[{j + 1}][{i + 1}]", e - diff(bundle.zeta[j], i + 1))
         for j, row in enumerate(bundle.gamma_tilde)
         for i, e in enumerate(row)
     ]
@@ -878,7 +846,7 @@ def inverse_transform(
     ]
     a_rows = tuple(tuple(num(e) for e in row) for row in a_exact)
     chi_out = tuple(
-        linear_combination([-m_inv.rows[l][lp] for lp in range(k)], bundle.fibre_turns)
+        sum((-m_inv.rows[l][lp] * bundle.fibre_turns[lp] for lp in range(k)), ZERO)
         for l in range(k)
     )
 
@@ -899,9 +867,9 @@ def inverse_transform(
         for l in range(k):
             q = q_of(m_free + l + 1)
             if q:
-                corr = add(corr, mul(num(q), diff(chi_out[l], j)))
-        gauge.append(mul(num(2), mul(PI, corr)))
-    alpha_out = tuple(sub(a, t) for a, t in zip(bundle.alpha, gauge))
+                corr = corr + q * diff(chi_out[l], j)
+        gauge.append(2 * PI * corr)
+    alpha_out = tuple(a - t for a, t in zip(bundle.alpha, gauge))
 
     support = RelativeSupport(g, k, bundle.zeta, a_rows, chi_out)
     system = LocalSystemData(alpha_out, xi_out)

@@ -20,7 +20,7 @@ from math import cos, pi, sin
 from typing import Iterable, Sequence
 
 from .exact_linalg import IntMatrix, RatMatrix, RatVector, dot, mod1, rat_vector
-from .expr import Expr, Num, ZERO, add, diff, mul, num, sub, var
+from .expr import Expr, ZERO, diff, var
 from .torus import AffineSubtorus
 
 
@@ -350,14 +350,14 @@ class TwoForm:
         total: Expr = ZERO
         for i in range(n):
             for j in range(n):
-                total = add(total, mul(num(Fraction(u[i]) * Fraction(v[j])), self.entries[i][j]))
+                total = total + Fraction(u[i]) * Fraction(v[j]) * self.entries[i][j]
         return total
 
 
 def exterior_derivative(alpha: OneForm) -> TwoForm:
     n = alpha.dim
     entries = tuple(
-        tuple(sub(diff(alpha.coeffs[j], i + 1), diff(alpha.coeffs[i], j + 1)) for j in range(n))
+        tuple(diff(alpha.coeffs[j], i + 1) - diff(alpha.coeffs[i], j + 1) for j in range(n))
         for i in range(n)
     )
     return TwoForm(entries)
@@ -390,6 +390,6 @@ def pairing_vanishes(s: AffineSubtorus, s_hat: AffineSubtorus) -> bool:
             lifted_u = tuple(u) + tuple(0 for _ in range(g))
             lifted_v = tuple(0 for _ in range(g)) + tuple(v)
             value = f.contract(lifted_u, lifted_v)
-            if not (isinstance(value, Num) and value.value == 0):
+            if value != ZERO:
                 return False
     return True

@@ -11,19 +11,7 @@ from fractions import Fraction
 import random
 
 from torusfm.exact_linalg import RatMatrix
-from torusfm.expr import (
-    Expr,
-    ZERO,
-    add,
-    diff,
-    eval_exact,
-    linear_combination,
-    mul,
-    neg,
-    num,
-    sub,
-    var,
-)
+from torusfm.expr import Expr, ZERO, diff, eval_exact, num, var
 from torusfm.fm_relative import LocalSystemData, RelativeSupport, SectionSupport
 
 
@@ -39,10 +27,10 @@ def _poly_atom(rng: random.Random, allowed: list[int]) -> Expr:
     c = num(_rat(rng))
     kind = rng.randrange(3)
     if kind == 0:
-        return mul(c, v)
+        return c * v
     if kind == 1:
-        return mul(c, mul(v, var(rng.choice(allowed))))
-    return mul(c, mul(v, v))
+        return c * (v * var(rng.choice(allowed)))
+    return c * (v * v)
 
 
 def constant_instance(
@@ -92,10 +80,7 @@ def constant_instance(
             a[jp][m - 1] = sol[jp]
 
     zeta = tuple(
-        add(
-            linear_combination(gamma[i], [var(j) for j in range(1, k + 1)]),
-            num(_rat(rng)),
-        )
+        sum((c * var(j) for j, c in enumerate(gamma[i], 1)), ZERO) + num(_rat(rng))
         for i in range(m_free)
     )
     chi = tuple(num(_rat(rng)) for _ in range(k))
@@ -132,13 +117,11 @@ def gauged_instance(
         k,
     )
     inv_t = gt.inverse().transpose()
-    psi = mul(
-        num(_rat(rng)), mul(var(rng.randint(1, k)), var(rng.randint(1, k)))
-    )
-    psi = add(psi, _poly_atom(rng, list(range(1, k + 1))))
+    psi = num(_rat(rng)) * (var(rng.randint(1, k)) * var(rng.randint(1, k)))
+    psi = psi + _poly_atom(rng, list(range(1, k + 1)))
     grad = [diff(psi, j) for j in range(1, k + 1)]
     chi = tuple(
-        linear_combination(list(inv_t.rows[jp]), grad) for jp in range(k)
+        sum((c * e for c, e in zip(inv_t.rows[jp], grad)), ZERO) for jp in range(k)
     )
     return RelativeSupport(g, k, s.zeta, s.a, chi), system
 
@@ -167,7 +150,7 @@ def polynomial_instance(
         else:
             c = i - r0
             allowed = list(range(1, c)) + tail
-            phi.append(sub(_poly_atom(rng, allowed), var(c)))
+            phi.append(_poly_atom(rng, allowed) - var(c))
 
     def w_col(m: int) -> list[Expr]:
         """Column of d/dx_j of the m-th free coordinate function, j = 1..k."""
@@ -182,22 +165,22 @@ def polynomial_instance(
         """Back substitution for sum_i c_i * d_j gb_i = rhs_j, j = 1..n."""
         out: list[Expr] = [ZERO] * n
         for j in range(n, 0, -1):
-            e = neg(rhs[j - 1])
+            e = -rhs[j - 1]
             for i in range(j + 1, n + 1):
-                e = add(e, mul(out[i - 1], diff(gb[i - 1], j)))
+                e = e + out[i - 1] * diff(gb[i - 1], j)
             out[j - 1] = e
         return out
 
     a_cols: list[list[Expr]] = []
     for m in range(1, m_free + 1):
         v = w_col(m)
-        last = solve_last([neg(x) for x in v])
+        last = solve_last([-x for x in v])
         first = []
         for jpp in range(1, (k - n) + 1):
             col = m_free + jpp
             e = ZERO
             for i in range(1, n + 1):
-                e = sub(e, mul(last[i - 1], diff(gb[i - 1], col)))
+                e = e - last[i - 1] * diff(gb[i - 1], col)
             first.append(e)
         a_cols.append(first + last)
 
@@ -213,7 +196,7 @@ def polynomial_instance(
         col = m_free + jpp
         e = grad_psi[col - 1]
         for i in range(1, n + 1):
-            e = sub(e, mul(chi_last[i - 1], diff(gb[i - 1], col)))
+            e = e - chi_last[i - 1] * diff(gb[i - 1], col)
         chi_first.append(e)
     chi = tuple(chi_first + chi_last)
 
@@ -228,7 +211,7 @@ def section_instance(
 ) -> tuple[SectionSupport, LocalSystemData]:
     """A Lagrangian graph over the whole base, from a scalar potential."""
     pot = _poly_atom(rng, list(range(1, g + 1)))
-    eps = tuple(add(diff(pot, j), num(_rat(rng))) for j in range(1, g + 1))
+    eps = tuple(diff(pot, j) + num(_rat(rng)) for j in range(1, g + 1))
     apot = _poly_atom(rng, list(range(1, g + 1)))
-    alpha = tuple(add(diff(apot, j), num(_rat(rng))) for j in range(1, g + 1))
+    alpha = tuple(diff(apot, j) + num(_rat(rng)) for j in range(1, g + 1))
     return SectionSupport(eps), LocalSystemData(alpha, ())

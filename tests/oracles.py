@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 
 from torusfm.exact_linalg import IntMatrix
-from torusfm.expr import add, eval_at, mul, sub
+from torusfm.expr import eval_at
 
 
 def naive_det(m):
@@ -36,7 +36,7 @@ def _laplace(rows):
 def leibniz_minor(a, rows, cols):
     """Permutation-sum determinant of the rows x cols submatrix of expressions.
 
-    Built from the expression constructors alone, one product per
+    Built from the expression operators alone, one product per
     permutation, with the sign from its inversion count.  The identity
     permutation comes first, so the sum starts from an even term.
     """
@@ -44,12 +44,12 @@ def leibniz_minor(a, rows, cols):
     for perm in itertools.permutations(range(len(cols))):
         term = a[rows[0]][cols[perm[0]]]
         for i in range(1, len(rows)):
-            term = mul(term, a[rows[i]][cols[perm[i]]])
+            term = term * a[rows[i]][cols[perm[i]]]
         odd = sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm))) % 2
         if total is None:
             total = term
         else:
-            total = sub(total, term) if odd else add(total, term)
+            total = total - term if odd else total + term
     return total
 
 

@@ -28,19 +28,7 @@ from oracles import (
 )
 
 from torusfm.exact_linalg import IntMatrix, hnf, kernel_basis, saturate, snf
-from torusfm.expr import (
-    PI,
-    ZERO,
-    add,
-    diff,
-    eval_at,
-    is_zero,
-    mul,
-    neg,
-    num,
-    sub,
-    var,
-)
+from torusfm.expr import PI, ZERO, diff, eval_at, is_zero, num, var
 from torusfm.fm_absolute import SubtorusLocalSystem
 from torusfm.fm_absolute import transform as absolute_transform
 from torusfm.fm_relative import (
@@ -210,8 +198,8 @@ def _potential(rng, g, max_degree=4):
             continue
         term = num(c)
         for _ in range(rng.randint(2, max_degree)):
-            term = mul(term, var(rng.randint(1, g)))
-        e = add(e, term)
+            term = term * var(rng.randint(1, g))
+        e = e + term
     return e
 
 
@@ -222,27 +210,27 @@ def test_04_section_curvature_types_match_the_jacobian():
     for _ in range(100):
         g = rng.randint(1, 4)
         pot = _potential(rng, g)
-        eps = tuple(add(diff(pot, j), num(_rat(rng))) for j in range(1, g + 1))
+        eps = tuple(diff(pot, j) + num(_rat(rng)) for j in range(1, g + 1))
         f20, f11, f02 = curvature_hodge(SectionSupport(eps))
         for a in range(g):
             for b in range(g):
                 _proven_zero(f20[a][b])
                 _proven_zero(f02[a][b])
-                _proven_zero(sub(f11[a][b], mul(PI, diff(eps[a], b + 1))))
+                _proven_zero(f11[a][b] - PI * diff(eps[a], b + 1))
 
     two_pi = 2 * math.pi
     for _ in range(100):
         g = rng.randint(2, 4)
         pot = _potential(rng, g)
-        eps = [add(diff(pot, j), num(_rat(rng))) for j in range(1, g + 1)]
+        eps = [diff(pot, j) + num(_rat(rng)) for j in range(1, g + 1)]
         j0 = rng.randint(1, g)
         m0 = rng.choice([m for m in range(1, g + 1) if m != j0])
-        eps[j0 - 1] = add(eps[j0 - 1], mul(num(_nonzero_rat(rng)), var(m0)))
+        eps[j0 - 1] = eps[j0 - 1] + num(_nonzero_rat(rng)) * var(m0)
         eps = tuple(eps)
 
         # Oracle first: central differences of the turn row at a sample
         # point; the Hodge grids must reassemble to them.
-        turns = tuple(neg(e) for e in eps)
+        turns = tuple(-e for e in eps)
         p = tuple(rng.uniform(0.1, 0.9) for _ in range(g))
         want = [
             [two_pi * fd_partial(turns[b], p, a + 1) for b in range(g)]
@@ -298,10 +286,10 @@ def test_05_holomorphic_verdict_tracks_constant_slopes():
         # constancy verdict must flip to a proven failure naming it.
         j0 = rng.randrange(k)
         m0 = rng.randrange(g - k)
-        bump = mul(num(_nonzero_rat(rng)), var(rng.randint(1, k)))
+        bump = num(_nonzero_rat(rng)) * var(rng.randint(1, k))
         a2 = tuple(
             tuple(
-                add(e, bump) if (j, m) == (j0, m0) else e
+                e + bump if (j, m) == (j0, m0) else e
                 for m, e in enumerate(row)
             )
             for j, row in enumerate(s.a)
@@ -341,7 +329,7 @@ def test_06_dual_slopes_are_the_jacobian_of_the_base_map():
         for i in range(b.g - b.k):
             assert len(b.gamma_tilde[i]) == b.k
             for j in range(b.k):
-                _proven_zero(sub(b.gamma_tilde[i][j], diff(b.zeta[i], j + 1)))
+                _proven_zero(b.gamma_tilde[i][j] - diff(b.zeta[i], j + 1))
                 entries += 1
     _finish("dual slope rows", entries, t0)
 
@@ -387,12 +375,12 @@ def test_08_constant_coefficient_round_trips_are_exact():
         assert inv.support.zeta == s.zeta
         for row_in, row_out in zip(s.a, inv.support.a):
             for e_in, e_out in zip(row_in, row_out):
-                _proven_zero(sub(e_in, e_out))
+                _proven_zero(e_in - e_out)
         for e_in, e_out in zip(s.chi, inv.support.chi):
-            _proven_zero(sub(e_in, e_out))
+            _proven_zero(e_in - e_out)
         assert inv.system.xi == system.xi
         for e_in, e_out in zip(system.alpha, inv.system.alpha):
-            _proven_zero(sub(e_in, e_out))
+            _proven_zero(e_in - e_out)
 
         flat = check_flat(inv.system.alpha)
         assert flat.holds and flat.verdict.proven
@@ -414,15 +402,15 @@ def test_09_failed_conditions_are_proven_not_numerical():
         g = rng.randint(3, 4)
         k = rng.randint(2, g - 1)
         pot = _potential(rng, k, max_degree=3)
-        alpha = [add(diff(pot, j), num(_rat(rng))) for j in range(1, k + 1)]
+        alpha = [diff(pot, j) + num(_rat(rng)) for j in range(1, k + 1)]
         j0 = rng.randint(1, k)
         m0 = rng.choice([m for m in range(1, k + 1) if m != j0])
-        alpha[m0 - 1] = add(alpha[m0 - 1], mul(num(_nonzero_rat(rng)), var(j0)))
+        alpha[m0 - 1] = alpha[m0 - 1] + num(_nonzero_rat(rng)) * var(j0)
         zeta = []
         for _ in range(g - k):
             e = num(_rat(rng))
             for j in range(1, k + 1):
-                e = add(e, mul(num(_rat(rng)), var(j)))
+                e = e + num(_rat(rng)) * var(j)
             zeta.append(e)
         zeta = tuple(zeta)
         paired = TransformedBundle(
@@ -453,9 +441,7 @@ def test_09_failed_conditions_are_proven_not_numerical():
         c0 = m_free + jp0
         j0 = rng.choice([j for j in range(1, k + 1) if j != c0])
         chi2 = list(s.chi)
-        chi2[jp0 - 1] = add(
-            chi2[jp0 - 1], mul(num(_nonzero_rat(rng)), var(j0))
-        )
+        chi2[jp0 - 1] = chi2[jp0 - 1] + num(_nonzero_rat(rng)) * var(j0)
         bent = RelativeSupport(g, k, s.zeta, s.a, tuple(chi2))
         rep = check_C1_lagrangian(bent)
         assert not rep.holds

@@ -1,9 +1,16 @@
 """Scene parsing and command line driver tests."""
 
+import contextlib
+import io
 import json
+import tempfile
+import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusfm import (
     RelativeSupport,
@@ -12,7 +19,7 @@ from torusfm import (
     parse_scene,
 )
 from torusfm.cli import main
-from torusfm.expr import parse
+from torusfm.expr import MAX_EXPONENT, MAX_TERMS, parse
 
 SKYSCRAPER = """
 [torus]
@@ -371,6 +378,22 @@ def test_too_deep_expression_exits_1_with_offset(tmp_path, capsys, epsilon, offs
     )
 
 
+@pytest.mark.parametrize(
+    "command, epsilon, message",
+    [
+        ("check", "(x1 + x2 + 1)^400; x1", f"product expands to more than {MAX_TERMS} terms at offset 13"),
+        ("transform", "2^99999; x1", f"exponent exceeds {MAX_EXPONENT} at offset 2"),
+    ],
+    ids=["power of a sum", "huge exponent"],
+)
+def test_oversized_expression_exits_1_naming_the_limit(tmp_path, capsys, command, epsilon, message):
+    text = SECTION.replace("epsilon = x2 + 2*x1; x1", f"epsilon = {epsilon}")
+    start = time.perf_counter()
+    assert main([command, write(tmp_path, "big.scene", text)]) == 1
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr().err == f"error: [support] epsilon: {message}\n"
+
+
 def test_missing_file_exits_1(tmp_path, capsys):
     assert main(["transform", str(tmp_path / "absent.scene")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -448,8 +471,9 @@ def test_empty_directory_exits_1(tmp_path, capsys):
     assert "no .scene files" in capsys.readouterr().err
 
 
+# The phase 1 keeps sin(x1 + x2 + 1) opaque, so flatness stays numerical.
 TRIG_SECTION = SECTION.replace(
-    "alpha = x1; 0", "alpha = sin(x1 + x2); sin(x1)*cos(x2) + cos(x1)*sin(x2)"
+    "alpha = x1; 0", "alpha = sin(x1 + x2 + 1); sin(x1 + 1)*cos(x2) + cos(x1 + 1)*sin(x2)"
 )
 
 
@@ -473,3 +497,89 @@ def test_smallest_valid_grid_and_tol_are_accepted(tmp_path, capsys):
     scene = write(tmp_path, "trig.scene", TRIG_SECTION)
     assert main(["check", scene, "--grid", "1", "--tol", "1e-300"]) == 0
     assert "flat: holds (numerical, tol 1e-300)" in capsys.readouterr().out
+
+
+# ------------------------------------------------------------ fuzzing
+
+# Expressions shaped by the grammar, some past the parser's limits, and
+# token soup that mostly is not.
+_grammar_exprs = st.recursive(
+    st.sampled_from(["x1", "x2", "x1", "pi", "0", "3", "1/2", "x17", "99999999999"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from([" + ", " - ", "*"]), inner).map("".join),
+        st.tuples(inner, st.sampled_from(["2", "3", "0", "x1"])).map(lambda t: f"({t[0]})/{t[1]}"),
+        st.tuples(st.sampled_from(["sin(", "cos(", "(", "-("]), inner).map(lambda t: f"{t[0]}{t[1]})"),
+        st.tuples(inner, st.sampled_from([0, 2, 3, 2, 400, 1001])).map(lambda t: f"({t[0]})^{t[1]}"),
+    ),
+    max_leaves=8,
+)
+_token_soup = st.lists(
+    st.sampled_from(["x1", "x0", "y", "pi", "sin", "(", ")", "+", "-", "*", "/", "^", "2", "@", ",", ";", " "]),
+    max_size=12,
+).map("".join)
+_entries = st.one_of(_grammar_exprs, _grammar_exprs, _grammar_exprs, _token_soup)
+_fractions = st.lists(st.sampled_from(["1/3", "0", "-2", "5/7", "1/3", "x", "1/0"]), max_size=3).map(" ".join)
+
+
+@st.composite
+def _scenes(draw):
+    """Scene text, mostly of the right shape for its kind, sometimes not."""
+    g = draw(st.sampled_from([1, 2, 2, 3, 3, 0]))
+
+    def row(n):
+        return "; ".join(draw(st.lists(_entries, min_size=n, max_size=n)))
+
+    def matrix(rows, cols):
+        return "; ".join(", ".join(draw(st.lists(_entries, min_size=cols, max_size=cols)))
+                         for _ in range(rows))
+
+    kind = draw(st.sampled_from(["section", "relative", "bundle", "section", "relative", "subtorus",
+                                 "skyscraper"]))
+    k = draw(st.integers(0, max(g, 1)))
+    m = max(g - k, 0)
+    if kind == "bundle":
+        lines = ["[bundle]", f"k = {k}", f"zeta = {row(m)}", f"P = {matrix(m, k)}", f"Q = {row(m)}",
+                 f"alpha = {row(k)}", f"beta = {row(k)}"]
+    elif kind == "section":
+        lines = ["[support]", "kind = section", f"epsilon = {row(g)}", "[system]", f"alpha = {row(g)}"]
+    elif kind == "relative":
+        lines = ["[support]", "kind = relative", f"k = {k}", f"zeta = {row(m)}", f"a = {matrix(k, m)}",
+                 f"chi = {row(k)}", "[system]", f"alpha = {row(k)}", f"xi = {draw(_fractions)}"]
+    elif kind == "subtorus":
+        lines = ["[support]", "kind = subtorus",
+                 f"equations = {draw(st.sampled_from(['3 -2', '1 0; 0 1', '0 0', '1 x', '2']))}",
+                 f"offset = {draw(_fractions)}"]
+    else:
+        lines = ["[support]", "kind = skyscraper", f"coords = {draw(_fractions)}"]
+    lines = ["[torus]", f"g = {g}"] + lines
+    # One draw in eight garbles the layout: a line dropped or soup inserted.
+    if draw(st.integers(0, 7)) == 3:
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    if draw(st.integers(0, 7)) == 3:
+        lines.insert(draw(st.integers(0, len(lines))), draw(_token_soup))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=2000)
+@given(_scenes())
+def test_parse_scene_raises_only_value_errors(text):
+    try:
+        parse_scene(text)
+    except ValueError:  # ParseError and ConditionError included
+        pass
+
+
+@settings(max_examples=60, deadline=2000)
+@given(_scenes(), st.sampled_from(["transform", "check", "roundtrip", "curvature"]),
+       st.sampled_from(["text", "json"]))
+def test_main_returns_documented_exit_codes(text, command, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.scene"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(path), "--format", fmt])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert err.getvalue().startswith(("error: ", "precondition failed ["))

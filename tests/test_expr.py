@@ -1,5 +1,7 @@
-"""Expression grammar, calculus and the four-valued zero test."""
+"""Expression grammar, canonical forms, calculus and the four-valued zero test."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,34 +9,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusfm.expr import (
+    MAX_COEFFICIENT_BITS,
     MAX_DEPTH,
+    MAX_EXPONENT,
+    MAX_TERMS,
     PI,
-    Cos,
-    Mul,
-    Num,
+    ZERO,
     ParseError,
-    Pow,
-    Sin,
-    Var,
     Verdict,
-    add,
     all_zero,
-    cos_,
+    cos,
     diff,
     eval_at,
     eval_exact,
     is_constant,
     is_zero,
-    linear_combination,
-    mul,
-    neg,
-    normal_form,
     num,
     parse,
-    pow_,
-    sin_,
-    sub,
-    substitute,
+    sin,
     to_str,
     var,
     vars_of,
@@ -51,13 +43,13 @@ leaf = st.one_of(
 def _extend(children):
     pair = st.tuples(children, children)
     return st.one_of(
-        pair.map(lambda t: add(*t)),
-        pair.map(lambda t: sub(*t)),
-        pair.map(lambda t: mul(*t)),
-        children.map(neg),
-        st.tuples(children, st.integers(0, 3)).map(lambda t: pow_(*t)),
-        children.map(sin_),
-        children.map(cos_),
+        pair.map(lambda t: t[0] + t[1]),
+        pair.map(lambda t: t[0] - t[1]),
+        pair.map(lambda t: t[0] * t[1]),
+        children.map(lambda e: -e),
+        st.tuples(children, st.integers(0, 3)).map(lambda t: t[0] ** t[1]),
+        children.map(sin),
+        children.map(cos),
     )
 
 
@@ -68,21 +60,21 @@ exprs = st.recursive(leaf, _extend, max_leaves=12)
 
 
 def test_parse_basics():
-    assert parse("3/2") == Num(Fraction(3, 2))
-    assert parse("-3/2") == Num(Fraction(-3, 2))
-    assert parse("x1 + 2*x2") == add(var(1), mul(num(2), var(2)))
-    assert parse("sin(pi*x1)^2") == pow_(sin_(mul(PI, var(1))), 2)
-    assert parse("x12") == Var(12)
-    assert parse("(x1 - x2)*x3") == mul(sub(var(1), var(2)), var(3))
-    # Smart constructors fold what can be folded at parse time.
-    assert parse("x1^0") == Num(1)
-    assert parse("0*x1") == Num(0)
-    assert parse("sin(0)") == Num(0)
-    assert parse("cos(0)") == Num(1)
+    assert parse("3/2") == num(Fraction(3, 2))
+    assert parse("-3/2") == num(Fraction(-3, 2))
+    assert parse("x1 + 2*x2") == var(1) + 2 * var(2)
+    assert parse("sin(pi*x1)^2") == sin(PI * var(1)) ** 2
+    assert parse("x12") == var(12)
+    assert parse("(x1 - x2)*x3") == (var(1) - var(2)) * var(3)
+    # Canonical forms fold what can be folded at parse time.
+    assert parse("x1^0") == num(1)
+    assert parse("0*x1") == num(0)
+    assert parse("sin(0)") == num(0)
+    assert parse("cos(0)") == num(1)
 
 
 def test_parse_division_is_literal_only():
-    assert parse("x1/2") == mul(var(1), num(Fraction(1, 2)))
+    assert parse("x1/2") == var(1) * num(Fraction(1, 2))
     with pytest.raises(ParseError):
         parse("x1/x2")
     with pytest.raises(ParseError):
@@ -138,6 +130,34 @@ def test_depth_limit_is_exact(shape, deepest):
         parse(deep_text(shape, deepest + 1))
 
 
+# 40 terms squared: 1,600 pairs of terms, although only 820 survive.
+_SQUARE = "(" + " + ".join(f"x{i}" for i in range(1, 41)) + ")^2"
+
+
+@pytest.mark.parametrize(
+    "text, message, offset",
+    [
+        ("(x1 + x2 + 1)^400", f"product expands to more than {MAX_TERMS} terms", 13),
+        ("2^99999", f"exponent exceeds {MAX_EXPONENT}", 2),
+        ("x1^1001", f"exponent exceeds {MAX_EXPONENT}", 3),
+        ("(2^1000)^5", f"coefficient exceeds {MAX_COEFFICIENT_BITS} bits", 8),
+        ("9" * 2000 + "*x1", f"coefficient exceeds {MAX_COEFFICIENT_BITS} bits", 0),
+        (_SQUARE, f"product expands to more than {MAX_TERMS} terms", _SQUARE.index("^")),
+    ],
+    ids=["power of a sum", "huge exponent", "exponent", "coefficient", "literal", "square"],
+)
+def test_oversized_expressions_raise_parse_error_naming_the_limit(text, message, offset):
+    with pytest.raises(ParseError, match=message) as e:
+        parse(text)
+    assert e.value.offset == offset
+
+
+def test_expressions_within_the_limits_parse():
+    assert parse(f"x1^{MAX_EXPONENT}") == var(1) ** MAX_EXPONENT
+    assert len(parse("(x1 + x2 + x3 + 1)^6").terms) == 84
+    assert eval_exact(parse("(2^1000)^4"), ()) == 2**4000
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -151,7 +171,7 @@ def test_tree_walkers_handle_the_deepest_accepted_tree(text):
     e = parse(text)
     assert parse(to_str(e)) == e
     d = diff(e, 1)
-    assert normal_form(d) and normal_form(e)
+    assert d != ZERO and e != ZERO
     assert abs(eval_at(e, (0.5,))) > 0
     assert not is_zero(e).is_zero
     if "sin" not in text:
@@ -159,17 +179,26 @@ def test_tree_walkers_handle_the_deepest_accepted_tree(text):
         assert eval_exact(d, (1,)) == MAX_DEPTH
 
 
+def test_printed_derivative_of_a_long_product_parses_back():
+    # The product rule once printed one nested sum per factor, past the
+    # depth limit; the canonical derivative is the single term 120*x1^119.
+    e = parse("*".join(["x1"] * 120))
+    d = diff(e, 1)
+    assert to_str(d) == "120*x1^119"
+    assert parse(to_str(d)) == d
+
+
 def test_nested_trig_normal_forms_grow_linearly():
-    # Each sin atom holds the key of its argument's normal form; escaping
-    # that key anew at every level would double its size per level.
+    # Each opaque atom holds the printed text of its argument; escaping
+    # that text anew at every level would double its size per level.
     def nested(n):
         return parse("sin(" * n + "x1" + ")" * n)
 
-    sizes = [len(repr(normal_form(nested(n)))) for n in (10, 20)]
+    sizes = [len(repr(nested(n).terms)) for n in (10, 20)]
     assert sizes[1] < 3 * sizes[0]
     e = nested(20)
-    assert is_zero(add(sin_(neg(e)), sin_(e))).kind == "proven_zero"
-    assert is_zero(sub(cos_(neg(e)), cos_(e))).kind == "proven_zero"
+    assert is_zero(sin(-e) + sin(e)).kind == "proven_zero"
+    assert is_zero(cos(-e) - cos(e)).kind == "proven_zero"
 
 
 @settings(max_examples=300, deadline=None)
@@ -179,28 +208,41 @@ def test_print_parse_round_trip(e):
 
 
 def test_printer_parenthesization():
-    assert to_str(add(var(1), num(-3))) == "x1 + (-3)"
-    assert to_str(mul(var(1), add(var(2), num(1)))) == "x1*(x2 + 1)"
-    assert to_str(pow_(add(var(1), var(2)), 2)) == "(x1 + x2)^2"
-    assert to_str(neg(mul(var(1), var(2)))) == "-(x1*x2)"
-    assert to_str(sub(var(1), sub(var(2), var(3)))) == "x1 - (x2 - x3)"
+    # Printed forms are flat sums of products, with the same values as the
+    # nested forms once printed for these inputs.
+    cases = [
+        (var(1) + num(-3), "x1 - 3", "x1 + (-3)"),
+        (var(1) * (var(2) + num(1)), "x1*x2 + x1", "x1*(x2 + 1)"),
+        ((var(1) + var(2)) ** 2, "x1^2 + 2*x1*x2 + x2^2", "(x1 + x2)^2"),
+        (-(var(1) * var(2)), "-x1*x2", "-(x1*x2)"),
+        (var(1) - (var(2) - var(3)), "x1 - x2 + x3", "x1 - (x2 - x3)"),
+    ]
+    for e, text, nested_text in cases:
+        assert to_str(e) == text
+        assert parse(nested_text) == e
+
+
+def test_characters_print_as_sums_of_sines_and_cosines():
+    assert to_str(parse("2*sin(x1)*cos(x1)")) == "sin(2*x1)"
+    assert to_str(parse("cos(x1 + pi/2)")) == "-sin(x1)"
+    assert to_str(parse("sin(-x1 + pi*x2)")) == "-sin(x1 - pi*x2)"
+    assert to_str(parse("sin(-x2 + pi*x1)")) == "sin(pi*x1 - x2)"
+    assert to_str(parse("cos(-x1^2) + sin(1 - x1)")) == "-sin(x1 - 1) + cos(x1^2)"
 
 
 # ---------------------------------------------------------------- calculus
 
 
-def _nf_equal(a, b):
-    return normal_form(sub(a, b)) == {}
-
-
 def test_diff_known_values():
     x1, x2 = var(1), var(2)
-    assert diff(pow_(x1, 3), 1) == Mul(num(3), Pow(x1, 2))
-    assert diff(pow_(x1, 3), 2) == Num(0)
-    assert _nf_equal(diff(sin_(mul(num(2), x1)), 1), mul(num(2), cos_(mul(num(2), x1))))
-    assert _nf_equal(diff(cos_(x1), 1), neg(sin_(x1)))
-    assert _nf_equal(diff(mul(x1, x2), 1), x2)
-    assert diff(PI, 1) == Num(0)
+    assert diff(x1**3, 1) == 3 * x1**2
+    assert diff(x1**3, 2) == num(0)
+    assert diff(sin(2 * x1), 1) == 2 * cos(2 * x1)
+    assert diff(cos(x1), 1) == -sin(x1)
+    assert diff(x1 * x2, 1) == x2
+    assert diff(PI, 1) == num(0)
+    assert diff(sin(x1**2), 1) == 2 * x1 * cos(x1**2)
+    assert diff(cos(PI * x1 + x2), 1) == -PI * sin(PI * x1 + x2)
 
 
 @settings(max_examples=150, deadline=None)
@@ -219,8 +261,6 @@ def test_diff_matches_central_difference(e, j):
 
 
 def test_substitute_and_eval():
-    e = parse("x1^2 + sin(x2)")
-    assert substitute(e, {2: num(0)}) == pow_(var(1), 2)
     assert eval_exact(parse("x1^2 - 1/3"), [Fraction(1, 2)]) == Fraction(-1, 12)
     with pytest.raises(ValueError, match="not a rational expression"):
         eval_exact(parse("pi*x1"), [Fraction(1)])
@@ -230,13 +270,15 @@ def test_substitute_and_eval():
 
 def test_vars_and_constant():
     assert vars_of(parse("x1*sin(x3) + pi")) == frozenset({1, 3})
+    assert vars_of(parse("sin(x2^2)")) == frozenset({2})
     assert is_constant(parse("pi^2 - 3"))
+    assert is_constant(parse("sin(1)"))
     assert not is_constant(parse("cos(x2)"))
 
 
 def test_linear_combination():
-    e = linear_combination([Fraction(1, 2), 0, -2], [var(1), var(2), var(3)])
-    assert _nf_equal(e, parse("x1/2 - 2*x3"))
+    e = Fraction(1, 2) * var(1) + 0 * var(2) + (-2) * var(3)
+    assert e == parse("x1/2 - 2*x3")
 
 
 # ---------------------------------------------------------------- zero test
@@ -255,13 +297,19 @@ def test_verdict_proven_nonzero_on_polynomials():
 
 
 def test_verdict_numerical_with_trig():
-    v = is_zero(parse("sin(x1)^2 + cos(x1)^2 - 1"))
+    # Sines and cosines of (Q + Q pi)-linear forms are characters, so their
+    # identities are proven whatever the tolerance.
+    assert is_zero(parse("sin(x1)^2 + cos(x1)^2 - 1")).kind == "proven_zero"
+    assert is_zero(parse("sin(x1)")).kind == "proven_nonzero"
+    assert is_zero(parse("sin(pi)")).kind == "proven_zero"
+    assert is_zero(parse("sin(2*x1) - 2*sin(x1)*cos(x1)")).kind == "proven_zero"
+    assert is_zero(parse("sin(2*x1) - 2*sin(x1)*cos(x1)"), tol=1e-30).kind == "proven_zero"
+    # Opaque atoms stay numerical.
+    assert is_zero(parse("sin(x1^2)")).kind == "numerically_nonzero"
+    v = is_zero(parse("sin(x1 + 1)^2 + cos(x1 + 1)^2 - 1"))
     assert v.kind == "numerically_zero"
     assert v.tol == 1e-9
-    assert is_zero(parse("sin(x1)")).kind == "numerically_nonzero"
-    assert is_zero(parse("sin(pi)")).kind == "numerically_zero"
-    assert is_zero(parse("sin(2*x1) - 2*sin(x1)*cos(x1)")).kind == "numerically_zero"
-    assert is_zero(parse("sin(2*x1) - 2*sin(x1)*cos(x1)"), tol=1e-30).kind in (
+    assert is_zero(parse("sin(x1 + 1)^2 + cos(x1 + 1)^2 - 1"), tol=1e-30).kind in (
         "numerically_zero",
         "numerically_nonzero",
     )
@@ -271,20 +319,101 @@ def test_trig_parity_is_structural():
     assert is_zero(parse("sin(-x1) + sin(x1)")).kind == "proven_zero"
     assert is_zero(parse("cos(-x1) - cos(x1)")).kind == "proven_zero"
     assert is_zero(parse("sin(x2 + x1) - sin(x1 + x2)")).kind == "proven_zero"
+    assert is_zero(parse("sin(-x1^2) + sin(x1^2)")).kind == "proven_zero"
 
 
 @settings(max_examples=120, deadline=None)
 @given(exprs, exprs)
 def test_normal_form_sees_ring_identities(a, b):
-    assert normal_form(sub(mul(a, b), mul(b, a))) == {}
-    assert normal_form(sub(add(a, b), add(b, a))) == {}
-    assert normal_form(sub(sub(a, b), neg(sub(b, a)))) == {}
+    assert a * b - b * a == ZERO
+    assert (a + b) - (b + a) == ZERO
+    assert (a - b) - (-(b - a)) == ZERO
 
 
 @settings(max_examples=80, deadline=None)
 @given(exprs)
 def test_is_zero_of_self_difference(e):
-    assert is_zero(sub(e, e)).kind == "proven_zero"
+    assert is_zero(e - e).kind == "proven_zero"
+
+
+# Soundness of proven verdicts against Python's own arithmetic.  The
+# strategy draws pairs of texts for one function, related by ring
+# identities, angle addition, Pythagoras, quarter-turn shifts and parity,
+# over polynomial, pi, affine-trig and non-affine-trig content; sometimes
+# the second text is replaced by an unrelated one.  The oracle evaluates
+# the text itself with `eval` over `math`.
+
+_RNG = random.Random(7)
+_SEEDED_POINTS = [tuple(_RNG.uniform(-2, 2) for _ in range(3)) for _ in range(6)]
+
+
+def _value(text, point):
+    names = {"sin": math.sin, "cos": math.cos, "pi": math.pi}
+    names.update({f"x{i + 1}": v for i, v in enumerate(point)})
+    return eval(text.replace("^", "**"), {"__builtins__": {}}, names)
+
+
+_leaf_pairs = st.one_of(
+    st.builds(lambda p, q: (f"({p}/{q})",) * 2, st.integers(-5, 5), st.integers(1, 4)),
+    st.just(("pi", "pi")),
+    st.sampled_from([("x1",) * 2, ("x2",) * 2, ("x3",) * 2]),
+)
+# Linear forms with coefficients in Q + Q*pi and phases in (pi/2)*Z, the
+# arguments whose sines and cosines are characters.
+_linear_pairs = st.builds(
+    lambda terms, phase: (" + ".join(f"({c})*{x}" for c, x in terms) + phase,) * 2,
+    st.lists(st.tuples(st.sampled_from(["1", "2", "-1", "1/2", "pi", "-2*pi"]),
+                       st.sampled_from(["x1", "x2", "x3"])), min_size=1, max_size=3),
+    st.sampled_from(["", "", " + pi/2", " - pi"]),
+)
+
+# Arguments whose sines and cosines stay opaque.
+_opaque_arguments = st.sampled_from(["x1^2", "x2 + 1", "1", "x1*x3 - 1/3"]).map(lambda t: (t, t))
+
+
+def _pair_rules(children):
+    two = st.tuples(children, children)
+    arg = st.one_of(_linear_pairs, _linear_pairs, _linear_pairs, _opaque_arguments)
+    two_args = st.tuples(arg, arg)
+    return st.one_of(
+        two.map(lambda t: (f"{t[0][0]} + {t[1][0]}", f"{t[1][1]} + {t[0][1]}")),
+        two.map(lambda t: (f"({t[0][0]})*({t[1][0]})", f"({t[1][1]})*({t[0][1]})")),
+        two.map(lambda t: (f"({t[0][0]}) - ({t[1][0]})", f"-({t[1][1]}) + {t[0][1]}")),
+        children.map(lambda p: (f"({p[0]})^2", f"({p[1]})*({p[1]})")),
+        two_args.map(lambda t: (f"sin({t[0][0]} + {t[1][0]})",
+                                f"sin({t[0][1]})*cos({t[1][1]}) + cos({t[0][1]})*sin({t[1][1]})")),
+        two_args.map(lambda t: (f"cos({t[0][0]} + {t[1][0]})",
+                                f"cos({t[0][1]})*cos({t[1][1]}) - sin({t[0][1]})*sin({t[1][1]})")),
+        arg.map(lambda p: (f"sin({p[0]})^2 + cos({p[0]})^2", "1")),
+        arg.map(lambda p: (f"sin({p[0]} + pi/2)", f"cos({p[1]})")),
+        arg.map(lambda p: (f"sin(-({p[0]}))", f"-sin({p[1]})")),
+        arg.map(lambda p: (f"cos(-({p[0]}))", f"cos({p[1]})")),
+    )
+
+
+_same_function = st.recursive(_leaf_pairs, _pair_rules, max_leaves=6)
+
+
+@st.composite
+def _difference_texts(draw):
+    p, q = draw(_same_function)
+    if draw(st.booleans()):
+        q = draw(_same_function)[1]
+    return p, q
+
+
+@settings(max_examples=300, deadline=None)
+@given(_difference_texts())
+def test_proven_verdicts_agree_with_python_arithmetic(texts):
+    p, q = texts
+    text = f"({p}) - ({q})"
+    verdict = is_zero(parse(text))
+    values = [_value(text, pt) for pt in _SEEDED_POINTS]
+    scale = max(abs(_value(p, pt)) + abs(_value(q, pt)) for pt in _SEEDED_POINTS)
+    if verdict.kind == "proven_zero":
+        assert max(map(abs, values)) <= 1e-9 * (1 + scale)
+    elif verdict.kind == "proven_nonzero":
+        assert max(map(abs, values)) > 1e-12 * (1 + scale)
 
 
 def test_weyl_points_deterministic_and_in_cube():

@@ -21,19 +21,15 @@ from torusfm.expr import (
     PI,
     ZERO,
     Verdict,
-    add,
     diff,
     eval_at,
     eval_exact,
+    has_opaque,
     is_constant,
     is_zero,
     max_var,
-    mul,
-    neg,
-    normal_form,
     num,
     parse,
-    sub,
     var,
     weyl_points,
 )
@@ -87,8 +83,8 @@ def fibre_turns_of(s):
     for j in range(1, s.k + 1):
         t = ZERO
         for jp in range(1, s.k + 1):
-            t = add(t, mul(s.chi[jp - 1], diff(frame[s.g - s.k + jp - 1], j)))
-        turns.append(neg(t))
+            t = t + s.chi[jp - 1] * diff(frame[s.g - s.k + jp - 1], j)
+        turns.append(-t)
     return tuple(turns)
 
 
@@ -100,9 +96,9 @@ def gauge_residual(s, sys_in, bundle, inv, j):
         c = m_free + l + 1
         if c > s.k:
             q = exact(bundle.varsigma[c - s.k - 1], s.k)
-            corr = add(corr, mul(num(q), diff(s.chi[l], j)))
-    drift = sub(inv.system.alpha[j - 1], sys_in.alpha[j - 1])
-    return add(drift, mul(num(2), mul(PI, corr)))
+            corr = corr + num(q) * diff(s.chi[l], j)
+    drift = inv.system.alpha[j - 1] - sys_in.alpha[j - 1]
+    return drift + num(2) * (PI * corr)
 
 
 # Line support in a 2-torus fibration: base line x2 = -x1, fibre lines
@@ -299,11 +295,11 @@ def bidiagonal_times_constant(k, rng, drops=False):
             break
     a = []
     for i in range(k):
-        lower = mul(num(rng.choice((-2, -1, 1, 2))), var(i)) if i else ZERO
-        row = [add(num(c[i][j]), mul(lower, num(c[i - 1][j])) if i else ZERO) for j in range(k)]
+        lower = num(rng.choice((-2, -1, 1, 2))) * var(i) if i else ZERO
+        row = [num(c[i][j]) + (lower * num(c[i - 1][j]) if i else ZERO) for j in range(k)]
         a.append(row)
     if drops:
-        a[-1] = [mul(e, parse("x1 - 1/2")) for e in a[-1]]
+        a[-1] = [e * parse("x1 - 1/2") for e in a[-1]]
     return RelativeSupport(2 * k, k, (0,) * k, tuple(tuple(row) for row in a), (0,) * k)
 
 
@@ -363,8 +359,7 @@ def reference_rank_check(a, k, tol=1e-9, grid=17):
 
 
 def _in_q_pi(e):
-    nf = normal_form(e)
-    return bool(nf) and all(atom == ("pi",) for mono in nf for atom, _ in mono)
+    return e != ZERO and is_constant(e) and not has_opaque(e)
 
 
 @st.composite
@@ -390,7 +385,7 @@ def slope_matrices(draw):
     for _ in range(k):
         if rows and draw(st.integers(0, 3)) == 0:
             f = parse(draw(poly))
-            rows.append([mul(f, e) for e in draw(st.sampled_from(rows))])
+            rows.append([f * e for e in draw(st.sampled_from(rows))])
         else:
             rows.append([parse(draw(entry)) for _ in range(m)])
     return k, m, tuple(tuple(row) for row in rows)
@@ -466,16 +461,16 @@ def test_parabolic_fixture_bundle_data():
     b = transform_nontransversal(s, PARABOLIC_SYSTEM)
     assert b.wit_index == 1
     # Jacobian row of the base equation.
-    assert_proven_zero(add(b.gamma_tilde[0][0], num(1)))
-    assert_proven_zero(sub(b.gamma_tilde[0][1], parse("x2")))
+    assert_proven_zero(b.gamma_tilde[0][0] + num(1))
+    assert_proven_zero(b.gamma_tilde[0][1] - parse("x2"))
     # The offset pairs the holonomy with the constant Jacobian column.
     assert exact(b.varsigma[0], 2) == F(-2, 7)
-    assert_proven_zero(sub(b.varsigma[0], num(F(-2, 7))))
+    assert_proven_zero(b.varsigma[0] - num(F(-2, 7)))
     # dw-row from the chart rewrite of the fibre offsets.
-    assert_proven_zero(sub(b.fibre_turns[0], parse("x1")))
+    assert_proven_zero(b.fibre_turns[0] - parse("x1"))
     assert_proven_zero(b.fibre_turns[1])
     for t1, t2 in zip(b.fibre_turns, fibre_turns_of(s)):
-        assert_proven_zero(sub(t1, t2))
+        assert_proven_zero(t1 - t2)
     # Varying slopes mean the dual support is not complex.
     assert b.holomorphic.kind == "proven_nonzero"
 
@@ -551,9 +546,9 @@ def test_section_transform_matches_the_fibred_view():
     assert b1.zeta == b2.zeta == ()
     assert b1.alpha == b2.alpha == sys_in.alpha
     for t1, t2 in zip(b1.fibre_turns, b2.fibre_turns):
-        assert_proven_zero(sub(t1, t2))
+        assert_proven_zero(t1 - t2)
     for t, e in zip(b1.fibre_turns, s.epsilon):
-        assert_proven_zero(add(t, e))
+        assert_proven_zero(t + e)
     assert b1.holomorphic.kind == "proven_zero"
 
 
@@ -591,9 +586,9 @@ def test_section_round_trip():
     assert inv.support.a == ((), ())
     assert inv.system.xi == ()
     for c, e in zip(inv.support.chi, s.epsilon):
-        assert_proven_zero(sub(c, e))
+        assert_proven_zero(c - e)
     for a_out, a_in in zip(inv.system.alpha, sys_in.alpha):
-        assert_proven_zero(sub(a_out, a_in))
+        assert_proven_zero(a_out - a_in)
 
 
 # ---------------------------------------------------------------- curvature
@@ -609,7 +604,7 @@ def test_hodge_components_of_an_antisymmetric_turn_row():
     assert abs(eval_at(f11[0][1], p) + half_pi) < 1e-12
     for a in range(2):
         for b in range(2):
-            assert_proven_zero(add(f02[a][b], f20[a][b]))
+            assert_proven_zero(f02[a][b] + f20[a][b])
             assert_proven_zero(f20[a][a])
 
 
@@ -631,7 +626,7 @@ def test_curvature_reassembles_to_finite_differences():
     # Oracle first: central differences of the dw-row at a sample point
     # give 2 pi d(turns); the three Hodge grids must reassemble to it.
     s = SectionSupport((parse("x2^2"), 0))
-    turns = tuple(neg(e) for e in s.epsilon)
+    turns = tuple(-e for e in s.epsilon)
     p = (0.35, 0.81)
     want = [
         [2 * math.pi * fd_partial(turns[b], p, a + 1) for b in range(2)]
@@ -794,7 +789,7 @@ def test_line_fixture_round_trip_is_exact():
     assert exact(inv.support.a[0][0], 1) == 1
     assert exact(inv.support.chi[0], 1) == F(1, 4)
     assert inv.system.xi == (F(1, 3),)
-    assert_proven_zero(sub(inv.system.alpha[0], ANTIDIAGONAL_SYSTEM.alpha[0]))
+    assert_proven_zero(inv.system.alpha[0] - ANTIDIAGONAL_SYSTEM.alpha[0])
 
 
 def test_twisted_line_round_trip_shifts_by_an_exact_gauge_term():
@@ -802,21 +797,18 @@ def test_twisted_line_round_trip_shifts_by_an_exact_gauge_term():
     b = transform_nontransversal(s, TWISTED_SYSTEM)
     assert b.holomorphic.kind == "proven_zero"
     assert [exact(e, 1) for e in b.varsigma] == [F(-1, 6), F(-1, 3)]
-    assert_proven_zero(sub(b.fibre_turns[0], parse("x1^2")))
+    assert_proven_zero(b.fibre_turns[0] - parse("x1^2"))
 
     inv = inverse_transform(dual_input_from_bundle(b))
     assert inv.support.zeta == s.zeta
     assert exact(inv.support.a[0][0], 1) == 1
     assert exact(inv.support.a[0][1], 1) == 2
-    assert_proven_zero(sub(inv.support.chi[0], parse("x1^2")))
+    assert_proven_zero(inv.support.chi[0] - parse("x1^2"))
     assert inv.system.xi == (F(1, 3), F(5, 6))
     # The connection drifts by exactly -2 pi sum Q_c d chi_c, nothing else.
     assert_proven_zero(gauge_residual(s, TWISTED_SYSTEM, b, inv, 1))
     assert_proven_zero(
-        sub(
-            sub(inv.system.alpha[0], TWISTED_SYSTEM.alpha[0]),
-            mul(num(F(4, 3)), mul(PI, parse("x1"))),
-        )
+        inv.system.alpha[0] - TWISTED_SYSTEM.alpha[0] - num(F(4, 3)) * (PI * parse("x1"))
     )
 
 
@@ -826,9 +818,9 @@ def test_twisted_line_double_transform_reproduces_the_bundle():
     inv = inverse_transform(dual_input_from_bundle(b))
     b2 = transform_nontransversal(inv.support, inv.system)
     for e1, e2 in zip(b.varsigma, b2.varsigma):
-        assert_proven_zero(sub(e1, e2))
+        assert_proven_zero(e1 - e2)
     for e1, e2 in zip(b.fibre_turns, b2.fibre_turns):
-        assert_proven_zero(sub(e1, e2))
+        assert_proven_zero(e1 - e2)
     base = (F(1, 7),)
     assert fibre_of_transform(b2, base) == fibre_of_transform(b, base)
 
@@ -883,11 +875,11 @@ def test_constant_instances_round_trip_exactly(shape, seed):
     assert inv.system.xi == sys_in.xi
     for row_in, row_out in zip(s.a, inv.support.a):
         for e_in, e_out in zip(row_in, row_out):
-            assert_proven_zero(sub(e_in, e_out))
+            assert_proven_zero(e_in - e_out)
     for e_in, e_out in zip(s.chi, inv.support.chi):
-        assert_proven_zero(sub(e_in, e_out))
+        assert_proven_zero(e_in - e_out)
     for e_in, e_out in zip(sys_in.alpha, inv.system.alpha):
-        assert_proven_zero(sub(e_in, e_out))
+        assert_proven_zero(e_in - e_out)
 
 
 @settings(max_examples=25, deadline=None)
@@ -913,8 +905,8 @@ def test_inverse_returns_the_gauge_term_it_subtracts():
     s = twisted_line_support()
     inv = inverse_transform(transform_nontransversal(s, TWISTED_SYSTEM))
     # 2 pi d(Q_3 chi_1) with Q_3 = -1/3 and chi_1 = x1^2.
-    assert_proven_zero(sub(inv.gauge[0], parse("-4/3*pi*x1")))
-    assert_proven_zero(sub(inv.system.alpha[0], sub(TWISTED_SYSTEM.alpha[0], inv.gauge[0])))
+    assert_proven_zero(inv.gauge[0] - parse("-4/3*pi*x1"))
+    assert_proven_zero(inv.system.alpha[0] - (TWISTED_SYSTEM.alpha[0] - inv.gauge[0]))
     # Constant offsets: no gauge term.
     inv = inverse_transform(transform_nontransversal(antidiagonal_support(), ANTIDIAGONAL_SYSTEM))
     assert len(inv.gauge) == 1
@@ -941,9 +933,9 @@ def test_gauged_instances_return_up_to_the_gauge_term(shape, seed):
     assert all(max_var(e) <= k for e in inv.support.chi)
     for row_in, row_out in zip(s.a, inv.support.a):
         for e_in, e_out in zip(row_in, row_out):
-            assert_proven_zero(sub(e_in, e_out))
+            assert_proven_zero(e_in - e_out)
     for e_in, e_out in zip(s.chi, inv.support.chi):
-        assert_proven_zero(sub(e_in, e_out))
+        assert_proven_zero(e_in - e_out)
     for j in range(1, k + 1):
         assert_proven_zero(gauge_residual(s, sys_in, bundle, inv, j))
 
@@ -957,11 +949,11 @@ def test_section_instances_transform_and_return(g, seed):
     assert (b1.k, b1.wit_index) == (g, 0)
     b2 = transform_nontransversal(relative_from_section(s), sys_in)
     for t1, t2 in zip(b1.fibre_turns, b2.fibre_turns):
-        assert_proven_zero(sub(t1, t2))
+        assert_proven_zero(t1 - t2)
 
     inv = inverse_transform(dual_input_from_bundle(b1))
     assert inv.system.xi == ()
     for c, e in zip(inv.support.chi, s.epsilon):
-        assert_proven_zero(sub(c, e))
+        assert_proven_zero(c - e)
     for a_out, a_in in zip(inv.system.alpha, sys_in.alpha):
-        assert_proven_zero(sub(a_out, a_in))
+        assert_proven_zero(a_out - a_in)

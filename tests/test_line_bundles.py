@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusfm.exact_linalg import IntMatrix, RatMatrix
-from torusfm.expr import Num
+from torusfm.expr import num
 from torusfm.line_bundles import (
     AppellHumbertPair,
     FactorOfAutomorphy,
@@ -200,9 +200,9 @@ def test_poincare_connection_and_curvature_g1():
     alpha = poincare_connection(1)
     assert len(alpha.coeffs) == 2
     fcurv = exterior_derivative(alpha)
-    assert fcurv.coefficient(1, 0) == Num(F(1))
-    assert fcurv.coefficient(0, 1) == Num(F(-1))
-    assert fcurv.coefficient(0, 0) == Num(F(0))
+    assert fcurv.coefficient(1, 0) == num(F(1))
+    assert fcurv.coefficient(0, 1) == num(F(-1))
+    assert fcurv.coefficient(0, 0) == num(F(0))
 
 
 def test_poincare_curvature_block_structure():
@@ -210,10 +210,10 @@ def test_poincare_curvature_block_structure():
     fcurv = poincare_curvature(g)
     for i in range(g):
         for j in range(g):
-            assert fcurv.coefficient(i, j) == Num(F(0))
-            assert fcurv.coefficient(g + i, g + j) == Num(F(0))
+            assert fcurv.coefficient(i, j) == num(F(0))
+            assert fcurv.coefficient(g + i, g + j) == num(F(0))
             expected = F(1) if i == j else F(0)
-            assert fcurv.coefficient(g + i, j) == Num(expected)
+            assert fcurv.coefficient(g + i, j) == num(expected)
 
 
 def test_pairing_vanishes_matches_normality():
