@@ -42,6 +42,7 @@ from .fm_relative import (
     check_section_lagrangian,
     fibre_of_transform,
     fibre_system,
+    gauge_term,
     hodge_components,
     inverse_transform,
     relative_from_section,
@@ -151,12 +152,16 @@ def _put_hodge(out: dict, alpha, turns, tol, grid, warnings: list) -> None:
         _note(warnings, f"{name}.vanishes", v)
 
 
-def _alpha_comparison(alpha_out, alpha_in, gauge, tol, grid, warnings) -> str:
-    """Compare alpha exactly, then up to the gauge term the inverse subtracted."""
+def _alpha_comparison(alpha_out, alpha_in, varsigma, chi, tol, grid, warnings) -> str:
+    """Compare alpha exactly, then up to the gauge term of varsigma and chi.
+
+    The term is predicted from the data the round trip starts from, not
+    taken from the inverse's report, so a wrong inverse cannot hide.
+    """
     drift = [
         (f"alpha[{j + 1}]", out - inp) for j, (out, inp) in enumerate(zip(alpha_out, alpha_in))
     ]
-    gauged = [(label, e + t) for (label, e), t in zip(drift, gauge)]
+    gauged = [(label, e + t) for (label, e), t in zip(drift, gauge_term(varsigma, chi))]
     for labelled, how in ((drift, "exact"), (gauged, "exact up to the gauge term")):
         rep = _gather("alpha", labelled, tol, grid)
         if rep.holds:
@@ -289,7 +294,7 @@ def _cmd_roundtrip(scene: Scene, args, out: dict, warnings: list) -> None:
             tol, grid, warnings, "epsilon",
         )
         out["alpha"] = _alpha_comparison(
-            inv.system.alpha, scene.system.alpha, inv.gauge, tol, grid, warnings
+            inv.system.alpha, scene.system.alpha, bundle.varsigma, s.chi, tol, grid, warnings
         )
         out["xi"] = "exact" if inv.system.xi == scene.system.xi else "MISMATCH"
         if args.seed is not None:
@@ -323,7 +328,7 @@ def _cmd_roundtrip(scene: Scene, args, out: dict, warnings: list) -> None:
             tol, grid, warnings, "chi",
         )
         out["alpha"] = _alpha_comparison(
-            inv.system.alpha, system.alpha, inv.gauge, tol, grid, warnings
+            inv.system.alpha, system.alpha, bundle.varsigma, s.chi, tol, grid, warnings
         )
         out["xi"] = "exact" if inv.system.xi == system.xi else "MISMATCH"
         if args.seed is not None:
@@ -358,7 +363,9 @@ def _cmd_roundtrip(scene: Scene, args, out: dict, warnings: list) -> None:
         ],
         tol, grid, warnings, "beta",
     )
-    out["alpha"] = _alpha_comparison(fwd.alpha, b.alpha, inv.gauge, tol, grid, warnings)
+    out["alpha"] = _alpha_comparison(
+        fwd.alpha, b.alpha, b.varsigma, inv.support.chi, tol, grid, warnings
+    )
     if args.seed is not None:
         _slices(out, args.seed, inv.support, inv.system, fwd)
 

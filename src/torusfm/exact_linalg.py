@@ -114,9 +114,6 @@ class IntMatrix:
             raise ValueError("dimension mismatch")
         return tuple(dot(row, v) for row in self.rows)
 
-    def to_rat(self) -> "RatMatrix":
-        return RatMatrix(self.rows, self.ncols)
-
     def det(self) -> int:
         """Determinant via fraction-free (Bareiss) elimination."""
         n = self.nrows

@@ -29,12 +29,14 @@ such functions are undecidable in general (Richardson, J. Symb. Logic 33,
 
 `parse` bounds what it builds.  A sum may not exceed MAX_TERMS terms, nor a
 product MAX_TERMS pairs of terms; exponents are at most MAX_EXPONENT and
-coefficients below 2**MAX_COEFFICIENT_BITS.  Syntax nests at most MAX_DEPTH
-levels.
+coefficients below 2**MAX_COEFFICIENT_BITS.  Parenthesized groups and
+sin/cos calls nest at most MAX_DEPTH - 1 deep; flat chains of operators and
+minus signs may be of any length.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -311,11 +313,12 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-# Deepest expression the parser accepts.  The depth of an atom is 1; each
-# operator, unary minus, sin/cos and parenthesized group adds one level on
-# top of its deepest operand.  The parser recurses three times per group and
-# the calculus once or twice per nested sin or cos, which keeps both well
-# inside Python's default recursion limit of 1000.
+# Deepest expression the parser accepts.  A token lies at depth 1 plus the
+# number of parenthesized groups and sin/cos calls around it; chains of
+# operators and minus signs are parsed by loops and add nothing.  The parser
+# recurses three times per group and the calculus once or twice per nested
+# sin or cos, which keeps both well inside Python's default recursion limit
+# of 1000.
 MAX_DEPTH = 200
 # Bounds on what parsing builds, so that the text's size bounds the work:
 # the terms of a sum and the pairs of terms a product expands, the value of
@@ -334,11 +337,6 @@ class _Parser:
 
     def error(self, message: str, offset: int | None = None) -> ParseError:
         return ParseError(message, self.pos if offset is None else offset)
-
-    def nested(self, depth: int, offset: int) -> int:
-        if depth > MAX_DEPTH:
-            raise self.error(f"expression nested deeper than {MAX_DEPTH} levels", offset)
-        return depth
 
     def bounded(self, e: Expr, changed, offset: int) -> Expr:
         """e, once its size and its coefficients at the terms changed are checked."""
@@ -387,29 +385,26 @@ class _Parser:
             raise self.error(f"expected {token!r}", self.last_start if got else self.pos)
 
     def parse(self) -> Expr:
-        e, _ = self.parse_sum()
+        e = self.parse_sum()
         if self.next_token() is not None:
             raise self.error("trailing input", self.last_start)
         return e
 
-    # Each parse_* method returns the expression and its depth.
-
-    def parse_sum(self) -> tuple[Expr, int]:
-        e, d = self.parse_term()
+    def parse_sum(self) -> Expr:
+        e = self.parse_term()
         while (tok := self.peek_token()) in ("+", "-"):
             self.next_token()
             at = self.last_start
-            r, rd = self.parse_term()
+            r = self.parse_term()
             e = self.bounded(e + r if tok == "+" else e - r, r.terms, at)
-            d = self.nested(max(d, rd) + 1, at)
-        return e, d
+        return e
 
-    def parse_term(self) -> tuple[Expr, int]:
-        e, d = self.parse_factor()
+    def parse_term(self) -> Expr:
+        e = self.parse_factor()
         while (tok := self.peek_token()) in ("*", "/"):
             self.next_token()
             at = self.last_start
-            r, rd = self.parse_factor()
+            r = self.parse_factor()
             if tok == "/":
                 c = r.terms.get(((), None))
                 if c is None or len(r.terms) != 1:
@@ -418,40 +413,39 @@ class _Parser:
                 e = self.bounded(e, e.terms, at)
             else:
                 e = self.product(e, r, at)
-            d = self.nested(max(d, rd) + 1, at)
-        return e, d
+        return e
 
-    def parse_factor(self) -> tuple[Expr, int]:
+    def parse_factor(self) -> Expr:
         """Unary minus signs, an atom or parenthesized group, an exponent."""
-        signs = []
+        negate = False
         while self.peek_token() == "-":
             self.next_token()
-            signs.append(self.last_start)
+            negate = not negate
         tok = self.next_token()
         if tok is None:
             raise self.error("unexpected end of input")
         at = self.last_start
+        # Checked before any recursion, so deep nesting cannot exhaust the
+        # stack before it is refused.
+        if self.groups >= MAX_DEPTH:
+            raise self.error(f"expression nested deeper than {MAX_DEPTH} levels", at)
         if tok in ("(", "sin", "cos"):
             if tok != "(":
                 self.expect("(")
-            # Checked on the way in as well, so deep nesting cannot exhaust
-            # the stack before its depth is known.
             self.groups += 1
-            self.nested(self.groups, at)
-            e, d = self.parse_sum()
+            e = self.parse_sum()
             self.expect(")")
             self.groups -= 1
             e = sin(e) if tok == "sin" else cos(e) if tok == "cos" else e
-            d = self.nested(d + 1, at)
         elif tok.isdigit():
             # A literal of more than bits/3 digits is at least 2**bits.
             if len(tok) > MAX_COEFFICIENT_BITS // 3 or int(tok).bit_length() > MAX_COEFFICIENT_BITS:
                 raise self.error(f"coefficient exceeds {MAX_COEFFICIENT_BITS} bits", at)
-            e, d = num(int(tok)), 1
+            e = num(int(tok))
         elif tok == "pi":
-            e, d = PI, 1
+            e = PI
         elif vm := re.fullmatch(r"x([1-9][0-9]*)", tok):
-            e, d = var(int(vm.group(1))), 1
+            e = var(int(vm.group(1)))
         else:
             raise self.error(f"unknown name {tok!r}", at)
         if self.peek_token() == "^":
@@ -467,10 +461,8 @@ class _Parser:
             power = ONE
             for _ in range(int(digits)):
                 power = self.product(power, e, at)
-            e, d = power, self.nested(d + 1, at)
-        for at in reversed(signs):
-            e, d = -e, self.nested(d + 1, at)
-        return e, d
+            e = power
+        return -e if negate else e
 
 
 def parse(text: str) -> Expr:
@@ -526,11 +518,7 @@ def _format(terms: dict) -> str:
 
 
 def to_str(e: Expr) -> str:
-    """Canonical text form, a flat sum of products; parse(to_str(e)) == e.
-
-    The text of a sum of about MAX_DEPTH terms or more is deeper than
-    `parse` accepts.
-    """
+    """Canonical text form, a flat sum of products; parse(to_str(e)) == e."""
     if e._text is None:
         e._text = _format(e.terms)
     return e._text
@@ -716,15 +704,18 @@ class Verdict:
         return Verdict("numerically_nonzero", tol)
 
 
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+_PRIMES = [2]  # extended on demand by weyl_points and kept
 
 
 def weyl_points(nvars: int, n: int) -> list[tuple[float, ...]]:
     """n equidistributed points in the unit cube (Weyl sequence on sqrt primes)."""
     if nvars == 0:
         return [()]
-    if nvars > len(_PRIMES):
-        raise ValueError("too many variables for the sampling grid")
+    p = _PRIMES[-1]
+    while len(_PRIMES) < nvars:
+        p += 1
+        if all(p % q for q in itertools.takewhile(lambda q: q * q <= p, _PRIMES)):
+            _PRIMES.append(p)
     roots = [math.sqrt(p) for p in _PRIMES[:nvars]]
     return [tuple(((i + 1) * r) % 1.0 for r in roots) for i in range(n)]
 

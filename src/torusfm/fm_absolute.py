@@ -108,16 +108,6 @@ def transform(system: SubtorusLocalSystem) -> TransformResult:
     )
 
 
-def inverse_transform(system: SubtorusLocalSystem) -> TransformResult:
-    """Inverse of the transform.
-
-    With the dual universal twist folded into the support swap the inverse
-    is given by the same data swap, so this is the forward map again; the
-    composite returns the original system exactly.
-    """
-    return transform(system)
-
-
 def tensor(a: SubtorusLocalSystem, b: SubtorusLocalSystem) -> SubtorusLocalSystem:
     if a.support != b.support:
         raise ValueError("supports differ")

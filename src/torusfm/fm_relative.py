@@ -861,19 +861,28 @@ def inverse_transform(
         for m in range(m_free)
     )
 
-    gauge = []
-    for j in range(1, k + 1):
-        corr: Expr = ZERO
-        for l in range(k):
-            q = q_of(m_free + l + 1)
-            if q:
-                corr = corr + q * diff(chi_out[l], j)
-        gauge.append(2 * PI * corr)
+    gauge = gauge_term(q_val, chi_out)
     alpha_out = tuple(a - t for a, t in zip(bundle.alpha, gauge))
 
     support = RelativeSupport(g, k, bundle.zeta, a_rows, chi_out)
     system = LocalSystemData(alpha_out, xi_out)
-    return InverseResult(support, system, k, tuple(gauge))
+    return InverseResult(support, system, k, gauge)
+
+
+def gauge_term(varsigma, chi) -> tuple[Expr, ...]:
+    """The exact term 2 pi d_j(sum_c Q_c chi_c), j = 1..k, of a round trip.
+
+    Q = varsigma holds the constant coefficients Q_c of the angles
+    c = k+1..g, with no Q_c for c <= k, and chi[l] is the fibre offset of
+    the angle c = g-k+l+1.  The inverse transform subtracts this term from
+    alpha; `roundtrip` predicts it from the data it starts from.
+    """
+    k, m_free = len(chi), len(varsigma)
+    total: Expr = ZERO
+    for l, c in enumerate(chi):
+        if m_free + l >= k:
+            total = total + varsigma[m_free + l - k] * c
+    return tuple(2 * PI * diff(total, j) for j in range(1, k + 1))
 
 
 # ------------------------------------------------------------- fibre slices

@@ -1,4 +1,4 @@
-"""Unitary line bundles on tori: factors of automorphy and curvature.
+"""Unitary line bundles on tori: factors of automorphy and the Poincare bundle.
 
 Phases are tracked in turns (full rotations), so a factor value is a point
 of U(1) represented by a rational number mod 1 and every cocycle identity
@@ -9,46 +9,21 @@ can be checked exactly.  The general factor shape used here is
 with U integer, M rational and t rational, subject to the cocycle condition
 M - (U + U^T)/2 being an integer matrix.  The classical pair normal form
 (alternating pairing plus semicharacter) produces such a factor, and gauge
-moves by quadratic or linear exponentials stay inside the shape.
+moves by quadratic exponentials stay inside the shape.
+
+The Poincare bundle on T x T-hat is the pair of the standard symplectic
+pairing; restricted to T x {w} it is flat with holonomy w, which is the
+dual-support condition of the transform (Mukai, Nagoya Math. J. 81, 1981).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import cos, pi, sin
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .exact_linalg import IntMatrix, RatMatrix, RatVector, dot, mod1, rat_vector
-from .expr import Expr, ZERO, diff, var
 from .torus import AffineSubtorus
-
-
-@dataclass(frozen=True)
-class UnitCircleValue:
-    """Point on the unit circle, stored exactly as a phase in turns."""
-
-    turns: Fraction
-
-    def __init__(self, turns):
-        object.__setattr__(self, "turns", mod1(Fraction(turns)))
-
-    def __mul__(self, other: "UnitCircleValue") -> "UnitCircleValue":
-        return UnitCircleValue(self.turns + other.turns)
-
-    def inverse(self) -> "UnitCircleValue":
-        return UnitCircleValue(-self.turns)
-
-    def __pow__(self, k: int) -> "UnitCircleValue":
-        return UnitCircleValue(self.turns * k)
-
-    def to_complex(self) -> complex:
-        angle = 2 * pi * float(self.turns)
-        return complex(cos(angle), sin(angle))
-
-    @staticmethod
-    def one() -> "UnitCircleValue":
-        return UnitCircleValue(0)
 
 
 @dataclass(frozen=True)
@@ -66,13 +41,11 @@ class FactorOfAutomorphy:
             raise ValueError("matrix data does not match the dimension")
         if len(self.char) != g:
             raise ValueError("one character entry per lattice generator is required")
-        for i in range(g):
-            for j in range(g):
-                residual = (
-                    self.bilinear.rows[i][j]
-                    - Fraction(self.upper.rows[i][j] + self.upper.rows[j][i], 2)
-                )
-                if residual.denominator != 1:
+        u = self.upper.rows
+        for i, row in enumerate(self.bilinear.rows):
+            for j, m in enumerate(row):
+                # m - (u_ij + u_ji)/2 is an integer: 2m - u_ij - u_ji is even.
+                if (2 * m - u[i][j] - u[j][i]) % 2:
                     raise ValueError("cocycle condition fails")
 
     def phase_turns(self, x: Sequence, lam: Sequence[int]) -> Fraction:
@@ -88,9 +61,6 @@ class FactorOfAutomorphy:
         lin = dot(self.char, lam)
         mixed = dot(x, self.bilinear.mul_vector(lam))
         return mod1(lin + Fraction(quad, 2) + mixed)
-
-    def __call__(self, x: Sequence, lam: Sequence[int]) -> UnitCircleValue:
-        return UnitCircleValue(self.phase_turns(x, lam))
 
     def is_flat(self) -> bool:
         """Whether the factor is a plain character of the lattice."""
@@ -111,74 +81,27 @@ class FactorOfAutomorphy:
         )
 
 
-def flat_factor(holonomy: Iterable) -> FactorOfAutomorphy:
-    t = rat_vector(holonomy)
-    g = len(t)
-    return FactorOfAutomorphy(g, IntMatrix.zero(g, g), RatMatrix.zero(g, g), t)
-
-
-def same_factor(f1: FactorOfAutomorphy, f2: FactorOfAutomorphy) -> bool:
-    """Equality as functions on cover x lattice, checked exactly."""
-    if f1.dim != f2.dim:
-        return False
-    if f1.bilinear != f2.bilinear:
-        return False
-    g = f1.dim
-    d = [
-        [f1.upper.rows[i][j] - f2.upper.rows[i][j] for j in range(g)] for i in range(g)
-    ]
-    s = [f1.char[i] - f2.char[i] for i in range(g)]
-    for i in range(g):
-        if mod1(s[i] + Fraction(d[i][i], 2)) != 0:
-            return False
-    return all((d[i][j] + d[j][i]) % 2 == 0 for i in range(g) for j in range(i))
-
-
-def gauge_transform(
-    f: FactorOfAutomorphy,
-    quadratic: IntMatrix | None = None,
-    linear: Sequence | None = None,
-) -> FactorOfAutomorphy:
-    """Conjugate the factor by exp(pi i x^T S x) and/or exp(2 pi i v.x).
+def gauge_transform(f: FactorOfAutomorphy, quadratic: IntMatrix) -> FactorOfAutomorphy:
+    """Conjugate the factor by exp(pi i x^T S x) for the integer matrix S.
 
     The transformed factor is a(x, lam) multiplied by phi(x + lam)/phi(x);
     it describes the same bundle in a different trivialization.
     """
     g = f.dim
-    upper, bilinear, char = f.upper, f.bilinear, f.char
-    if quadratic is not None:
-        if quadratic.shape != (g, g):
-            raise ValueError("dimension mismatch")
-        upper = IntMatrix(
-            tuple(
-                tuple(upper.rows[i][j] + quadratic.rows[i][j] for j in range(g))
-                for i in range(g)
-            ),
-            g,
-        )
-        sym = RatMatrix(
-            tuple(
-                tuple(
-                    Fraction(quadratic.rows[i][j] + quadratic.rows[j][i], 2)
-                    for j in range(g)
-                )
-                for i in range(g)
-            ),
-            g,
-        )
-        bilinear = RatMatrix(
-            tuple(
-                tuple(bilinear.rows[i][j] + sym.rows[i][j] for j in range(g))
-                for i in range(g)
-            ),
-            g,
-        )
-    if linear is not None:
-        v = rat_vector(linear)
-        if len(v) != g:
-            raise ValueError("dimension mismatch")
-        char = tuple(mod1(t + vi) for t, vi in zip(char, v))
-    return FactorOfAutomorphy(g, upper, bilinear, char)
+    if quadratic.shape != (g, g):
+        raise ValueError("dimension mismatch")
+    s = quadratic.rows
+    upper = IntMatrix(
+        tuple(tuple(f.upper.rows[i][j] + s[i][j] for j in range(g)) for i in range(g)), g
+    )
+    bilinear = RatMatrix(
+        tuple(
+            tuple(f.bilinear.rows[i][j] + Fraction(s[i][j] + s[j][i], 2) for j in range(g))
+            for i in range(g)
+        ),
+        g,
+    )
+    return FactorOfAutomorphy(g, upper, bilinear, f.char)
 
 
 def restrict_factor(f: FactorOfAutomorphy, fixed: dict[int, Fraction]) -> FactorOfAutomorphy:
@@ -193,21 +116,14 @@ def restrict_factor(f: FactorOfAutomorphy, fixed: dict[int, Fraction]) -> Factor
     bilinear = RatMatrix(
         tuple(tuple(f.bilinear.rows[i][j] for j in keep) for i in keep), len(keep)
     )
+    m = f.bilinear.rows
     char = tuple(
-        f.char[j] + sum((Fraction(v) * f.bilinear.rows[i][j] for i, v in fixed.items()), Fraction(0))
-        for j in keep
+        f.char[j] + sum(Fraction(v) * m[i][j] for i, v in fixed.items() if m[i][j]) for j in keep
     )
     return FactorOfAutomorphy(len(keep), upper, bilinear, char)
 
 
 # ---------------------------------------------------------------- pair form
-
-
-def _strict_upper(a: IntMatrix) -> IntMatrix:
-    g = a.ncols
-    return IntMatrix(
-        tuple(tuple(a.rows[i][j] if j > i else 0 for j in range(g)) for i in range(g)), g
-    )
 
 
 @dataclass(frozen=True)
@@ -219,7 +135,8 @@ class AppellHumbertPair:
 
         c(lam + mu) = c(lam) + c(mu) + pairing(lam, mu)/2   (mod 1)
 
-    then determines it everywhere, with no choices left.
+    then determines it everywhere, with no choices left.  It is the value
+    of the factor at x = 0.
     """
 
     pairing: IntMatrix
@@ -242,50 +159,18 @@ class AppellHumbertPair:
     def dim(self) -> int:
         return self.pairing.ncols
 
-    def semicharacter_turns(self, lam: Sequence[int]) -> Fraction:
-        lam = tuple(int(e) for e in lam)
-        g = self.dim
-        quad = sum(
-            self.pairing.rows[i][j] * lam[i] * lam[j] for i in range(g) for j in range(i + 1, g)
-        )
-        return mod1(dot(self.chi_log, lam) + Fraction(quad, 2))
-
-    def semicharacter(self, lam: Sequence[int]) -> UnitCircleValue:
-        return UnitCircleValue(self.semicharacter_turns(lam))
-
     def pairing_value(self, lam: Sequence[int], mu: Sequence[int]) -> int:
-        return int(dot(lam, self.pairing.mul_vector(mu)))
+        rows = self.pairing.rows
+        return sum(a * sum(p * b for p, b in zip(row, mu)) for a, row in zip(lam, rows))
 
     def factor(self) -> FactorOfAutomorphy:
-        half = RatMatrix(
-            tuple(tuple(Fraction(e, 2) for e in row) for row in self.pairing.rows),
-            self.dim,
+        g = self.dim
+        p = self.pairing.rows
+        strict_upper = IntMatrix(
+            tuple(tuple(p[i][j] if j > i else 0 for j in range(g)) for i in range(g)), g
         )
-        return FactorOfAutomorphy(self.dim, _strict_upper(self.pairing), half, self.chi_log)
-
-
-def factor_of_automorphy(pair: AppellHumbertPair) -> FactorOfAutomorphy:
-    return pair.factor()
-
-
-def ah_compose(p1: AppellHumbertPair, p2: AppellHumbertPair) -> AppellHumbertPair:
-    """Tensor product of the bundles described by the two pairs."""
-    if p1.dim != p2.dim:
-        raise ValueError("dimension mismatch")
-    pairing = IntMatrix(
-        tuple(
-            tuple(a + b for a, b in zip(r1, r2))
-            for r1, r2 in zip(p1.pairing.rows, p2.pairing.rows)
-        ),
-        p1.dim,
-    )
-    chi = tuple(mod1(a + b) for a, b in zip(p1.chi_log, p2.chi_log))
-    return AppellHumbertPair(pairing, chi)
-
-
-def ah_inverse(p: AppellHumbertPair) -> AppellHumbertPair:
-    pairing = IntMatrix(tuple(tuple(-e for e in row) for row in p.pairing.rows), p.dim)
-    return AppellHumbertPair(pairing, tuple(mod1(-t) for t in p.chi_log))
+        half = RatMatrix(tuple(tuple(Fraction(e, 2) for e in row) for row in p), g)
+        return FactorOfAutomorphy(g, strict_upper, half, self.chi_log)
 
 
 def poincare_pair(g: int) -> AppellHumbertPair:
@@ -304,7 +189,13 @@ def poincare_pair(g: int) -> AppellHumbertPair:
 
 
 def poincare_gauge(g: int, sign: int = 1) -> IntMatrix:
-    """Quadratic gauge exp(sign * pi i y.w) as an integer matrix."""
+    """Quadratic gauge exp(sign * pi i y.w) as an integer matrix.
+
+    With sign +1 the Poincare factor becomes exp(2 pi i w.m) on the lattice
+    vector (m, n), so pinning w leaves the flat bundle with holonomy w on
+    the first factor; with sign -1 pinning y leaves holonomy -y on the
+    second.
+    """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     rows = []
@@ -315,81 +206,22 @@ def poincare_gauge(g: int, sign: int = 1) -> IntMatrix:
     return IntMatrix(rows, 2 * g)
 
 
-# ---------------------------------------------------------------- connections
-
-# One- and two-forms live on R^n with coordinates x1..xn; coefficients are
-# expressions.  The stored connection coefficient alpha_j is the phase rate
-# in turns, i.e. the covariant derivative is d + 2 pi i sum alpha_j dx^j.
-
-
-@dataclass(frozen=True)
-class OneForm:
-    coeffs: tuple[Expr, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.coeffs)
-
-
-@dataclass(frozen=True)
-class TwoForm:
-    """Antisymmetric coefficient matrix: the form is sum_{i<j} c_ij dx^i ^ dx^j."""
-
-    entries: tuple[tuple[Expr, ...], ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    def coefficient(self, i: int, j: int) -> Expr:
-        return self.entries[i][j]
-
-    def contract(self, u: Sequence, v: Sequence) -> Expr:
-        """Value on the pair of constant tangent vectors u, v."""
-        n = self.dim
-        total: Expr = ZERO
-        for i in range(n):
-            for j in range(n):
-                total = total + Fraction(u[i]) * Fraction(v[j]) * self.entries[i][j]
-        return total
-
-
-def exterior_derivative(alpha: OneForm) -> TwoForm:
-    n = alpha.dim
-    entries = tuple(
-        tuple(diff(alpha.coeffs[j], i + 1) - diff(alpha.coeffs[i], j + 1) for j in range(n))
-        for i in range(n)
-    )
-    return TwoForm(entries)
-
-
-def poincare_connection(g: int) -> OneForm:
-    """Connection of the universal bundle: sum_j w_j dy^j in turn units."""
-    coeffs = tuple(var(g + j + 1) for j in range(g)) + tuple(ZERO for _ in range(g))
-    return OneForm(coeffs)
-
-
-def poincare_curvature(g: int) -> TwoForm:
-    return exterior_derivative(poincare_connection(g))
-
-
 def pairing_vanishes(s: AffineSubtorus, s_hat: AffineSubtorus) -> bool:
-    """Whether the universal curvature annihilates all direction pairs.
+    """Whether the Poincare pairing annihilates all direction pairs.
 
     Directions u along s (in the first factor) and v along s_hat (in the
-    second) feed the constant curvature; vanishing for all pairs is the
-    curvature-flatness part of normality and holds exactly when the two
-    direction lattices annihilate each other under the dot pairing.
+    second) are paired by the Chern form of the Poincare bundle, which is
+    -u.v; vanishing for all pairs is the curvature-flatness part of
+    normality and holds exactly when the two direction lattices annihilate
+    each other under the dot pairing.
     """
     if s.torus.dim != s_hat.torus.dim:
         return False
     g = s.torus.dim
-    f = poincare_curvature(g)
-    for u in s.direction_basis().rows:
-        for v in s_hat.direction_basis().rows:
-            lifted_u = tuple(u) + tuple(0 for _ in range(g))
-            lifted_v = tuple(0 for _ in range(g)) + tuple(v)
-            value = f.contract(lifted_u, lifted_v)
-            if value != ZERO:
-                return False
-    return True
+    pair = poincare_pair(g)
+    zeros = (0,) * g
+    return all(
+        pair.pairing_value(tuple(u) + zeros, zeros + tuple(v)) == 0
+        for u in s.direction_basis().rows
+        for v in s_hat.direction_basis().rows
+    )

@@ -3,7 +3,8 @@
 Everything here is deliberately slow and simple: Laplace determinants,
 exhaustive minor enumeration, membership tests via rational solves.  The
 library under test must agree with these on small inputs.  Only the
-library's matrix container is used; every algorithm here is its own.
+library's matrix container and the Poincare factor of `line_bundles`,
+which no transform calls, are used; every algorithm here is its own.
 """
 
 import itertools
@@ -12,6 +13,13 @@ from fractions import Fraction
 
 from torusfm.exact_linalg import IntMatrix
 from torusfm.expr import eval_at
+from torusfm.line_bundles import (
+    gauge_transform,
+    pairing_vanishes,
+    poincare_gauge,
+    poincare_pair,
+    restrict_factor,
+)
 
 
 def naive_det(m):
@@ -139,6 +147,19 @@ def rational_solve(rows, rhs, ncols):
     return y
 
 
+def rational_kernel(rows, ncols):
+    """A basis over Q of the solutions of rows y = 0, one vector per free column."""
+    reduced, pivots = _gauss_jordan(rows, ncols)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for row, c in zip(reduced, pivots):
+            v[c] = -row[f]
+        basis.append(v)
+    return basis
+
+
 def in_row_span_z(vec, basis):
     """Membership of an integer vector in the Z-span of the basis rows."""
     if basis.nrows == 0:
@@ -181,3 +202,71 @@ def fd_partial(e, point, i, h=1e-6):
     up[i - 1] += h
     dn[i - 1] -= h
     return (eval_at(e, up) - eval_at(e, dn)) / (2 * h)
+
+
+# ------------------------------------------------------------ Poincare bundle
+
+_POINCARE = {}
+
+
+def poincare_holonomy(g, point):
+    """Holonomy on T of the Poincare bundle restricted to T x {point}.
+
+    The factor is gauged by exp(pi i y.w) once per g, so that pinning the
+    dual coordinates w leaves a flat factor on T.
+    """
+    f = _POINCARE.get(g)
+    if f is None:
+        f = _POINCARE[g] = gauge_transform(poincare_pair(g).factor(), poincare_gauge(g, 1))
+    pinned = restrict_factor(f, {g + i: Fraction(w) for i, w in enumerate(point)})
+    assert pinned.is_flat()
+    return pinned.holonomy()
+
+
+def poincare_member(system, point):
+    """Whether the point lies on the support of the transform of the system.
+
+    It does exactly when L (x) P restricted to S x {point} is trivial
+    (Mukai, Nagoya Math. J. 81, 1981): along each direction of the support
+    S, the holonomy of the system plus that of P is an integer.
+    """
+    h = poincare_holonomy(system.support.torus.dim, point)
+    return all(
+        (xi + sum(a * b for a, b in zip(h, row))).denominator == 1
+        for xi, row in zip(system.holonomy, system.support.direction_basis().rows)
+    )
+
+
+def check_poincare(system, dual, rng):
+    """Check a transform pair against the Poincare bundle, in both directions.
+
+    Applied to (S, xi) the prediction is the dual support; applied to the
+    dual (S-hat, chi) it is S, which checks the dual holonomy as well.
+    Each direction tests a predicted member solved by `rational_solve`,
+    that member moved along the predicted directions and by a lattice
+    vector, a predicted non-member when the support has directions (S or
+    its dual always has), and three random points.
+    """
+    for src, target in ((system, dual), (dual, system)):
+        s = src.support
+        assert pairing_vanishes(s, target.support)
+        g = s.torus.dim
+        rows = s.direction_basis().rows
+        member = rational_solve(rows, [-x for x in src.holonomy], g)
+        moved = list(member)
+        for v in rational_kernel(rows, g):
+            t = Fraction(rng.randint(-6, 6), rng.randint(1, 7))
+            moved = [m + t * e for m, e in zip(moved, v)]
+        moved = [m + rng.randint(-2, 2) for m in moved]
+        points = [(member, True), (moved, True)]
+        if rows:
+            nudge = [Fraction(0)] * len(rows)
+            nudge[rng.randrange(len(rows))] = Fraction(1, rng.randint(2, 7))
+            step = rational_solve(rows, nudge, g)
+            points.append(([m + e for m, e in zip(member, step)], False))
+        for _ in range(3):
+            points.append(([Fraction(rng.randint(0, 11), 12) for _ in range(g)], None))
+        for point, predicted in points:
+            verdict = poincare_member(src, point)
+            assert predicted is None or verdict == predicted
+            assert target.support.contains(point) == verdict, (src, point)

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import torusfm.cli
 from torusfm import (
+    LocalSystemData,
     RelativeSupport,
     SectionSupport,
     TransformedBundle,
@@ -342,6 +344,24 @@ def test_roundtrip_of_a_bundle_scene_up_to_the_gauge_term(tmp_path, capsys):
     assert out.endswith("warnings: none\n")
 
 
+def test_roundtrip_alpha_line_catches_a_wrong_inverse(tmp_path, capsys, monkeypatch):
+    # An inverse that shifts alpha by pi*x1 and reports the shift in its
+    # gauge term stays self-consistent; the alpha line must still see it.
+    real = torusfm.cli.inverse_transform
+    shift = parse("pi*x1")
+
+    def shifted(bundle, tol, grid):
+        inv = real(bundle, tol, grid)
+        alpha = (inv.system.alpha[0] + shift,) + inv.system.alpha[1:]
+        gauge = (inv.gauge[0] - shift,) + inv.gauge[1:]
+        return inv._replace(system=LocalSystemData(alpha, inv.system.xi), gauge=gauge)
+
+    monkeypatch.setattr(torusfm.cli, "inverse_transform", shifted)
+    for name, text in (("r.scene", GAUGED_RELATIVE), ("b.scene", GAUGED_BUNDLE)):
+        assert main(["roundtrip", write(tmp_path, name, text)]) == 0
+        assert "alpha: differs [alpha[1]]" in capsys.readouterr().out
+
+
 def test_curvature_of_a_gradient_section(tmp_path, capsys):
     assert main(["curvature", write(tmp_path, "s.scene", SECTION)]) == 0
     out = capsys.readouterr().out
@@ -366,8 +386,8 @@ def test_malformed_expression_exits_1_with_offset(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "epsilon, offset",
-    [("(" * 3000 + "x1" + ")" * 3000, 200), ("-" * 3000 + "x1", 2800), ("+".join(["x1"] * 3000), 599)],
-    ids=["parentheses", "minus signs", "sum"],
+    [("(" * 3000 + "x1" + ")" * 3000, 200), ("sin(" * 3000 + "x1" + ")" * 3000, 800)],
+    ids=["parentheses", "nested sin"],
 )
 def test_too_deep_expression_exits_1_with_offset(tmp_path, capsys, epsilon, offset):
     text = f"[torus]\ng = 1\n[support]\nkind = section\nepsilon = {epsilon}\n"
@@ -376,6 +396,15 @@ def test_too_deep_expression_exits_1_with_offset(tmp_path, capsys, epsilon, offs
     assert err == (
         f"error: [support] epsilon: expression nested deeper than 200 levels at offset {offset}\n"
     )
+
+
+@pytest.mark.parametrize(
+    "epsilon", ["-" * 3000 + "x1", "+".join(["x1"] * 3000)], ids=["minus signs", "sum"]
+)
+def test_long_flat_chain_scene_exits_0(tmp_path, capsys, epsilon):
+    text = f"[torus]\ng = 1\n[support]\nkind = section\nepsilon = {epsilon}\n"
+    assert main(["check", write(tmp_path, "long.scene", text)]) == 0
+    assert "lagrangian: holds (proven)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -103,17 +104,19 @@ def test_parse_error_offsets():
 
 
 def deep_text(shape, n):
-    """An expression n levels of one shape deep."""
+    """An expression of n nested groups or calls, or a flat chain of n."""
     if shape == "parentheses":
         return "(" * n + "x1" + ")" * n
+    if shape == "nested sin":
+        return "sin(" * n + "x1" + ")" * n
     if shape == "minus signs":
         return "-" * n + "x1"
     return "+".join(["x1"] * n)
 
 
+# Only groups and calls nest: the token past MAX_DEPTH - 1 of them is refused.
 @pytest.mark.parametrize(
-    "shape, offset",
-    [("parentheses", MAX_DEPTH), ("minus signs", 3000 - MAX_DEPTH), ("sum", 3 * MAX_DEPTH - 1)],
+    "shape, offset", [("parentheses", MAX_DEPTH), ("nested sin", 4 * MAX_DEPTH)]
 )
 def test_deep_expressions_raise_parse_error(shape, offset):
     with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH} levels") as e:
@@ -122,12 +125,30 @@ def test_deep_expressions_raise_parse_error(shape, offset):
 
 
 @pytest.mark.parametrize(
-    "shape, deepest", [("parentheses", MAX_DEPTH - 1), ("minus signs", MAX_DEPTH - 1), ("sum", MAX_DEPTH)]
+    "shape, deepest", [("parentheses", MAX_DEPTH - 1), ("nested sin", MAX_DEPTH - 1)]
 )
 def test_depth_limit_is_exact(shape, deepest):
     parse(deep_text(shape, deepest))
     with pytest.raises(ParseError, match="nested deeper"):
         parse(deep_text(shape, deepest + 1))
+
+
+@pytest.mark.parametrize(
+    "shape, value", [("sum", 3000 * var(1)), ("minus signs", var(1))], ids=["sum", "minus signs"]
+)
+def test_long_flat_chains_parse(shape, value):
+    # Chains are parsed by loops, so their length is bounded by the term
+    # and size limits alone, not by the depth limit.
+    t0 = time.monotonic()
+    assert parse(deep_text(shape, 3000)) == value
+    assert time.monotonic() - t0 < 2.0
+
+
+def test_printed_long_sums_parse_back():
+    # 210 terms: the printed flat sum once counted as 210 levels deep.
+    e = parse("(x1 + x2 + x3 + x4 + 1)^6")
+    assert len(e.terms) == 210
+    assert parse(to_str(e)) == e
 
 
 # 40 terms squared: 1,600 pairs of terms, although only 820 survive.
@@ -423,6 +444,19 @@ def test_weyl_points_deterministic_and_in_cube():
     assert len(set(pts)) == 17
     assert all(0 <= c < 1 for p in pts for c in p)
     assert weyl_points(0, 5) == [()]
+
+
+def test_weyl_points_reach_past_sixteen_variables():
+    # The first 16 coordinates stay on the square roots of the first 16
+    # primes, so no verdict on fewer variables moves.
+    first = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+    pts = weyl_points(40, 17)
+    assert [p[:16] for p in pts] == [
+        tuple(((i + 1) * math.sqrt(q)) % 1.0 for q in first) for i in range(17)
+    ]
+    assert len(set(p[39] for p in pts)) == 17
+    assert is_zero(parse("sin(x17^2)")).kind == "numerically_nonzero"
+    assert is_zero(parse("sin(x17^2)^2 + cos(x17^2)^2 - 1")).is_zero
 
 
 def test_all_zero_combination():

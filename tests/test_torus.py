@@ -118,13 +118,13 @@ def test_presentation_invariance(g, data):
         )
     )
     a = IntMatrix(rows, g)
-    if a.to_rat().rank() != m:
+    if rational_rank(a.rows, g) != m:
         return
     c = [F(data.draw(st.integers(-6, 6)), 4) for _ in range(m)]
     torus = Torus(g)
     s = subtorus_from_equations(torus, a, c)
     p = unimodular(m, data.draw(st.integers(0, 10**6)))
-    s2 = subtorus_from_equations(torus, p @ a, p.to_rat().mul_vector(c))
+    s2 = subtorus_from_equations(torus, p @ a, p.mul_vector(c))
     assert s == s2
 
 
@@ -135,7 +135,7 @@ def test_membership_matches_cover_solutions(data):
     # the cover solves the equations on the nose.
     g = 2
     a = IntMatrix([[data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3))]], g)
-    if a.to_rat().rank() != 1:
+    if rational_rank(a.rows, g) != 1:
         return
     c = [F(data.draw(st.integers(0, 7)), 8)]
     s = subtorus_from_equations(Torus(g), a, c)
@@ -513,7 +513,7 @@ def test_intersect_matches_brute_force_membership(data):
             )
         )
         a = IntMatrix(rows, g)
-        if a.to_rat().rank() != m:
+        if rational_rank(a.rows, g) != m:
             return
         c = [F(data.draw(st.integers(0, 3)), 4) for _ in range(m)]
         subs.append(subtorus_from_equations(torus, a, c))
