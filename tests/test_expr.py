@@ -144,6 +144,19 @@ def test_long_flat_chains_parse(shape, value):
     assert time.monotonic() - t0 < 2.0
 
 
+@pytest.mark.parametrize(
+    "shape, value", [("sum", 200 * var(1)), ("minus signs", -var(1))], ids=["sum", "minus signs"]
+)
+def test_flat_chains_add_no_depth(shape, value):
+    # A chain of the old limit's length inside the deepest accepted groups
+    # still parses; one more group is refused, as without the chain.
+    n = MAX_DEPTH if shape == "sum" else MAX_DEPTH - 1
+    chain = deep_text(shape, n)
+    assert parse(deep_text("parentheses", MAX_DEPTH - 1).replace("x1", chain, 1)) == value
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse(deep_text("parentheses", MAX_DEPTH).replace("x1", chain, 1))
+
+
 def test_printed_long_sums_parse_back():
     # 210 terms: the printed flat sum once counted as 210 levels deep.
     e = parse("(x1 + x2 + x3 + x4 + 1)^6")
