@@ -704,19 +704,23 @@ class Verdict:
         return Verdict("numerically_nonzero", tol)
 
 
-_PRIMES = [2]  # extended on demand by weyl_points and kept
-
-
 def weyl_points(nvars: int, n: int) -> list[tuple[float, ...]]:
-    """n equidistributed points in the unit cube (Weyl sequence on sqrt primes)."""
+    """n equidistributed points in the unit cube (Weyl sequence on sqrt primes).
+
+    The first nvars primes come from a sieve up to nvars(ln nvars + ln ln
+    nvars), which exceeds the nvars-th prime for nvars >= 6 (Rosser,
+    1941); for fewer variables it runs to 13, the sixth prime.
+    """
     if nvars == 0:
         return [()]
-    p = _PRIMES[-1]
-    while len(_PRIMES) < nvars:
-        p += 1
-        if all(p % q for q in itertools.takewhile(lambda q: q * q <= p, _PRIMES)):
-            _PRIMES.append(p)
-    roots = [math.sqrt(p) for p in _PRIMES[:nvars]]
+    bound = 13 if nvars < 6 else int(nvars * (math.log(nvars) + math.log(math.log(nvars)))) + 1
+    sieve = bytearray([1]) * (bound + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(bound) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))
+    primes = itertools.compress(range(bound + 1), sieve)
+    roots = [math.sqrt(p) for p in itertools.islice(primes, nvars)]
     return [tuple(((i + 1) * r) % 1.0 for r in roots) for i in range(n)]
 
 

@@ -54,7 +54,7 @@ from .expr import (
     is_zero,
     max_var,
     num,
-    var,
+    vars_of,
     weyl_points,
 )
 from .fm_absolute import SubtorusLocalSystem
@@ -148,14 +148,29 @@ def _gather(name: str, labelled, tol: float, grid: int) -> ConditionReport:
 
 
 def _constancy(name: str, labelled, k: int, tol: float, grid: int) -> ConditionReport:
-    """Test each labelled expression for constancy in x1..xk."""
-    return _report(
-        name,
-        (
-            (label, all_zero(is_zero(diff(e, v), tol, grid) for v in range(1, k + 1)))
-            for label, e in labelled
-        ),
-    )
+    """Test each labelled expression for constancy in x1..xk.
+
+    Without opaque atoms, e is proven nonconstant exactly when some x_v
+    with v <= k is in vars_of(e): by the canonical-form theorem of `expr`,
+    that is when diff(e, v) is nonempty.  With opaque atoms, each partial
+    derivative is zero-tested.
+    """
+
+    def verdict(e: Expr) -> Verdict:
+        if has_opaque(e):
+            return all_zero(is_zero(diff(e, v), tol, grid) for v in range(1, k + 1))
+        nonconstant = any(v <= k for v in vars_of(e))
+        return Verdict.proven_nonzero() if nonconstant else Verdict.proven_zero()
+
+    return _report(name, ((label, verdict(e)) for label, e in labelled))
+
+
+def _exterior(row):
+    """(j, m, c) for j < m, where c is the dx^j wedge dx^m coefficient of d(sum row[i] dx^i)."""
+    n = len(row)
+    for j in range(1, n + 1):
+        for m in range(j + 1, n + 1):
+            yield j, m, diff(row[m - 1], j) - diff(row[j - 1], m)
 
 
 def _antisymmetric_jacobian(
@@ -165,17 +180,7 @@ def _antisymmetric_jacobian(
 
     A failing pair j < m is named label.format(j, m).
     """
-    n = len(row)
-    return _gather(
-        name,
-        (
-            (label.format(j, m), diff(row[m - 1], j) - diff(row[j - 1], m))
-            for j in range(1, n + 1)
-            for m in range(j + 1, n + 1)
-        ),
-        tol,
-        grid,
-    )
+    return _gather(name, ((label.format(j, m), e) for j, m, e in _exterior(row)), tol, grid)
 
 
 # ------------------------------------------------------------------ supports
@@ -271,49 +276,43 @@ class LocalSystemData:
 
 
 # --------------------------------------------------------- coordinate frame
+#
+# On the support chart x^c is the coordinate itself for c <= k and
+# zeta[c-k-1] beyond, so the chart's Jacobian is the identity over the
+# Jacobian gamma of zeta.  Only gamma is found by differentiation.
 
 
-def _frame(s: RelativeSupport) -> list[Expr]:
-    """The base coordinates as functions on the support chart.
+def _frame_pairing(coeffs, gamma, k: int, first: int, j: int) -> Expr:
+    """sum_l coeffs[l] * d x^(first+l)/dx^j; identity rows add, zero factors are skipped."""
+    out = ZERO
+    for c, e in enumerate(coeffs, first):
+        if c <= k:
+            if c == j:
+                out = out + e
+        elif e.terms and (d := gamma[c - k - 1][j - 1]).terms:
+            out = out + e * d
+    return out
 
-    Entry c-1 is x^c restricted to the support: the variable itself for
-    c <= k, the defining function zeta^{c} beyond.
-    """
-    return [var(c) for c in range(1, s.k + 1)] + list(s.zeta)
+
+def _chart(s: RelativeSupport):
+    """(gamma, -theta), theta_j = sum_c chi_c d x^c/dx^j over c = g-k+1..g."""
+    k = s.k
+    gamma = tuple(tuple(diff(z, j) for j in range(1, k + 1)) for z in s.zeta)
+    turns = tuple(-_frame_pairing(s.chi, gamma, k, s.g - k + 1, j) for j in range(1, k + 1))
+    return gamma, turns
 
 
-def _e1_terms(s: RelativeSupport, z: list[Expr]):
-    """The dy^m wedge dx^j coefficients of the symplectic form pulled back.
-
-    Vanishing for all j = 1..k, m = 1..g-k makes the y-constant part of
-    the support Lagrangian and simultaneously makes the fibre equations
-    solvable on the dual side.
-    """
+def _lagrangian_report(s: RelativeSupport, gamma, turns, tol: float, grid: int) -> ConditionReport:
     k, m_free = s.k, s.g - s.k
+    columns = list(zip(*s.a))
+    labelled = []
     for j in range(1, k + 1):
         for m in range(1, m_free + 1):
-            e = diff(z[m - 1], j)
-            for jp in range(1, k + 1):
-                c = m_free + jp
-                e = e + s.a[jp - 1][m - 1] * diff(z[c - 1], j)
-            yield f"dy{m}^dx{j}", e
-
-
-def _curl_terms(s: RelativeSupport, z: list[Expr]):
-    """The dx^j wedge dx^m coefficients of the pulled-back symplectic form.
-
-    These involve only the offsets chi; the slope contribution is already
-    absorbed by the dy^dx system via the mixed partial derivatives.
-    """
-    k, m_free = s.k, s.g - s.k
-    for j in range(1, k + 1):
-        for m in range(j + 1, k + 1):
-            e = ZERO
-            for jp in range(1, k + 1):
-                c = m_free + jp
-                chi_c = s.chi[jp - 1]
-                e = e + diff(z[c - 1], j) * diff(chi_c, m) - diff(z[c - 1], m) * diff(chi_c, j)
-            yield f"dx{j}^dx{m}", e
+            own = ONE if m == j else ZERO if m <= k else gamma[m - k - 1][j - 1]
+            e = own + _frame_pairing(columns[m - 1], gamma, k, m_free + 1, j)
+            labelled.append((f"dy{m}^dx{j}", e))
+    labelled.extend((f"dx{j}^dx{m}", e) for j, m, e in _exterior(turns))
+    return _gather("C1", labelled, tol, grid)
 
 
 def check_C1_lagrangian(
@@ -324,10 +323,16 @@ def check_C1_lagrangian(
     Pulls the symplectic form back along the chart and tests each wedge
     coefficient; failures are labelled by the coefficient, dy{m}^dx{j}
     for the angle block and dx{j}^dx{m} for the offset curl.
+
+    Up to sign, the dy^m wedge dx^j coefficient is d x^m/dx^j +
+    sum_l a[l][m] d x^c/dx^j over the constrained angles c = g-k+l.  The
+    dx wedge dx part is sum_c dx^c wedge d chi_c = -d theta, because
+    d(dx^c) = 0, with theta_j = sum_c chi_c d x^c/dx^j; its dx{j}^dx{m}
+    coefficient is d_m theta_j - d_j theta_m.  -theta is the dw-row of
+    the transform, so the curl is its (0,2) curvature over pi/2.  Only
+    zeta and theta are differentiated, each entry once.
     """
-    z = _frame(s)
-    labelled = itertools.chain(_e1_terms(s, z), _curl_terms(s, z))
-    return _gather("C1", labelled, tol, grid)
+    return _lagrangian_report(s, *_chart(s), tol, grid)
 
 
 def check_C2_C3(
@@ -531,9 +536,17 @@ def transform_nontransversal(
     dx-terms (derivatives of varsigma and of the slope against the dual
     angles) that this representation cannot carry.  The holomorphic
     verdict flags exactly these inputs.
+
+    zeta is differentiated once.  Its Jacobian gamma is the dual slope,
+    and it pairs the offsets into theta_j = sum_c chi_c d x^c/dx^j, whose
+    negation is the dw-row fibre_turns and whose exterior derivative is
+    the curl that C1 tests (see `check_C1_lagrangian`).  The holomorphic
+    verdict is the constancy of gamma, which `vars_of` decides without a
+    further derivative unless an entry holds opaque atoms.
     """
     _validate_system(s, system)
-    c1 = check_C1_lagrangian(s, tol, grid)
+    gamma, turns = _chart(s)
+    c1 = _lagrangian_report(s, gamma, turns, tol, grid)
     if not c1.holds:
         raise ConditionError("C1", c1)
     c2, _ = check_C2_C3(s, tol, grid)
@@ -542,9 +555,6 @@ def transform_nontransversal(
 
     g, k = s.g, s.k
     m_free = g - k
-    gamma = tuple(
-        tuple(diff(s.zeta[i], j) for j in range(1, k + 1)) for i in range(m_free)
-    )
 
     # Offset of the dual fibre equation for w^{k+1+i}, fixed by requiring
     # each base slice to agree with the absolute transform of that fibre.
@@ -556,23 +566,11 @@ def transform_nontransversal(
             e = e - system.xi[k + i]
         varsigma.append(e)
 
-    turns = []
-    for j in range(1, k + 1):
-        t: Expr = ZERO
-        for jp in range(1, k + 1):
-            c = m_free + jp
-            if c <= k:
-                w = ONE if c == j else ZERO
-            else:
-                w = gamma[c - k - 1][j - 1]
-            t = t + s.chi[jp - 1] * w
-        turns.append(-t)
-
     holomorphic = _constancy(
         "holomorphic", (("", e) for row in gamma for e in row), k, tol, grid
     )
     return TransformedBundle._trusted(
-        g, k, s.zeta, gamma, tuple(varsigma), system.alpha, tuple(turns), holomorphic.verdict
+        g, k, s.zeta, gamma, tuple(varsigma), system.alpha, turns, holomorphic.verdict
     )
 
 
@@ -699,18 +697,14 @@ def check_F02_iff_lagrangian(
     The (0,2) curvature of the transform is pi/2 times the dx^dx curl
     obstruction of the input support, entry by entry; this checks that
     identity symbolically, so it holds whether or not s is Lagrangian.
+    The curl is d_m theta_j - d_j theta_m, read from the same theta as
+    the C1 check.
     """
     _, _, f02 = _hodge_from_turns(bundle.fibre_turns)
-    z = _frame(s)
-    curls = dict()
-    for label, e in _curl_terms(s, z):
-        curls[label] = e
-    verdicts = []
-    for j in range(1, s.k + 1):
-        for m in range(j + 1, s.k + 1):
-            expected = _HALF_PI * curls[f"dx{j}^dx{m}"]
-            verdicts.append(is_zero(f02[m - 1][j - 1] - expected, tol, grid))
-    return all_zero(verdicts)
+    curl = _exterior(_chart(s)[1])
+    return all_zero(
+        is_zero(f02[m - 1][j - 1] - _HALF_PI * e, tol, grid) for j, m, e in curl
+    )
 
 
 # ------------------------------------------------------------------- inverse

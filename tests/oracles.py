@@ -197,11 +197,57 @@ def fd_partial(e, point, i, h=1e-6):
 
     ``i`` is 1-based to match expression variables.
     """
+    return _central(lambda p: [eval_at(e, p)], point, i, h)[0]
+
+
+def _central(f, point, i, h=1e-6):
+    """Central differences of a list-valued float function in coordinate i (1-based)."""
     up = list(point)
     dn = list(point)
     up[i - 1] += h
     dn[i - 1] -= h
-    return (eval_at(e, up) - eval_at(e, dn)) / (2 * h)
+    return [(u - d) / (2 * h) for u, d in zip(f(up), f(dn))]
+
+
+def c1_coefficients(zeta, a, chi, k, point):
+    """The symplectic form sum_c dx^c wedge dy_c pulled back to a fibred support.
+
+    The support is parametrized by u = (x^1..x^k, y_1..y_{g-k}) through
+    x^{k+i} = zeta[i](x) and y_{g-k+l} = sum_m a[l][m] y_m + chi[l](x).
+    Each column of the chart's Jacobian is a central difference of the
+    whole chart at (point, y = 0), and the coefficient of du^p wedge du^q
+    is sum_c (dx^c/du^p dy_c/du^q - dx^c/du^q dy_c/du^p).  Returns a
+    dict from label to value: dy{m}^dx{j} for j = 1..k, m = 1..g-k, then
+    dx{j}^dx{m} for j < m.  On y = 0 the terms y_m d(a[l][m]) of the
+    dx^dx part drop out, which leaves the offset curl; where every dy^dx
+    coefficient vanishes identically, those terms vanish everywhere.
+    """
+    n = len(zeta)
+    g = k + n
+
+    def chart(u):
+        x, y = u[:k], u[k:]
+        xs = list(x) + [eval_at(z, x) for z in zeta]
+        ys = list(y) + [
+            sum(eval_at(a[l][m], x) * y[m] for m in range(n)) + eval_at(chi[l], x)
+            for l in range(k)
+        ]
+        return xs + ys
+
+    u0 = list(point) + [0.0] * n
+    cols = [_central(chart, u0, p) for p in range(1, g + 1)]
+
+    def omega(p, q):
+        return sum(cols[p][c] * cols[q][g + c] - cols[q][c] * cols[p][g + c] for c in range(g))
+
+    out = {}
+    for j in range(1, k + 1):
+        for m in range(1, n + 1):
+            out[f"dy{m}^dx{j}"] = omega(k + m - 1, j - 1)
+    for j in range(1, k + 1):
+        for m in range(j + 1, k + 1):
+            out[f"dx{j}^dx{m}"] = omega(j - 1, m - 1)
+    return out
 
 
 # ------------------------------------------------------------ Poincare bundle

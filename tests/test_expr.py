@@ -472,6 +472,30 @@ def test_weyl_points_reach_past_sixteen_variables():
     assert is_zero(parse("sin(x17^2)^2 + cos(x17^2)^2 - 1")).is_zero
 
 
+def _primes_by_trial_division(n):
+    primes = []
+    p = 1
+    while len(primes) < n:
+        p += 1
+        if all(p % q for q in primes if q * q <= p):
+            primes.append(p)
+    return primes
+
+
+@pytest.mark.parametrize("nvars", [1, 16, 17, 200])
+def test_weyl_points_use_the_first_primes(nvars):
+    roots = [math.sqrt(p) for p in _primes_by_trial_division(nvars)]
+    assert weyl_points(nvars, 17) == [
+        tuple(((i + 1) * r) % 1.0 for r in roots) for i in range(17)
+    ]
+
+
+def test_opaque_zero_test_in_a_high_variable_is_fast():
+    start = time.perf_counter()
+    assert is_zero(parse("sin(x100000^2)")).kind == "numerically_nonzero"
+    assert time.perf_counter() - start < 2
+
+
 def test_all_zero_combination():
     pz = Verdict.proven_zero()
     nz = Verdict.numerically_zero(1e-9)

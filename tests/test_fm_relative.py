@@ -14,13 +14,15 @@ from instances import (
     polynomial_instance,
     section_instance,
 )
-from oracles import fd_partial, leibniz_minor
+from oracles import c1_coefficients, fd_partial, leibniz_minor
 
+import torusfm.fm_relative as fm_relative
 from torusfm.exact_linalg import IntMatrix
 from torusfm.expr import (
     PI,
     ZERO,
     Verdict,
+    all_zero,
     diff,
     eval_at,
     eval_exact,
@@ -231,6 +233,105 @@ def test_parabolic_fixture_is_lagrangian():
     assert rep.holds and rep.verdict.proven
 
 
+C1_DEFECTS = ("none", "slope", "curl", "character", "opaque", "hidden zero")
+
+
+def c1_case(defect, rng):
+    """A seeded Lagrangian support at g <= 8, then one defect added.
+
+    slope adds a constant to one slope entry, curl adds c*x_v*x_w to one
+    offset, and character and opaque add c*cos(x_v + 2*x_w) or
+    c*sin(x_v^2) to one entry of zeta, a or chi.  hidden zero adds
+    c*x_w*(sin(x_v^2)^2 + cos(x_v^2)^2 - 1), zero only numerically, to
+    one offset.
+    """
+    g = rng.randint(2, 8)
+    k = rng.randint(1, g - 1) if defect == "slope" else rng.randint(1, g)
+    make = polynomial_instance if rng.random() < 0.5 else gauged_instance
+    s, _ = make(g, k, rng)
+    zeta, a, chi = list(s.zeta), [list(row) for row in s.a], list(s.chi)
+    v, w, l = rng.randint(1, k), rng.randint(1, k), rng.randrange(k)
+    c = num(F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 3))))
+    if defect == "slope":
+        a[l][rng.randrange(g - k)] += c
+    elif defect == "curl":
+        chi[l] += c * var(v) * var(w)
+    elif defect == "hidden zero":
+        chi[l] += c * var(w) * parse(f"sin(x{v}^2)^2 + cos(x{v}^2)^2 - 1")
+    elif defect != "none":
+        term = c * parse(f"cos(x{v} + 2*x{w})" if defect == "character" else f"sin(x{v}^2)")
+        slot = rng.randrange(3) if g > k else 2
+        if slot == 0:
+            zeta[rng.randrange(g - k)] += term
+        elif slot == 1:
+            a[l][rng.randrange(g - k)] += term
+        else:
+            chi[l] += term
+    return RelativeSupport(g, k, tuple(zeta), tuple(map(tuple, a)), tuple(chi))
+
+
+def c1_by_triple_loop(s):
+    """C1 (verdict, failures) from the frame-by-frame triple loop, one diff per factor.
+
+    This is the formula the check used before it differentiated each
+    entry once; its verdicts are the reference the new ones must match.
+    """
+    k, n = s.k, s.g - s.k
+    frame = [var(c) for c in range(1, k + 1)] + list(s.zeta)
+    labelled = []
+    for j in range(1, k + 1):
+        for m in range(1, n + 1):
+            e = diff(frame[m - 1], j)
+            for l in range(k):
+                e = e + s.a[l][m - 1] * diff(frame[n + l], j)
+            labelled.append((f"dy{m}^dx{j}", e))
+    for j in range(1, k + 1):
+        for m in range(j + 1, k + 1):
+            e = ZERO
+            for l in range(k):
+                z, c = frame[n + l], s.chi[l]
+                e = e + diff(z, j) * diff(c, m) - diff(z, m) * diff(c, j)
+            labelled.append((f"dx{j}^dx{m}", e))
+    verdicts = [(label, is_zero(e)) for label, e in labelled]
+    return all_zero(v for _, v in verdicts), tuple(lab for lab, v in verdicts if not v.is_zero)
+
+
+@pytest.mark.parametrize("defect", C1_DEFECTS)
+def test_c1_failures_match_the_pullback_oracle(defect):
+    rng = random.Random(C1_DEFECTS.index(defect) + 101)
+    failing = 0
+    for _ in range(10):
+        s = c1_case(defect, rng)
+        points = [tuple(rng.uniform(0.05, 0.95) for _ in range(s.k)) for _ in range(3)]
+        values = [c1_coefficients(s.zeta, s.a, s.chi, s.k, p) for p in points]
+        expected = tuple(lab for lab in values[0] if max(abs(v[lab]) for v in values) > 1e-6)
+        rep = check_C1_lagrangian(s)
+        assert rep.failures == expected
+        assert (rep.verdict, rep.failures) == c1_by_triple_loop(s)
+        failing += bool(expected)
+    if defect in ("none", "hidden zero"):
+        assert failing == 0
+    else:
+        assert failing >= 5
+
+
+def test_c1_and_c3_differentiate_each_entry_once(monkeypatch):
+    calls = []
+    real_diff = fm_relative.diff
+    monkeypatch.setattr(fm_relative, "diff", lambda e, i: calls.append(i) or real_diff(e, i))
+    g, k = 12, 6
+    s, _ = polynomial_instance(g, k, random.Random(12))
+    rep = check_C1_lagrangian(s)
+    assert rep.holds and rep.verdict.proven
+    assert 0 < len(calls) <= g * k + k * k
+
+    calls.clear()
+    assert not any(has_opaque(e) for row in s.a for e in row)
+    _, c3 = check_C2_C3(s)
+    assert c3.verdict.proven
+    assert calls == []
+
+
 # ---------------------------------------- constant rank and constant slopes
 
 
@@ -272,6 +373,52 @@ def test_constant_slope_check_names_entries():
     assert c2.holds and c2.verdict.proven
     assert not c3.holds and c3.verdict.proven
     assert c3.failures == ("a[1][1]",)
+
+
+_FREQ = ("0", "1", "2", "1/3", "pi", "-pi", "(1 + pi)")
+
+
+@st.composite
+def opaque_free_entry(draw, k):
+    """Polynomials in x1..xk and pi, times characters of (Q + Q*pi) frequencies."""
+    terms = []
+    for _ in range(draw(st.integers(0, 3))):
+        factors = [f"{draw(st.sampled_from((-2, -1, 1, 3)))}/{draw(st.integers(1, 3))}"]
+        factors += [f"x{draw(st.integers(1, k))}^{draw(st.integers(0, 2))}"
+                    for _ in range(draw(st.integers(0, 2)))]
+        factors.append(f"pi^{draw(st.integers(0, 1))}")
+        if draw(st.booleans()):
+            kind = draw(st.sampled_from(("sin", "cos")))
+            v, w = draw(st.integers(1, k)), draw(st.integers(1, k))
+            f1, f2 = draw(st.sampled_from(_FREQ)), draw(st.sampled_from(_FREQ))
+            phase = draw(st.sampled_from(("0", "pi/2", "pi")))
+            factors.append(f"{kind}({f1}*x{v} + {f2}*x{w} + {phase})")
+        terms.append("*".join(factors))
+    return parse(" + ".join(terms) or "0")
+
+
+def constancy_by_derivatives(labelled, k):
+    verdicts = [
+        (label, all_zero(is_zero(diff(e, v)) for v in range(1, k + 1))) for label, e in labelled
+    ]
+    return all_zero(v for _, v in verdicts), tuple(lab for lab, v in verdicts if not v.is_zero)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 2), st.data())
+def test_constancy_without_opaque_atoms_matches_the_derivatives(k, n, data):
+    a = tuple(tuple(data.draw(opaque_free_entry(k)) for _ in range(n)) for _ in range(k))
+    assert not any(has_opaque(e) for row in a for e in row)
+    s = RelativeSupport(k + n, k, (0,) * n, a, (0,) * k)
+    _, c3 = check_C2_C3(s)
+    labelled = [(f"a[{j + 1}][{m + 1}]", e) for j, row in enumerate(a) for m, e in enumerate(row)]
+    assert (c3.verdict, c3.failures) == constancy_by_derivatives(labelled, k)
+
+    p = tuple(tuple(a[j][i] for j in range(k)) for i in range(n))
+    d1, _, _ = check_D_conditions(TransformedBundle(k + n, k, (0,) * n, p, (0,) * n, (0,) * k, (0,) * k))
+    labelled = [(f"P[{i + 1}][{j + 1}]", e) for i, row in enumerate(p) for j, e in enumerate(row)]
+    labelled += [(f"Q[{i + 1}]", ZERO) for i in range(n)]
+    assert (d1.verdict, d1.failures) == constancy_by_derivatives(labelled, k)
 
 
 def test_constant_trig_minor_proves_nothing():
