@@ -15,7 +15,6 @@ from .fm_absolute import (
     morphism_space_dim,
     restrict_system,
     skyscraper,
-    tensor,
     transform,
 )
 # The transform is an involution: its inverse is the same map, not a copy.
@@ -34,7 +33,6 @@ from .fm_relative import (
     check_F02_iff_lagrangian,
     check_cauchy_riemann,
     check_flat,
-    check_section_lagrangian,
     curvature_hodge,
     dual_input_from_bundle,
     fibre_of_transform,
@@ -42,9 +40,7 @@ from .fm_relative import (
     fibre_system,
     hodge_components,
     inverse_transform,
-    relative_from_section,
     transform_nontransversal,
-    transform_section,
     wit_index,
 )
 from .line_bundles import (
@@ -95,7 +91,6 @@ __all__ = [
     "check_F02_iff_lagrangian",
     "check_cauchy_riemann",
     "check_flat",
-    "check_section_lagrangian",
     "curvature_hodge",
     "diff",
     "dual_input_from_bundle",
@@ -119,17 +114,14 @@ __all__ = [
     "parse_scene",
     "poincare_gauge",
     "poincare_pair",
-    "relative_from_section",
     "restrict_system",
     "saturate",
     "skyscraper",
     "snf",
     "subtorus_from_equations",
-    "tensor",
     "to_str",
     "transform",
     "transform_nontransversal",
-    "transform_section",
     "whole_torus",
     "wit_index",
     "__version__",

@@ -31,7 +31,6 @@ from .fm_absolute import SubtorusLocalSystem, transform as absolute_transform
 from .fm_relative import (
     ConditionError,
     ConditionReport,
-    RelativeSupport,
     TransformedBundle,
     _gather,
     check_C1_lagrangian,
@@ -39,15 +38,12 @@ from .fm_relative import (
     check_D_conditions,
     check_cauchy_riemann,
     check_flat,
-    check_section_lagrangian,
     fibre_of_transform,
     fibre_system,
     gauge_term,
     hodge_components,
     inverse_transform,
-    relative_from_section,
     transform_nontransversal,
-    transform_section,
 )
 from .scene import Scene, load_scene
 from .torus import is_normal_to
@@ -125,7 +121,13 @@ def _put_bundle(out: dict, prefix: str, b, warnings: list) -> None:
     _note(warnings, f"{prefix}.holomorphic", b.holomorphic)
 
 
-def _put_relative_input(out: dict, s: RelativeSupport, system) -> None:
+def _put_fibred_input(out: dict, scene: Scene) -> None:
+    """Input keys of a section or relative scene; a section prints chi as epsilon."""
+    s, system = scene.support, scene.system
+    if scene.kind == "section":
+        out["input.epsilon"] = _evec(s.chi)
+        out["input.alpha"] = _evec(system.alpha)
+        return
     out["input.k"] = s.k
     out["input.zeta"] = _evec(s.zeta)
     out["input.a"] = _emat(s.a)
@@ -191,14 +193,8 @@ def _cmd_transform(scene: Scene, args, out: dict, warnings: list) -> None:
         _put_absolute(out, "input", scene.absolute)
         _put_absolute(out, "output", res.system)
         out["wit_index"] = res.wit_index
-    elif scene.kind == "section":
-        out["input.epsilon"] = _evec(scene.support.epsilon)
-        out["input.alpha"] = _evec(scene.system.alpha)
-        bundle = transform_section(scene.support, scene.system, tol, grid)
-        _put_bundle(out, "output", bundle, warnings)
-        out["wit_index"] = bundle.wit_index
-    elif scene.kind == "relative":
-        _put_relative_input(out, scene.support, scene.system)
+    elif scene.kind in ("section", "relative"):
+        _put_fibred_input(out, scene)
         bundle = transform_nontransversal(scene.support, scene.system, tol, grid)
         _put_bundle(out, "output", bundle, warnings)
         out["wit_index"] = bundle.wit_index
@@ -221,7 +217,7 @@ def _cmd_check(scene: Scene, args, out: dict, warnings: list) -> None:
             "none apply; flat systems on affine subtori transform unconditionally"
         )
     elif scene.kind == "section":
-        lag = check_section_lagrangian(scene.support, tol, grid)
+        lag = check_C1_lagrangian(scene.support, tol, grid)
         flat = check_flat(scene.system.alpha, tol, grid)
         out["lagrangian"] = _condition_text(lag)
         _note(warnings, "lagrangian", lag.verdict)
@@ -280,52 +276,37 @@ def _cmd_roundtrip(scene: Scene, args, out: dict, warnings: list) -> None:
         )
         return
 
-    if scene.kind == "section":
-        s = relative_from_section(scene.support)
-        bundle = transform_section(scene.support, scene.system, tol, grid)
-        inv = inverse_transform(bundle, tol, grid)
-        out["forward.wit_index"] = bundle.wit_index
-        out["inverse.wit_index"] = inv.wit_index
-        out["epsilon"] = _equality(
-            [
-                (f"epsilon[{j + 1}]", inv.support.chi[j] - scene.support.epsilon[j])
-                for j in range(s.g)
-            ],
-            tol, grid, warnings, "epsilon",
-        )
-        out["alpha"] = _alpha_comparison(
-            inv.system.alpha, scene.system.alpha, bundle.varsigma, s.chi, tol, grid, warnings
-        )
-        out["xi"] = "exact" if inv.system.xi == scene.system.xi else "MISMATCH"
-        if args.seed is not None:
-            _slices(out, args.seed, s, scene.system, bundle)
-        return
-
-    if scene.kind == "relative":
+    if scene.kind in ("section", "relative"):
+        # A section prints its offsets as epsilon and omits the keys that
+        # are trivial at k = g.
+        relative = scene.kind == "relative"
         s, system = scene.support, scene.system
         bundle = transform_nontransversal(s, system, tol, grid)
         inv = inverse_transform(bundle, tol, grid)
-        out["forward.holomorphic"] = _verdict_text(bundle.holomorphic)
-        _note(warnings, "forward.holomorphic", bundle.holomorphic)
+        if relative:
+            out["forward.holomorphic"] = _verdict_text(bundle.holomorphic)
+            _note(warnings, "forward.holomorphic", bundle.holomorphic)
         out["forward.wit_index"] = bundle.wit_index
         out["inverse.wit_index"] = inv.wit_index
-        out["zeta"] = (
-            "exact" if inv.support.zeta == s.zeta else "MISMATCH"
-        )
-        out["a"] = _equality(
+        if relative:
+            out["zeta"] = (
+                "exact" if inv.support.zeta == s.zeta else "MISMATCH"
+            )
+            out["a"] = _equality(
+                [
+                    (f"a[{j + 1}][{m + 1}]", inv.support.a[j][m] - s.a[j][m])
+                    for j in range(s.k)
+                    for m in range(s.g - s.k)
+                ],
+                tol, grid, warnings, "a",
+            )
+        chi = "chi" if relative else "epsilon"
+        out[chi] = _equality(
             [
-                (f"a[{j + 1}][{m + 1}]", inv.support.a[j][m] - s.a[j][m])
-                for j in range(s.k)
-                for m in range(s.g - s.k)
-            ],
-            tol, grid, warnings, "a",
-        )
-        out["chi"] = _equality(
-            [
-                (f"chi[{j + 1}]", inv.support.chi[j] - s.chi[j])
+                (f"{chi}[{j + 1}]", inv.support.chi[j] - s.chi[j])
                 for j in range(s.k)
             ],
-            tol, grid, warnings, "chi",
+            tol, grid, warnings, chi,
         )
         out["alpha"] = _alpha_comparison(
             inv.system.alpha, system.alpha, bundle.varsigma, s.chi, tol, grid, warnings
@@ -373,21 +354,20 @@ def _cmd_roundtrip(scene: Scene, args, out: dict, warnings: list) -> None:
 def _cmd_curvature(scene: Scene, args, out: dict, warnings: list) -> None:
     tol, grid = args.tol, args.grid
     _need_fibred(scene, "curvature")
-    if scene.kind == "section":
-        out["input.epsilon"] = _evec(scene.support.epsilon)
-        out["input.alpha"] = _evec(scene.system.alpha)
-        turns = tuple(-e for e in scene.support.epsilon)
-        out["fibre_turns"] = _evec(turns)
-        _put_hodge(out, scene.system.alpha, turns, tol, grid, warnings)
-    elif scene.kind == "relative":
-        _put_relative_input(out, scene.support, scene.system)
-        bundle = transform_nontransversal(scene.support, scene.system, tol, grid)
-        out["fibre_turns"] = _evec(bundle.fibre_turns)
-        _put_hodge(out, bundle.alpha, bundle.fibre_turns, tol, grid, warnings)
-    else:
+    if scene.kind == "bundle":
         _put_dual_input(out, scene.bundle)
-        out["fibre_turns"] = _evec(scene.bundle.fibre_turns)
-        _put_hodge(out, scene.bundle.alpha, scene.bundle.fibre_turns, tol, grid, warnings)
+        alpha, turns = scene.bundle.alpha, scene.bundle.fibre_turns
+    else:
+        # A section's curvature is read off epsilon without the transform's
+        # preconditions, so a non-Lagrangian graph still reports its F02.
+        _put_fibred_input(out, scene)
+        alpha = scene.system.alpha
+        if scene.kind == "section":
+            turns = tuple(-e for e in scene.support.chi)
+        else:
+            turns = transform_nontransversal(scene.support, scene.system, tol, grid).fibre_turns
+    out["fibre_turns"] = _evec(turns)
+    _put_hodge(out, alpha, turns, tol, grid, warnings)
 
 
 _BUILDERS = {

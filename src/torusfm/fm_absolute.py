@@ -108,13 +108,6 @@ def transform(system: SubtorusLocalSystem) -> TransformResult:
     )
 
 
-def tensor(a: SubtorusLocalSystem, b: SubtorusLocalSystem) -> SubtorusLocalSystem:
-    if a.support != b.support:
-        raise ValueError("supports differ")
-    phases = tuple(mod1(x + y) for x, y in zip(a.holonomy, b.holonomy))
-    return SubtorusLocalSystem(a.support, phases, a.rank * b.rank)
-
-
 def restrict_system(system: SubtorusLocalSystem, sub: AffineSubtorus) -> SubtorusLocalSystem:
     """Restriction to a subtorus contained in the support.
 

@@ -11,7 +11,10 @@ the affine subtorus
 with every coefficient a function of the free base coordinates alone.
 Symbols x1..xk in stored expressions always mean those free coordinates;
 nothing may depend on the angles, which keeps invariance under the
-fibrewise torus action structural rather than checked.
+fibrewise torus action structural rather than checked.  A section, the
+graph y_j = epsilon[j](x^1..x^g) over the whole base, is the case k = g:
+no base equations, point fibre traces and chi = epsilon
+(`SectionSupport`).
 
 The transform dualizes fibre by fibre, exactly as `fm_absolute` does for
 a single torus: each fibre trace is traded for its annihilator subtorus
@@ -22,6 +25,8 @@ the base this produces a dual support
 
 whose slope gamma is the Jacobian of zeta, together with a connection
 written as one row of dx-coefficients and one row of dw-coefficients.
+The transform needs the support Lagrangian (C1), the fibre dimension
+constant (C2) and the connection on the support closed (flat).
 The dual support is a complex submanifold for z^j = x^j + i w^j exactly
 when gamma is constant, and the (0,2) Hodge component of the curvature
 vanishes exactly when the input support was Lagrangian.
@@ -80,9 +85,7 @@ __all__ = [
     "fibre_system",
     "hodge_components",
     "inverse_transform",
-    "relative_from_section",
     "transform_nontransversal",
-    "transform_section",
     "wit_index",
 ]
 
@@ -173,16 +176,6 @@ def _exterior(row):
             yield j, m, diff(row[m - 1], j) - diff(row[j - 1], m)
 
 
-def _antisymmetric_jacobian(
-    name: str, label: str, row, tol: float, grid: int
-) -> ConditionReport:
-    """Whether d(sum row[j] dx^j) vanishes, i.e. the Jacobian of row is symmetric.
-
-    A failing pair j < m is named label.format(j, m).
-    """
-    return _gather(name, ((label.format(j, m), e) for j, m, e in _exterior(row)), tol, grid)
-
-
 # ------------------------------------------------------------------ supports
 
 
@@ -226,33 +219,15 @@ class RelativeSupport:
         return self.g - self.k
 
 
-@dataclass(frozen=True)
-class SectionSupport:
-    """Graph support y_j = epsilon[j](x^1..x^g) over the whole base."""
+def SectionSupport(epsilon) -> RelativeSupport:
+    """The graph y_j = epsilon[j](x^1..x^g) over the whole base: the support with k = g.
 
-    epsilon: tuple[Expr, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "epsilon", tuple(as_expr(e) for e in self.epsilon)
-        )
-        if not self.epsilon:
-            raise ValueError("a section needs a positive-dimensional base")
-        _check_base_only(self.epsilon, len(self.epsilon), "section components")
-
-    @property
-    def g(self) -> int:
-        return len(self.epsilon)
-
-
-def relative_from_section(s: SectionSupport) -> RelativeSupport:
-    """The same graph viewed as a fibred support with k = g.
-
-    The base image is everything, the fibre traces are points, so the
-    slope matrix is empty and chi is the section itself.
+    The base image is everything and the fibre traces are points, so there
+    is no base equation, the slope matrix is empty and chi is epsilon.
     """
-    g = s.g
-    return RelativeSupport(g, g, (), tuple(() for _ in range(g)), s.epsilon)
+    epsilon = tuple(as_expr(e) for e in epsilon)
+    _check_base_only(epsilon, len(epsilon), "section components")
+    return RelativeSupport(len(epsilon), len(epsilon), (), ((),) * len(epsilon), epsilon)
 
 
 @dataclass(frozen=True)
@@ -527,8 +502,11 @@ def transform_nontransversal(
     Each fibre trace is dualized exactly as in `fm_absolute`: the dual
     fibre trace is the annihilator subtorus offset by the holonomy xi,
     and the offsets chi become dw-coefficients of the connection.  The
-    support must be Lagrangian with constant fibre dimension; the slope
-    of the dual fibre equations comes out as the Jacobian of zeta.
+    support must be Lagrangian with constant fibre dimension, and the
+    connection i * sum alpha[j] dx^j must be closed; the slope of the dual
+    fibre equations comes out as the Jacobian of zeta.  A section (k = g)
+    has point fibre traces, so its dual support is the whole dual
+    fibration and its dw-row is -epsilon.
 
     Constancy of the slope matrix is not required.  When it fails, the
     support data and every fibrewise slice are still exact, but the
@@ -552,6 +530,9 @@ def transform_nontransversal(
     c2, _ = check_C2_C3(s, tol, grid)
     if not c2.holds:
         raise ConditionError("C2", c2)
+    closed = _closure_report(system.alpha, tol, grid)
+    if not closed.holds:
+        raise ConditionError("flat", closed)
 
     g, k = s.g, s.k
     m_free = g - k
@@ -574,56 +555,14 @@ def transform_nontransversal(
     )
 
 
-def check_section_lagrangian(
-    s: SectionSupport, tol: float = 1e-9, grid: int = 17
-) -> ConditionReport:
-    """Whether the graph is Lagrangian: the Jacobian of epsilon symmetric.
-
-    Failing pairs are labelled dx{j}^dx{m} like the curl part of the
-    fibred Lagrangian check, which this specializes at k = g.
-    """
-    return _antisymmetric_jacobian("lagrangian", "dx{}^dx{}", s.epsilon, tol, grid)
-
-
 def check_flat(alpha, tol: float = 1e-9, grid: int = 17) -> ConditionReport:
     """Whether i * sum alpha[j] dx^j is a flat connection, i.e. closed."""
     return _closure_report(tuple(as_expr(e) for e in alpha), tol, grid)
 
 
-def transform_section(
-    s: SectionSupport,
-    system: LocalSystemData,
-    tol: float = 1e-9,
-    grid: int = 17,
-) -> TransformedBundle:
-    """Dual of a local system on a graph over the whole base.
-
-    The graph is Lagrangian exactly when the Jacobian of epsilon is
-    symmetric; the dual support is then the whole dual fibration and the
-    connection is i * sum alpha[j] dx^j - 2 pi i * sum epsilon[j] dw^j.
-    """
-    g = s.g
-    if len(system.alpha) != g:
-        raise ValueError("one dx-coefficient per base coordinate")
-    if system.xi:
-        raise ValueError("holonomy dimension mismatch")
-    _check_base_only(system.alpha, g, "connection coefficients")
-
-    lag = check_section_lagrangian(s, tol, grid)
-    if not lag.holds:
-        raise ConditionError("lagrangian", lag)
-
-    closed = _closure_report(system.alpha, tol, grid)
-    if not closed.holds:
-        raise ConditionError("flat", closed)
-
-    return TransformedBundle._trusted(
-        g, g, (), (), (), system.alpha, tuple(-e for e in s.epsilon), Verdict.proven_zero()
-    )
-
-
 def _closure_report(alpha, tol: float, grid: int, name: str = "flat") -> ConditionReport:
-    return _antisymmetric_jacobian(name, "dalpha[{}][{}]", alpha, tol, grid)
+    """Whether d(sum alpha[j] dx^j) vanishes; a failing pair j < m is dalpha[j][m]."""
+    return _gather(name, ((f"dalpha[{j}][{m}]", e) for j, m, e in _exterior(alpha)), tol, grid)
 
 
 # ------------------------------------------------------------------ curvature
@@ -678,11 +617,12 @@ def hodge_components(
 def curvature_hodge(data, tol: float = 1e-9, grid: int = 17):
     """Hodge components (F20, F11, F02) for a transformed bundle.
 
-    Accepts a TransformedBundle or, directly, a SectionSupport (whose
-    dual connection has dw-row -epsilon and no dx-part).
+    Accepts a TransformedBundle or, directly, a RelativeSupport, read
+    as the dual connection with dw-row -theta (-epsilon for a section)
+    and no dx-part; no condition on the support is checked.
     """
-    if isinstance(data, SectionSupport):
-        return hodge_components((), tuple(-e for e in data.epsilon), tol, grid)
+    if isinstance(data, RelativeSupport):
+        return hodge_components((), _chart(data)[1], tol, grid)
     return hodge_components(data.alpha, data.fibre_turns, tol, grid)
 
 
@@ -764,7 +704,6 @@ class InverseResult(NamedTuple):
     support: RelativeSupport
     system: LocalSystemData
     wit_index: int
-    gauge: tuple[Expr, ...]
 
 
 def inverse_transform(
@@ -782,9 +721,8 @@ def inverse_transform(
 
     The returned alpha is the chart form of the induced connection: the
     dx-row of the bundle minus the exact gauge term
-    gauge[j] = 2 pi d_j(sum_c Q_c chi_c), which is returned too.  For
-    constant offsets chi the gauge term is zero and the round trip is an
-    identity.
+    2 pi d_j(sum_c Q_c chi_c) of `gauge_term`.  For constant offsets chi
+    the gauge term is zero and the round trip is an identity.
     """
     d1, d2, _ = check_D_conditions(bundle, tol, grid)
     if not d1.holds:
@@ -855,12 +793,11 @@ def inverse_transform(
         for m in range(m_free)
     )
 
-    gauge = gauge_term(q_val, chi_out)
-    alpha_out = tuple(a - t for a, t in zip(bundle.alpha, gauge))
+    alpha_out = tuple(a - t for a, t in zip(bundle.alpha, gauge_term(q_val, chi_out)))
 
     support = RelativeSupport(g, k, bundle.zeta, a_rows, chi_out)
     system = LocalSystemData(alpha_out, xi_out)
-    return InverseResult(support, system, k, gauge)
+    return InverseResult(support, system, k)
 
 
 def gauge_term(varsigma, chi) -> tuple[Expr, ...]:

@@ -24,6 +24,8 @@ Support kinds and their keys:
     section      epsilon; [system] may set alpha
     relative     k, zeta, a, chi; [system] may set alpha, xi
 
+A section is read as the relative support with k = g and chi = epsilon.
+
 A [bundle] section instead carries dual-side data under the keys k,
 zeta, P, Q, alpha, beta; P, Q and beta fill the gamma_tilde, varsigma
 and fibre_turns fields of a TransformedBundle.  Keys whose shape is
@@ -82,7 +84,7 @@ class Scene:
     torus: Torus
     kind: str
     absolute: SubtorusLocalSystem | None = None
-    support: RelativeSupport | SectionSupport | None = None
+    support: RelativeSupport | None = None
     system: LocalSystemData | None = None
     bundle: TransformedBundle | None = None
 

@@ -208,8 +208,8 @@ def polynomial_instance(
 
 def section_instance(
     g: int, rng: random.Random
-) -> tuple[SectionSupport, LocalSystemData]:
-    """A Lagrangian graph over the whole base, from a scalar potential."""
+) -> tuple[RelativeSupport, LocalSystemData]:
+    """A Lagrangian graph over the whole base (k = g), from a scalar potential."""
     pot = _poly_atom(rng, list(range(1, g + 1)))
     eps = tuple(diff(pot, j) + num(_rat(rng)) for j in range(1, g + 1))
     apot = _poly_atom(rng, list(range(1, g + 1)))

@@ -125,8 +125,9 @@ def test_omitted_equations_give_the_whole_torus():
 
 def test_parse_section_scene():
     scene = parse_scene(SECTION)
-    assert isinstance(scene.support, SectionSupport)
-    assert scene.support.epsilon == (parse("x2 + 2*x1"), parse("x1"))
+    assert scene.support == SectionSupport((parse("x2 + 2*x1"), parse("x1")))
+    assert (scene.support.g, scene.support.k) == (2, 2)
+    assert scene.support.chi == (parse("x2 + 2*x1"), parse("x1"))
     assert scene.system.alpha == (parse("x1"), parse("0"))
     assert scene.system.xi == ()
 
@@ -345,16 +346,15 @@ def test_roundtrip_of_a_bundle_scene_up_to_the_gauge_term(tmp_path, capsys):
 
 
 def test_roundtrip_alpha_line_catches_a_wrong_inverse(tmp_path, capsys, monkeypatch):
-    # An inverse that shifts alpha by pi*x1 and reports the shift in its
-    # gauge term stays self-consistent; the alpha line must still see it.
+    # An inverse that shifts alpha by pi*x1, an exact term like the gauge
+    # term, must show on the alpha line, which predicts the gauge term itself.
     real = torusfm.cli.inverse_transform
     shift = parse("pi*x1")
 
     def shifted(bundle, tol, grid):
         inv = real(bundle, tol, grid)
         alpha = (inv.system.alpha[0] + shift,) + inv.system.alpha[1:]
-        gauge = (inv.gauge[0] - shift,) + inv.gauge[1:]
-        return inv._replace(system=LocalSystemData(alpha, inv.system.xi), gauge=gauge)
+        return inv._replace(system=LocalSystemData(alpha, inv.system.xi))
 
     monkeypatch.setattr(torusfm.cli, "inverse_transform", shifted)
     for name, text in (("r.scene", GAUGED_RELATIVE), ("b.scene", GAUGED_BUNDLE)):
@@ -432,8 +432,33 @@ def test_failed_precondition_exits_2_naming_the_condition(tmp_path, capsys):
     text = SECTION.replace("epsilon = x2 + 2*x1; x1", "epsilon = x2^2; x1")
     assert main(["transform", write(tmp_path, "bad.scene", text)]) == 2
     err = capsys.readouterr().err
-    assert "precondition failed [lagrangian]" in err
+    assert "precondition failed [C1]" in err
     assert "dx1^dx2" in err
+
+
+# A Lagrangian relative support whose connection x2 dx1 is not closed.
+NONFLAT_RELATIVE = """
+[torus]
+g = 3
+
+[support]
+kind = relative
+k = 2
+zeta = -x1
+a = 0; 1
+chi = 0; 0
+
+[system]
+alpha = x2; 0
+xi = 1/3
+"""
+
+
+@pytest.mark.parametrize("command", ["transform", "roundtrip"])
+def test_nonclosed_relative_connection_exits_2_naming_flat(tmp_path, capsys, command):
+    assert main([command, write(tmp_path, "r.scene", NONFLAT_RELATIVE)]) == 2
+    err = capsys.readouterr().err
+    assert err == "precondition failed [flat]: condition flat does not hold: dalpha[1][2]\n"
 
 
 def test_curvature_of_a_skyscraper_exits_2(tmp_path, capsys):

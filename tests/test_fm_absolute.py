@@ -4,9 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import check_poincare, rational_rank
+from oracles import check_poincare, gcd_of_minors, rational_rank
 
 import torusfm
 from torusfm.exact_linalg import IntMatrix
@@ -16,10 +16,9 @@ from torusfm.fm_absolute import (
     morphism_space_dim,
     restrict_system,
     skyscraper,
-    tensor,
     transform,
 )
-from torusfm.torus import Torus, subtorus_from_equations, whole_torus
+from torusfm.torus import Torus, intersect, subtorus_from_equations, whole_torus
 
 F = Fraction
 T2 = Torus(2)
@@ -183,29 +182,46 @@ def test_hom_skyscraper_against_line():
     assert morphism_space_dim(sky_off, sys_line) == 0
 
 
-def test_transform_preserves_hom_dimensions():
-    # The transform is an equivalence on these systems, so Hom dimensions
-    # survive it; check across a few support shapes.
-    pairs = [
-        (line(T2, [2, -1], 0, F(1, 3)), line(T2, [2, 1], 0, F(1, 5))),
-        (line(T2, [1, 0], 0, F(1, 3)), line(T2, [1, 0], 0, F(1, 3))),
-        (skyscraper(T2, (F(1, 3), F(1, 5))), line(T2, [3, 1], F(1, 7), F(1, 2))),
-        (full_torus_system(T2, (F(1, 4), F(1, 5))), line(T2, [2, 3], F(1, 7), F(1, 2))),
-    ]
-    for a, b in pairs:
-        ta, tb = transform(a).system, transform(b).system
-        assert morphism_space_dim(a, b) == morphism_space_dim(ta, tb)
+def random_system(rng, torus):
+    """A system on a random subtorus; phases and offsets from small sets, so Hom is often nonzero."""
+    g = torus.dim
+    codim = rng.randint(0, g)
+    while True:
+        rows = [[rng.randint(-2, 2) for _ in range(g)] for _ in range(codim)]
+        if rational_rank(rows, g) == codim:
+            break
+    offsets = [F(rng.randint(0, 1), rng.choice((1, 2))) for _ in rows]
+    support = subtorus_from_equations(torus, rows, offsets)
+    holonomy = [F(rng.randint(0, 2), rng.choice((2, 3))) for _ in range(support.dim)]
+    return SubtorusLocalSystem(support, holonomy, rng.randint(1, 2))
 
 
-def test_tensor():
-    s = subtorus_from_equations(T2, [[1, 0]], [0])
-    a = SubtorusLocalSystem(s, (F(1, 3),), rank=2)
-    b = SubtorusLocalSystem(s, (F(1, 2),), rank=3)
-    c = tensor(a, b)
-    assert c.holonomy == (F(5, 6),)
-    assert c.rank == 6
-    with pytest.raises(ValueError, match="supports differ"):
-        tensor(a, SubtorusLocalSystem(subtorus_from_equations(T2, [[0, 1]], [0]), (0,)))
+def random_pair(seed):
+    rng = random.Random(seed)
+    torus = Torus(rng.randint(1, 4))
+    return random_system(rng, torus), random_system(rng, torus)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32).map(random_pair))
+@example((line(T2, [2, -1], 0, F(1, 3)), line(T2, [2, 1], 0, F(1, 5))))
+@example((line(T2, [1, 0], 0, F(1, 3)), line(T2, [1, 0], 0, F(1, 3))))
+@example((skyscraper(T2, (F(1, 3), F(1, 5))), line(T2, [3, 1], F(1, 7), F(1, 2))))
+@example((full_torus_system(T2, (F(1, 4), F(1, 5))), line(T2, [2, 3], F(1, 7), F(1, 2))))
+def test_transform_preserves_hom_dimensions(pair):
+    # The transform is an equivalence on these systems (Sky ~ Loc), so Hom
+    # dimensions survive it.
+    a, b = pair
+    ta, tb = transform(a).system, transform(b).system
+    assert morphism_space_dim(a, b) == morphism_space_dim(ta, tb)
+    # Hom sums over the components of the support intersection.  When the
+    # stacked equations A have full row rank r, {A y + c in Z^r} has
+    # [Z^r : A Z^g] components, the gcd of the r x r minors of A.
+    stacked = a.support.eqns.rows + b.support.eqns.rows
+    g = a.torus.dim
+    if rational_rank(stacked, g) == len(stacked):
+        count = gcd_of_minors(IntMatrix(stacked, g), len(stacked))
+        assert len(intersect(a.support, b.support)) == count
 
 
 def test_rank_validation():

@@ -54,9 +54,7 @@ from torusfm.fm_relative import (
     fibre_system,
     hodge_components,
     inverse_transform,
-    relative_from_section,
     transform_nontransversal,
-    transform_section,
     wit_index,
 )
 from torusfm.torus import is_normal_to
@@ -162,7 +160,7 @@ def test_support_entries_must_live_on_the_base():
 
 
 def test_section_support_validation():
-    with pytest.raises(ValueError, match="positive-dimensional"):
+    with pytest.raises(ValueError, match="need g >= 1"):
         SectionSupport(())
     with pytest.raises(ValueError, match="found x3"):
         SectionSupport((parse("x3"), 0))
@@ -173,13 +171,13 @@ def test_local_system_reduces_holonomy_phases():
     assert LocalSystemData((), (F(-1, 4),)).xi == (F(3, 4),)
 
 
-def test_relative_from_section_is_the_full_graph():
-    s = SectionSupport((parse("x1"), parse("x2^2")))
-    r = relative_from_section(s)
+def test_section_support_is_the_full_graph():
+    r = SectionSupport((parse("x1"), parse("x2^2")))
+    assert isinstance(r, RelativeSupport)
     assert (r.g, r.k) == (2, 2)
     assert r.zeta == ()
     assert r.a == ((), ())
-    assert r.chi == s.epsilon
+    assert r.chi == (parse("x1"), parse("x2^2"))
     assert r.fibre_dim == 0
 
 
@@ -566,7 +564,7 @@ def test_sign_change_of_the_one_live_minor_is_a_rank_drop():
 def test_wit_index_is_the_fibre_dimension():
     assert wit_index(antidiagonal_support()) == 1
     assert wit_index(twisted_line_support()) == 2
-    assert wit_index(relative_from_section(SectionSupport((parse("x1"),)))) == 0
+    assert wit_index(SectionSupport((parse("x1"),))) == 0
     point_base = RelativeSupport(2, 0, (F(1, 3), F(1, 2)), (), ())
     assert wit_index(point_base) == 2
 
@@ -684,25 +682,23 @@ def test_bundle_given_as_input_is_validated():
 
 
 def test_section_transform_matches_the_fibred_view():
-    s = SectionSupport((parse("x2 + 2*x1"), parse("x1")))
+    # Point fibre traces: the dual support is the whole dual fibration and
+    # the dw-row is -epsilon.
+    epsilon = (parse("x2 + 2*x1"), parse("x1"))
     sys_in = LocalSystemData((parse("x1"), 0), ())
-    b1 = transform_section(s, sys_in)
-    b2 = transform_nontransversal(relative_from_section(s), sys_in)
-    assert b1.k == b2.k == 2
-    assert b1.wit_index == b2.wit_index == 0
-    assert b1.zeta == b2.zeta == ()
-    assert b1.alpha == b2.alpha == sys_in.alpha
-    for t1, t2 in zip(b1.fibre_turns, b2.fibre_turns):
-        assert_proven_zero(t1 - t2)
-    for t, e in zip(b1.fibre_turns, s.epsilon):
+    b = transform_nontransversal(SectionSupport(epsilon), sys_in)
+    assert b.k == 2
+    assert b.wit_index == 0
+    assert b.zeta == b.gamma_tilde == b.varsigma == ()
+    assert b.alpha == sys_in.alpha
+    for t, e in zip(b.fibre_turns, epsilon, strict=True):
         assert_proven_zero(t + e)
-    assert b1.holomorphic.kind == "proven_zero"
+    assert b.holomorphic.kind == "proven_zero"
 
 
 def test_section_slice_is_its_graph_point():
     s = SectionSupport((parse("x2 + 2*x1"), parse("x1")))
-    r = relative_from_section(s)
-    sup = fibre_support(r, (F(1, 3), F(1, 7)))
+    sup = fibre_support(s, (F(1, 3), F(1, 7)))
     assert sup.dim == 0
     assert sup.single_point().coords == (F(17, 21), F(1, 3))
 
@@ -710,15 +706,15 @@ def test_section_slice_is_its_graph_point():
 def test_section_with_asymmetric_jacobian_is_rejected():
     s = SectionSupport((parse("x2^2"), 0))
     with pytest.raises(ConditionError) as exc:
-        transform_section(s, LocalSystemData((0, 0), ()))
-    assert exc.value.condition == "lagrangian"
+        transform_nontransversal(s, LocalSystemData((0, 0), ()))
+    assert exc.value.condition == "C1"
     assert exc.value.report.failures == ("dx1^dx2",)
 
 
 def test_section_with_nonclosed_connection_is_rejected():
     s = SectionSupport((parse("x1"), parse("x2")))
     with pytest.raises(ConditionError) as exc:
-        transform_section(s, LocalSystemData((parse("x2"), 0), ()))
+        transform_nontransversal(s, LocalSystemData((parse("x2"), 0), ()))
     assert exc.value.condition == "flat"
     assert exc.value.report.failures == ("dalpha[1][2]",)
 
@@ -726,16 +722,30 @@ def test_section_with_nonclosed_connection_is_rejected():
 def test_section_round_trip():
     s = SectionSupport((parse("x2 + 2*x1"), parse("x1")))
     sys_in = LocalSystemData((parse("x1"), 0), ())
-    b = transform_section(s, sys_in)
+    b = transform_nontransversal(s, sys_in)
     inv = inverse_transform(dual_input_from_bundle(b))
     assert inv.wit_index == 2
     assert inv.support.zeta == ()
     assert inv.support.a == ((), ())
     assert inv.system.xi == ()
-    for c, e in zip(inv.support.chi, s.epsilon):
+    for c, e in zip(inv.support.chi, s.chi):
         assert_proven_zero(c - e)
     for a_out, a_in in zip(inv.system.alpha, sys_in.alpha):
         assert_proven_zero(a_out - a_in)
+
+
+@pytest.mark.parametrize(
+    "s",
+    [RelativeSupport(3, 2, (parse("-x1"),), ((0,), (1,)), (0, 0)), SectionSupport((0, 0))],
+    ids=["k=2", "section"],
+)
+def test_transform_rejects_a_nonclosed_connection(s):
+    sys_in = LocalSystemData((parse("x2"), 0), (F(1, 3),) * s.fibre_dim)
+    assert check_C1_lagrangian(s).holds
+    with pytest.raises(ConditionError) as exc:
+        transform_nontransversal(s, sys_in)
+    assert exc.value.condition == "flat"
+    assert exc.value.report.failures == ("dalpha[1][2]",)
 
 
 # ---------------------------------------------------------------- curvature
@@ -773,7 +783,7 @@ def test_curvature_reassembles_to_finite_differences():
     # Oracle first: central differences of the dw-row at a sample point
     # give 2 pi d(turns); the three Hodge grids must reassemble to it.
     s = SectionSupport((parse("x2^2"), 0))
-    turns = tuple(-e for e in s.epsilon)
+    turns = tuple(-e for e in s.chi)
     p = (0.35, 0.81)
     want = [
         [2 * math.pi * fd_partial(turns[b], p, a + 1) for b in range(2)]
@@ -1052,12 +1062,10 @@ def test_inverse_returns_the_gauge_term_it_subtracts():
     s = twisted_line_support()
     inv = inverse_transform(transform_nontransversal(s, TWISTED_SYSTEM))
     # 2 pi d(Q_3 chi_1) with Q_3 = -1/3 and chi_1 = x1^2.
-    assert_proven_zero(inv.gauge[0] - parse("-4/3*pi*x1"))
-    assert_proven_zero(inv.system.alpha[0] - (TWISTED_SYSTEM.alpha[0] - inv.gauge[0]))
-    # Constant offsets: no gauge term.
+    assert_proven_zero(inv.system.alpha[0] - (TWISTED_SYSTEM.alpha[0] - parse("-4/3*pi*x1")))
+    # Constant offsets: no gauge term, alpha comes back unchanged.
     inv = inverse_transform(transform_nontransversal(antidiagonal_support(), ANTIDIAGONAL_SYSTEM))
-    assert len(inv.gauge) == 1
-    assert_proven_zero(inv.gauge[0])
+    assert inv.system.alpha == ANTIDIAGONAL_SYSTEM.alpha
 
 
 @settings(max_examples=25, deadline=None)
@@ -1092,15 +1100,15 @@ def test_gauged_instances_return_up_to_the_gauge_term(shape, seed):
 def test_section_instances_transform_and_return(g, seed):
     rng = random.Random(seed)
     s, sys_in = section_instance(g, rng)
-    b1 = transform_section(s, sys_in)
-    assert (b1.k, b1.wit_index) == (g, 0)
-    b2 = transform_nontransversal(relative_from_section(s), sys_in)
-    for t1, t2 in zip(b1.fibre_turns, b2.fibre_turns):
-        assert_proven_zero(t1 - t2)
+    epsilon = s.chi
+    b = transform_nontransversal(s, sys_in)
+    assert (b.k, b.wit_index) == (g, 0)
+    for t, e in zip(b.fibre_turns, epsilon, strict=True):
+        assert_proven_zero(t + e)
 
-    inv = inverse_transform(dual_input_from_bundle(b1))
+    inv = inverse_transform(dual_input_from_bundle(b))
     assert inv.system.xi == ()
-    for c, e in zip(inv.support.chi, s.epsilon):
+    for c, e in zip(inv.support.chi, epsilon, strict=True):
         assert_proven_zero(c - e)
     for a_out, a_in in zip(inv.system.alpha, sys_in.alpha):
         assert_proven_zero(a_out - a_in)
