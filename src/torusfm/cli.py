@@ -226,7 +226,8 @@ def _cmd_check(scene: Scene, args, out: dict, warnings: list) -> None:
     elif scene.kind == "relative":
         c1 = check_C1_lagrangian(scene.support, tol, grid)
         c2, c3 = check_C2_C3(scene.support, tol, grid)
-        for rep in (c1, c2, c3):
+        flat = check_flat(scene.system.alpha, tol, grid)
+        for rep in (c1, c2, c3, flat):
             out[rep.name] = _condition_text(rep)
             _note(warnings, rep.name, rep.verdict)
         if c2.holds:

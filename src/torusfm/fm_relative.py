@@ -48,6 +48,7 @@ from .expr import (
     ZERO,
     Expr,
     Verdict,
+    _eliminate_constants,
     all_zero,
     as_expr,
     diff,
@@ -316,14 +317,18 @@ def check_C2_C3(
     """Constant fibre dimension (C2) and constant slope matrix (C3).
 
     C2 asks that the rank of the slope matrix not drop anywhere on the
-    base.  Its minors are expanded exactly, largest size first, until one
-    does not vanish.  C2 is proven when every entry is constant, or when
-    some minor of that top size is a nonzero element of Q[pi] while every
-    larger minor vanishes identically.  Otherwise the verdict is
-    numerical: the top minors are sampled at Weyl points and simple
-    rational probes for a common zero, or for a sign change when only one
-    of them does not vanish identically.  C3 asks that every entry be
-    constant, with offending entries named a[j][m], 1-based.
+    base [0,1]^k.  It is proven when every entry is constant, or when
+    elimination on the nonzero rational constant entries leaves a block B
+    that is empty or zero: rank = (pivots) + rank B at every point.  A
+    drop is proven by exact values of B at two rational probes: two
+    ranks, or for square B determinants of both signs.  Only then are the
+    minors expanded exactly, largest size first, until one does not
+    vanish; C2 is proven when some minor of that top size is a nonzero
+    element of Q[pi] while every larger minor vanishes identically.
+    Otherwise the verdict is numerical: the top minors are sampled at
+    Weyl points and the probes for a common zero, or for a sign change
+    when only one of them does not vanish identically.  C3 asks that
+    every entry be constant, with offending entries named a[j][m], 1-based.
     """
     entries = (
         (f"a[{j + 1}][{m + 1}]", e) for j, row in enumerate(s.a) for m, e in enumerate(row)
@@ -333,9 +338,33 @@ def check_C2_C3(
     return c2, c3
 
 
-# Simple rational probes for the rank-drop search, on the diagonal and on
-# each axis: generic sampling misses drops on sets of measure zero.
-_PROBES = (0.0, 0.5, 1 / 3, 2 / 3, 0.25, 0.75)
+# Simple rational probes on the diagonal and on each axis of [0,1]^k:
+# generic sampling misses drops on sets of measure zero.  They are exact,
+# so the same points serve the rational rank witnesses and the sampling.
+_PROBES = tuple(Fraction(n, d) for n, d in ((0, 1), (1, 2), (1, 3), (2, 3), (1, 4), (3, 4)))
+
+
+def _rank_witness(b, points) -> bool:
+    """Whether exact values of b at two points prove that its rank varies.
+
+    Two ranks prove it, and so do determinants of both signs for square b,
+    by the intermediate value theorem on the segment between the points.
+    Entries with pi, characters or opaque atoms have no exact values.
+    """
+    size = len(b) if len(b) == len(b[0]) else None
+    ranks, signs = set(), set()
+    for p in points:
+        try:
+            values = [[num(eval_exact(e, p)) for e in row] for row in b]
+        except ValueError:
+            return False
+        r, det, _ = _eliminate_constants(values)
+        ranks.add(r)
+        if r == size:
+            signs.add(det > 0)
+        if len(ranks) > 1 or len(signs) > 1:
+            return True
+    return False
 
 
 def _constant_rank_verdict(a, k: int, tol: float, grid: int) -> Verdict:
@@ -344,14 +373,18 @@ def _constant_rank_verdict(a, k: int, tol: float, grid: int) -> Verdict:
         return Verdict.proven_zero()
     if all(is_constant(e) for row in a for e in row):
         return Verdict.proven_zero()
+    # rank a = t + rank b at every point, so b = 0 proves the rank constant.
+    _, _, b = _eliminate_constants(a)
+    if all(e == ZERO for row in b for e in row):
+        return Verdict.proven_zero()
+    nvars = max(max_var(e) for row in a for e in row)
+    probes = [(t,) * nvars for t in _PROBES]
+    probes += [(0,) * i + (t,) + (0,) * (nvars - i - 1) for t in _PROBES for i in range(nvars)]
+    if _rank_witness(b, probes):
+        return Verdict.proven_nonzero()
 
     minor = exact_minors(a)
-    nvars = max(max_var(e) for row in a for e in row)
-    points = weyl_points(nvars, grid)
-    for t in _PROBES:
-        points.append((t,) * nvars)
-        for i in range(nvars):
-            points.append(tuple(t if i == j else 0.0 for j in range(nvars)))
+    points = weyl_points(nvars, grid) + [tuple(map(float, p)) for p in probes]
 
     def values(rows, cols) -> list[float]:
         """The minor at every point; the first `grid` are the Weyl points."""

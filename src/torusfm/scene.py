@@ -162,6 +162,11 @@ def _reject_unknown(mapping: dict, allowed: frozenset, section: str) -> None:
         raise ValueError(f"unknown key {unknown[0]!r} in [{section}]")
 
 
+def _check_length(values: tuple, n: int, where: str) -> None:
+    if len(values) != n:
+        raise ValueError(f"{where} needs {n} {'entry' if n == 1 else 'entries'}, got {len(values)}")
+
+
 def _zeros(n: int) -> tuple[Fraction, ...]:
     return (Fraction(0),) * n
 
@@ -217,6 +222,7 @@ def _parse_support(torus: Torus, sup: dict, sysd: dict) -> Scene:
             if "alpha" in sysd
             else _zeros(g)
         )
+        _check_length(alpha, g, "[system] alpha")
         return Scene(
             torus,
             kind,
@@ -239,6 +245,8 @@ def _parse_support(torus: Torus, sup: dict, sysd: dict) -> Scene:
         _exprs(sysd["alpha"], "[system] alpha") if "alpha" in sysd else _zeros(k)
     )
     xi = _fractions(sysd["xi"], "[system] xi") if "xi" in sysd else _zeros(m)
+    _check_length(alpha, k, "[system] alpha")
+    _check_length(xi, m, "[system] xi")
     return Scene(
         torus,
         kind,

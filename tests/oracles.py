@@ -5,10 +5,13 @@ exhaustive minor enumeration, membership tests via rational solves.  The
 library under test must agree with these on small inputs.  Only the
 library's matrix container and the Poincare factor of `line_bundles`,
 which no transform calls, are used; every algorithm here is its own.
+`deadline` bounds the wall time of the tests that time the library.
 """
 
 import itertools
 import math
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 from torusfm.exact_linalg import IntMatrix
@@ -20,6 +23,22 @@ from torusfm.line_bundles import (
     poincare_pair,
     restrict_factor,
 )
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block once the wall clock passes the deadline."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def naive_det(m):

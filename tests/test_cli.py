@@ -461,6 +461,27 @@ def test_nonclosed_relative_connection_exits_2_naming_flat(tmp_path, capsys, com
     assert err == "precondition failed [flat]: condition flat does not hold: dalpha[1][2]\n"
 
 
+def test_check_reports_a_nonclosed_relative_connection(tmp_path, capsys):
+    assert main(["check", write(tmp_path, "r.scene", NONFLAT_RELATIVE)]) == 0
+    out = capsys.readouterr().out
+    assert "C3: holds (proven)\nflat: fails (proven) [dalpha[1][2]]\n" in out
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (SECTION.replace("alpha = x1; 0", "alpha = x1"), "[system] alpha needs 2 entries, got 1"),
+        (NONFLAT_RELATIVE.replace("alpha = x2; 0", "alpha = x2"), "[system] alpha needs 2 entries, got 1"),
+        (NONFLAT_RELATIVE.replace("xi = 1/3", "xi = 1/3 1/2"), "[system] xi needs 1 entry, got 2"),
+    ],
+    ids=["section-alpha", "relative-alpha", "relative-xi"],
+)
+@pytest.mark.parametrize("command", ["check", "transform"])
+def test_system_lengths_are_checked(tmp_path, capsys, text, message, command):
+    assert main([command, write(tmp_path, "s.scene", text)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_curvature_of_a_skyscraper_exits_2(tmp_path, capsys):
     assert main(["curvature", write(tmp_path, "s.scene", SKYSCRAPER)]) == 2
     assert "precondition failed [curvature]" in capsys.readouterr().err

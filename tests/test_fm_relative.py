@@ -14,14 +14,15 @@ from instances import (
     polynomial_instance,
     section_instance,
 )
-from oracles import c1_coefficients, fd_partial, leibniz_minor
+from oracles import c1_coefficients, deadline, fd_partial, leibniz_minor, naive_det, rational_rank
 
 import torusfm.fm_relative as fm_relative
-from torusfm.exact_linalg import IntMatrix
+from torusfm.exact_linalg import IntMatrix, RatMatrix
 from torusfm.expr import (
     PI,
     ZERO,
     Verdict,
+    _eliminate_constants,
     all_zero,
     diff,
     eval_at,
@@ -334,19 +335,23 @@ def test_c1_and_c3_differentiate_each_entry_once(monkeypatch):
 
 
 def test_rank_drop_at_an_isolated_point_is_caught():
+    # x1 is 0 at the probe x1 = 0 and 1/2 at x1 = 1/2: two exact ranks.
     s = RelativeSupport(2, 1, (0,), ((parse("x1"),),), (0,))
     c2, _ = check_C2_C3(s)
     assert not c2.holds
-    assert c2.verdict.kind == "numerically_nonzero"
+    assert c2.verdict.kind == "proven_nonzero"
     with pytest.raises(ConditionError) as exc:
         wit_index(s)
     assert exc.value.condition == "C2"
 
 
 def test_rank_drop_found_by_sign_change():
+    # The determinant is -1/7 at x1 = 0 and 5/14 at x1 = 1/2, so it
+    # vanishes in between: a drop proven without finding x1 = 1/7.
     s = RelativeSupport(2, 1, (0,), ((parse("x1 - 1/7"),),), (0,))
     c2, _ = check_C2_C3(s)
     assert not c2.holds
+    assert c2.verdict.kind == "proven_nonzero"
 
 
 def test_rank_without_real_drop_passes_numerically():
@@ -448,14 +453,18 @@ def bidiagonal_times_constant(k, rng, drops=False):
     return RelativeSupport(2 * k, k, (0,) * k, tuple(tuple(row) for row in a), (0,) * k)
 
 
-@pytest.mark.parametrize("k", range(2, 8))
+@pytest.mark.parametrize("k", range(2, 13))
 def test_constant_determinant_of_varying_slopes_is_proven(k):
     rng = random.Random(k)
-    c2, c3 = check_C2_C3(bidiagonal_times_constant(k, rng))
+    s = bidiagonal_times_constant(k, rng)
+    with deadline(2):
+        c2, c3 = check_C2_C3(s)
     assert c2.holds and c2.verdict.kind == "proven_zero"
     assert not c3.holds
-    c2, _ = check_C2_C3(bidiagonal_times_constant(k, rng, drops=True))
-    assert not c2.holds
+    s = bidiagonal_times_constant(k, rng, drops=True)
+    with deadline(2):
+        c2, _ = check_C2_C3(s)
+    assert c2.verdict.kind == "proven_nonzero"
 
 
 def test_unit_determinant_with_polynomial_entries_is_proven():
@@ -465,16 +474,52 @@ def test_unit_determinant_with_polynomial_entries_is_proven():
 
 
 # Rank check from first principles: Leibniz minors, `is_zero`, and the
-# sampling points the library documents (Weyl points, then the diagonal
-# and axis probes at these coordinates).
-_PROBES = (0.0, 0.5, 1 / 3, 2 / 3, 0.25, 0.75)
+# points the library documents (Weyl points, then the diagonal and axis
+# probes at these coordinates).
+_PROBES = (F(0), F(1, 2), F(1, 3), F(2, 3), F(1, 4), F(3, 4))
+
+
+def probe_points(nvars):
+    points = []
+    for t in _PROBES:
+        points.append((t,) * nvars)
+        points.extend(tuple(t if i == j else F(0) for j in range(nvars)) for i in range(nvars))
+    return points
+
+
+def exact_rank_witness(a, k, m):
+    """Whether exact values of the Leibniz minors at the probes prove a rank drop.
+
+    None when some entry has pi, a character or an opaque atom.  The rank
+    at a point is the largest size of a minor that is nonzero there.  Two
+    different ranks prove a drop, and so do determinants of opposite signs
+    when a is square: the determinant has a zero between the two points.
+    """
+    nvars = max(max_var(e) for row in a for e in row)
+    minors = [
+        [leibniz_minor(a, rows, cols)
+         for rows in itertools.combinations(range(k), r)
+         for cols in itertools.combinations(range(m), r)]
+        for r in range(1, min(k, m) + 1)
+    ]
+    try:
+        values = [[[eval_exact(d, p) for d in size] for size in minors] for p in probe_points(nvars)]
+    except ValueError:
+        return None
+    ranks = {max((r for r, vals in enumerate(at, 1) if any(vals)), default=0) for at in values}
+    signs = {at[-1][0] > 0 for at in values if k == m and at[-1][0]}
+    return len(ranks) > 1 or len(signs) > 1
 
 
 def reference_rank_check(a, k, tol=1e-9, grid=17):
-    """(holds, top minors or None, whether all larger minors are proven zero)."""
+    """(holds, top minors or None, whether all larger minors are proven zero, witness).
+
+    witness is `exact_rank_witness`; a witness decides holds.
+    """
     m = len(a[0])
     if all(is_constant(e) for row in a for e in row):
-        return True, None, True
+        return True, None, True, False
+    witness = exact_rank_witness(a, k, m)
     larger_proven = True
     for r in range(min(k, m), 0, -1):
         minors = [
@@ -487,20 +532,17 @@ def reference_rank_check(a, k, tol=1e-9, grid=17):
             break
         larger_proven = larger_proven and all(v.proven for v in verdicts)
     else:
-        return True, None, larger_proven
+        return not witness, None, larger_proven, witness
     nvars = max([max_var(d) for d in minors] + [1])
-    points = weyl_points(nvars, grid)
-    for t in _PROBES:
-        points.append((t,) * nvars)
-        points.extend(tuple(t if i == j else 0.0 for j in range(nvars)) for i in range(nvars))
+    points = weyl_points(nvars, grid) + probe_points(nvars)
     table = [[eval_at(d, p) for p in points] for d in minors]
-    if any(all(abs(vals[i]) <= tol for vals in table) for i in range(len(points))):
-        return False, minors, larger_proven
+    if witness or any(all(abs(vals[i]) <= tol for vals in table) for i in range(len(points))):
+        return False, minors, larger_proven, witness
     # A sign change proves a zero when every other top minor vanishes identically.
     live = [vals for vals, v in zip(table, verdicts) if v.kind != "proven_zero"]
     if len(live) == 1 and min(live[0]) < -tol and max(live[0]) > tol:
-        return False, minors, larger_proven
-    return True, minors, larger_proven
+        return False, minors, larger_proven, witness
+    return True, minors, larger_proven, witness
 
 
 def _in_q_pi(e):
@@ -536,20 +578,48 @@ def slope_matrices(draw):
     return k, m, tuple(tuple(row) for row in rows)
 
 
+_ENTRIES = st.one_of(
+    st.builds(F, st.integers(-3, 3), st.integers(1, 3)).map(num),
+    st.tuples(*[st.integers(-2, 2)] * 3).map(lambda c: c[0] + c[1] * var(1) + c[2] * var(1) * var(2)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+def test_constant_pivot_elimination_keeps_rank_and_determinant(n, m, data):
+    a = [[data.draw(_ENTRIES) for _ in range(m)] for _ in range(n)]
+    t, _, block = _eliminate_constants(a)
+    for p in ((F(0), F(0)), (F(1, 2), F(-3)), (F(2, 3), F(1, 4))):
+        at = [[eval_exact(e, p) for e in row] for row in a]
+        rest = [[eval_exact(e, p) for e in row] for row in block]
+        assert rational_rank(at, m) == t + (rational_rank(rest, m - t) if rest else 0)
+        r, det, _ = _eliminate_constants([[num(v) for v in row] for row in at])
+        assert r == rational_rank(at, m)
+        if r == n == m:
+            assert (det > 0) == (naive_det(RatMatrix(at)) > 0)
+
+
 @settings(max_examples=150, deadline=None)
 @given(slope_matrices())
 def test_constant_rank_agrees_with_leibniz_minors(case):
     k, m, a = case
     c2, _ = check_C2_C3(RelativeSupport(k + m, k, (0,) * m, a, (0,) * k))
-    holds, top, larger_proven = reference_rank_check(a, k)
+    holds, top, larger_proven, witness = reference_rank_check(a, k)
     assert c2.holds == holds
-    provable = all(is_constant(e) for row in a for e in row) or (
+    zero_provable = all(is_constant(e) for row in a for e in row) or (
         larger_proven and (top is None or any(_in_q_pi(d) for d in top))
     )
-    # Proven exactly when the expanded top minors allow a proof.
-    assert c2.verdict.proven == provable
-    if c2.verdict.proven:
+    # A constant rank that the expanded top minors prove stays proven, and
+    # a drop that exact probe values witness is proven.  Any other proof is
+    # of a drop whose witness the reference cannot evaluate: pivots removed
+    # the pi, characters or opaque atoms from what the library evaluates.
+    if zero_provable:
         assert c2.verdict.kind == "proven_zero"
+    if witness:
+        assert c2.verdict.kind == "proven_nonzero"
+    if c2.verdict.proven and not zero_provable:
+        assert c2.verdict.kind == "proven_nonzero"
+        assert witness in (True, None)
 
 
 def test_sign_change_of_the_one_live_minor_is_a_rank_drop():
@@ -558,7 +628,32 @@ def test_sign_change_of_the_one_live_minor_is_a_rank_drop():
     s = RelativeSupport(3, 1, (0, 0), ((parse("x1 - 1/7"), 0),), (0,))
     c2, _ = check_C2_C3(s)
     assert c2.verdict.kind == "numerically_nonzero"
-    assert reference_rank_check(s.a, 1)[0] is False
+    holds, *_, witness = reference_rank_check(s.a, 1)
+    assert holds is False and witness is False
+
+
+@pytest.mark.parametrize(
+    "rows,kind",
+    [
+        # The pivot 1 leaves the 1x1 block x1, rational although pi is not.
+        ((("1", "pi"), ("2", "2*pi + x1")), "proven_nonzero"),
+        # Rank 1 at every probe, and x1 = 1 lies outside them.
+        ((("(x1 - 1)^2",),), "numerically_zero"),
+        # pi and opaque atoms have no exact values: sampled as before.
+        ((("pi*(x1 - 1/7)",),), "numerically_nonzero"),
+        ((("sin(x1^2)",),), "numerically_nonzero"),
+        # det = -2*x1 - 1 < 0 on the base; at x1 = 0 the pivots move to the
+        # off-diagonal, and the determinant keeps its sign only if the
+        # elimination counts the permutation.
+        ((("x1", "x1 + 1"), ("x1 + 1", "x1")), "numerically_zero"),
+    ],
+    ids=["pi-cancels", "double-root", "pi", "opaque", "fixed-sign"],
+)
+def test_exact_rank_witnesses_need_exact_values(rows, kind):
+    k, m = len(rows), len(rows[0])
+    a = tuple(tuple(parse(e) for e in row) for row in rows)
+    c2, _ = check_C2_C3(RelativeSupport(k + m, k, (0,) * m, a, (0,) * k))
+    assert c2.verdict.kind == kind
 
 
 def test_wit_index_is_the_fibre_dimension():

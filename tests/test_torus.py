@@ -2,14 +2,13 @@
 
 import itertools
 import random
-import signal
-from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    deadline,
     gcd_of_minors,
     in_row_span_z,
     naive_det,
@@ -239,22 +238,6 @@ def test_offset_survives_huge_smith_multipliers():
     assert_offset_pinned(torus, G6_SLICE, offsets)
     assert_offset_pinned(torus, G6_SLICE, [F(c, 7) for c in offsets])
     assert_offset_pinned(torus, G6_SLICE, [F(-c, 10**9 + 7) + F(1, 3) for c in offsets])
-
-
-@contextmanager
-def deadline(seconds):
-    """Raise TimeoutError in the block once the wall clock passes the deadline."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"ran past {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("name", list(HARD_SYSTEMS))
