@@ -12,7 +12,6 @@ time of one `check_C2_C3` call.
 """
 
 import argparse
-import json
 import random
 import sys
 import time
@@ -40,25 +39,16 @@ def random_slopes(seed, k, m):
 def main(argv=None):
     ap = argparse.ArgumentParser(description="C2 verdicts and times on dense random slopes")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--format", choices=("text", "json"), default="text")
     args = ap.parse_args(argv)
 
-    rows = []
+    print(f"seed: {args.seed}")
+    print(f"{'shape':>6} {'verdict':<20} {'seconds':>8}")
     for k, m in SHAPES:
         s = RelativeSupport(k + m, k, (0,) * m, random_slopes(args.seed, k, m), (0,) * k)
         start = time.perf_counter()
         c2, _ = check_C2_C3(s)
         seconds = time.perf_counter() - start
-        rows.append({"shape": f"{k}x{m}", "verdict": c2.verdict.kind, "seconds": round(seconds, 3)})
-
-    if args.format == "json":
-        json.dump({"seed": args.seed, "rows": rows}, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-        return 0
-    print(f"seed: {args.seed}")
-    print(f"{'shape':>6} {'verdict':<20} {'seconds':>8}")
-    for r in rows:
-        print(f"{r['shape']:>6} {r['verdict']:<20} {r['seconds']:>8.3f}")
+        print(f"{f'{k}x{m}':>6} {c2.verdict.kind:<20} {seconds:>8.3f}", flush=True)
     return 0
 
 

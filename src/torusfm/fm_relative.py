@@ -320,8 +320,9 @@ def check_C2_C3(
     base [0,1]^k.  It is proven when every entry is constant, or when
     elimination on the nonzero rational constant entries leaves a block B
     that is empty or zero: rank = (pivots) + rank B at every point.  A
-    drop is proven by exact values of B at two rational probes: two
-    ranks, or for square B determinants of both signs.  Only then are the
+    drop is proven by exact values at two rational probes, of the slopes
+    or of B, whichever has fewer terms and exact values: two ranks, or
+    for square slopes determinants of both signs.  Only then are the
     minors expanded exactly, largest size first, until one does not
     vanish; C2 is proven when some minor of that top size is a nonzero
     element of Q[pi] while every larger minor vanishes identically.
@@ -344,12 +345,12 @@ def check_C2_C3(
 _PROBES = tuple(Fraction(n, d) for n, d in ((0, 1), (1, 2), (1, 3), (2, 3), (1, 4), (3, 4)))
 
 
-def _rank_witness(b, points) -> bool:
+def _rank_witness(b, points) -> bool | None:
     """Whether exact values of b at two points prove that its rank varies.
 
     Two ranks prove it, and so do determinants of both signs for square b,
     by the intermediate value theorem on the segment between the points.
-    Entries with pi, characters or opaque atoms have no exact values.
+    None when an entry has no exact value (pi, a character, an opaque atom).
     """
     size = len(b) if len(b) == len(b[0]) else None
     ranks, signs = set(), set()
@@ -357,7 +358,7 @@ def _rank_witness(b, points) -> bool:
         try:
             values = [[num(eval_exact(e, p)) for e in row] for row in b]
         except ValueError:
-            return False
+            return None
         r, det, _ = _eliminate_constants(values)
         ranks.add(r)
         if r == size:
@@ -380,7 +381,14 @@ def _constant_rank_verdict(a, k: int, tol: float, grid: int) -> Verdict:
     nvars = max(max_var(e) for row in a for e in row)
     probes = [(t,) * nvars for t in _PROBES]
     probes += [(0,) * i + (t,) + (0,) * (nvars - i - 1) for t in _PROBES for i in range(nvars)]
-    if _rank_witness(b, probes):
+    # The constant pivots keep ranks and determinant signs, so a and b have
+    # the same witnesses.  The one with fewer terms is evaluated; the other
+    # only when it has no exact values, since pi in a may cancel in b.
+    first, second = sorted((a, b), key=lambda x: sum(len(e.terms) for row in x for e in row))
+    witness = _rank_witness(first, probes)
+    if witness is None:
+        witness = _rank_witness(second, probes)
+    if witness:
         return Verdict.proven_nonzero()
 
     minor = exact_minors(a)

@@ -593,7 +593,20 @@ _token_soup = st.lists(
     max_size=12,
 ).map("".join)
 _entries = st.one_of(_grammar_exprs, _grammar_exprs, _grammar_exprs, _token_soup)
-_fractions = st.lists(st.sampled_from(["1/3", "0", "-2", "5/7", "1/3", "x", "1/0"]), max_size=3).map(" ".join)
+
+
+def _polynomials(k):
+    """Well-formed entries in x1..xk, so that relative scenes get past the parser."""
+    leaves = st.sampled_from(["0", "1/2", "3", "-2", "pi"] + [f"x{i}" for i in range(1, k + 1)])
+    return st.recursive(
+        leaves,
+        lambda inner: st.tuples(inner, st.sampled_from([" + ", " - ", "*"]), inner).map("".join),
+        max_leaves=4,
+    )
+
+
+_fraction = st.sampled_from(["1/3", "0", "-2", "5/7", "1/3", "x", "1/0"])
+_fractions = st.lists(_fraction, max_size=3).map(" ".join)
 
 
 @st.composite
@@ -601,11 +614,11 @@ def _scenes(draw):
     """Scene text, mostly of the right shape for its kind, sometimes not."""
     g = draw(st.sampled_from([1, 2, 2, 3, 3, 0]))
 
-    def row(n):
-        return "; ".join(draw(st.lists(_entries, min_size=n, max_size=n)))
+    def row(n, entries=_entries):
+        return "; ".join(draw(st.lists(entries, min_size=n, max_size=n)))
 
-    def matrix(rows, cols):
-        return "; ".join(", ".join(draw(st.lists(_entries, min_size=cols, max_size=cols)))
+    def matrix(rows, cols, entries=_entries):
+        return "; ".join(", ".join(draw(st.lists(entries, min_size=cols, max_size=cols)))
                          for _ in range(rows))
 
     kind = draw(st.sampled_from(["section", "relative", "bundle", "section", "relative", "subtorus",
@@ -618,8 +631,16 @@ def _scenes(draw):
     elif kind == "section":
         lines = ["[support]", "kind = section", f"epsilon = {row(g)}", "[system]", f"alpha = {row(g)}"]
     elif kind == "relative":
-        lines = ["[support]", "kind = relative", f"k = {k}", f"zeta = {row(m)}", f"a = {matrix(k, m)}",
-                 f"chi = {row(k)}", "[system]", f"alpha = {row(k)}", f"xi = {draw(_fractions)}"]
+        # Entries are mostly polynomials in the base coordinates, and xi has
+        # g - k entries, but one draw in eight is one too many or too few.
+        # A k x 0 slope matrix has no text, so `a` is left out when m = 0.
+        p = _polynomials(k)
+        e = st.one_of(p, p, p, _entries)
+        n = max(m + draw(st.sampled_from([0, 0, 0, 0, 0, 0, 1, -1])), 0)
+        xi = " ".join(draw(st.lists(_fraction, min_size=n, max_size=n)))
+        lines = ["[support]", "kind = relative", f"k = {k}", f"zeta = {row(m, e)}"]
+        lines += [f"a = {matrix(k, m, e)}"] if m else []
+        lines += [f"chi = {row(k, e)}", "[system]", f"alpha = {row(k, e)}", f"xi = {xi}"]
     elif kind == "subtorus":
         lines = ["[support]", "kind = subtorus",
                  f"equations = {draw(st.sampled_from(['3 -2', '1 0; 0 1', '0 0', '1 x', '2']))}",

@@ -637,6 +637,11 @@ def test_sign_change_of_the_one_live_minor_is_a_rank_drop():
     [
         # The pivot 1 leaves the 1x1 block x1, rational although pi is not.
         ((("1", "pi"), ("2", "2*pi + x1")), "proven_nonzero"),
+        # Here b = -(1 + x1^3 + x2^6)*(x1 + x2 + x1*x2) three times has 27
+        # terms, the slopes 25: they are evaluated first and have no exact
+        # values, so only b proves the drop at 0.
+        ((("1",) + ("pi + x1 + x2 + x1*x2",) * 3,
+          ("1 + x1^3 + x2^6",) + ("pi*(1 + x1^3 + x2^6)",) * 3), "proven_nonzero"),
         # Rank 1 at every probe, and x1 = 1 lies outside them.
         ((("(x1 - 1)^2",),), "numerically_zero"),
         # pi and opaque atoms have no exact values: sampled as before.
@@ -647,7 +652,7 @@ def test_sign_change_of_the_one_live_minor_is_a_rank_drop():
         # elimination counts the permutation.
         ((("x1", "x1 + 1"), ("x1 + 1", "x1")), "numerically_zero"),
     ],
-    ids=["pi-cancels", "double-root", "pi", "opaque", "fixed-sign"],
+    ids=["pi-cancels", "pi-cancels-in-a-larger-b", "double-root", "pi", "opaque", "fixed-sign"],
 )
 def test_exact_rank_witnesses_need_exact_values(rows, kind):
     k, m = len(rows), len(rows[0])
