@@ -1,13 +1,16 @@
 """Exact integer and rational linear algebra.
 
 Row convention: lattices and equation systems are stored as rows.  All
-arithmetic is arbitrary precision (Python ints and fractions.Fraction), so
-every result is exact.  Matrices are immutable and safe to share.
+arithmetic is exact and runs on Python ints: rational ranks, inverses and
+solves scale each row by the lcm of its denominators and share one
+fraction-free elimination with the determinant (`_gauss_jordan`), so a
+Fraction appears only as a final quotient.  Matrices are immutable.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -115,30 +118,11 @@ class IntMatrix:
         return tuple(dot(row, v) for row in self.rows)
 
     def det(self) -> int:
-        """Determinant via fraction-free (Bareiss) elimination."""
-        n = self.nrows
-        if n != self.ncols:
+        """The last pivot of the fraction-free elimination, signed by its row swaps."""
+        if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        if n == 0:
-            return 1
-        m = [list(r) for r in self.rows]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        pivots, d, sign = _gauss_jordan([list(r) for r in self.rows], self.ncols)
+        return sign * d if len(pivots) == self.ncols else 0
 
 
 @dataclass(frozen=True)
@@ -196,17 +180,14 @@ class RatMatrix:
         return tuple(dot(row, v) for row in self.rows)
 
     def rank(self) -> int:
-        return len(_rref([list(r) for r in self.rows])[1])
+        return len(_gauss_jordan(_integer_rows(self.rows), self.ncols)[0])
 
     def inverse(self) -> "RatMatrix":
         n = self.nrows
         if n != self.ncols:
             raise ValueError("inverse of a non-square matrix")
-        aug = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(self.rows)]
-        reduced, pivots = _rref(aug)
-        if len(pivots) < n or any(p >= n for p in pivots):
-            raise ValueError("singular matrix")
-        return RatMatrix(tuple(tuple(row[n:]) for row in reduced), n)
+        x, d = _solve(self.rows, IntMatrix.identity(n).rows)
+        return RatMatrix(tuple(tuple(Fraction(e, d) for e in row) for row in x), n)
 
     def is_symmetric(self) -> bool:
         return self.nrows == self.ncols and all(
@@ -236,29 +217,57 @@ class RatMatrix:
         return True
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column list)."""
-    if not rows:
-        return rows, []
-    nrows, ncols = len(rows), len(rows[0])
+def _integer_rows(rows) -> list[list[int]]:
+    """Each rational row times the lcm of its denominators, as a list of ints."""
+    out = []
+    for row in rows:
+        d = math.lcm(*(e.denominator for e in row))
+        out.append([e.numerator * (d // e.denominator) for e in row])
+    return out
+
+
+def _gauss_jordan(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan in place, pivoting on the first ncols columns.
+
+    A pivot p in row y turns every other row x into (p*x - f*y) // prev, f
+    being x's entry in the pivot column and prev the previous pivot.  Every
+    entry is a minor of the input, so the division is exact (Bareiss, Math.
+    Comp. 22, 1968; Nakos, Turner and Williams, 1997), and each pivot entry
+    ends equal to the last pivot d, which leaves d times the solution in the
+    columns past ncols.  Returns (pivot columns, d, sign of the row swaps).
+    """
+    nrows = len(rows)
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
+    prev, sign = 1, 1
+    for col in range(ncols):
+        r = len(pivots)
         if r == nrows:
             break
-        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pivot_row is None:
+        i = next((i for i in range(r, nrows) if rows[i][col]), None)
+        if i is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [e * inv for e in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
+        if i != r:
+            rows[r], rows[i] = rows[i], rows[r]
+            sign = -sign
+        top = rows[r]
+        p = top[col]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[col]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+        pivots.append(col)
+    return pivots, prev, sign
+
+
+def _solve(a, b) -> tuple[list[list[int]], int]:
+    """Integer X and d with a @ X = d * b for square rational a; ValueError if a is singular."""
+    n = len(a)
+    rows = _integer_rows([*ra, *rb] for ra, rb in zip(a, b))
+    pivots, d, _ = _gauss_jordan(rows, n)
+    if len(pivots) < n:
+        raise ValueError("singular matrix")
+    return [row[n:] for row in rows], d
 
 
 def _tuples(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:

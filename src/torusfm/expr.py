@@ -185,7 +185,7 @@ def _mul(a: dict, b: dict) -> dict:
         a, b = b, a
     if len(b) == 1 and ((), None) in b:
         k = b[((), None)]
-        return {t: c * k for t, c in a.items()}
+        return dict(a) if k == 1 else {t: c * k for t, c in a.items()}
     out: dict = {}
     for (ma, xa), ca in a.items():
         for (mb, xb), cb in b.items():
@@ -198,6 +198,17 @@ def _mul(a: dict, b: dict) -> dict:
                 for x, f in _char_mul(xa, xb):
                     _put(out, (m, x), c * f)
     return out
+
+
+def _sum_of_products(pairs) -> Expr:
+    """sum a*b over pairs of Exprs or rationals in one term map: chained `+`, term order kept."""
+    out: dict = {}
+    for a, b in pairs:
+        a, b = as_expr(a).terms, as_expr(b).terms
+        if a and b:
+            for t, c in _mul(a, b).items():
+                _put(out, t, c)
+    return Expr(out)
 
 
 def _freq_combine(u: tuple, v: tuple, sign: int) -> tuple:

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .exact_linalg import RatMatrix, mod1, rat_vector
+from .exact_linalg import _solve, mod1, rat_vector
 from .expr import (
     ONE,
     PI,
@@ -49,6 +49,7 @@ from .expr import (
     Expr,
     Verdict,
     _eliminate_constants,
+    _sum_of_products,
     all_zero,
     as_expr,
     diff,
@@ -260,14 +261,11 @@ class LocalSystemData:
 
 def _frame_pairing(coeffs, gamma, k: int, first: int, j: int) -> Expr:
     """sum_l coeffs[l] * d x^(first+l)/dx^j; identity rows add, zero factors are skipped."""
-    out = ZERO
-    for c, e in enumerate(coeffs, first):
-        if c <= k:
-            if c == j:
-                out = out + e
-        elif e.terms and (d := gamma[c - k - 1][j - 1]).terms:
-            out = out + e * d
-    return out
+    return _sum_of_products(
+        (e, gamma[c - k - 1][j - 1] if c > k else ONE)
+        for c, e in enumerate(coeffs, first)
+        if c > k or c == j
+    )
 
 
 def _chart(s: RelativeSupport):
@@ -583,10 +581,10 @@ def transform_nontransversal(
     n = min(k, m_free)
     varsigma = []
     for i in range(m_free):
-        e = sum((x * c for x, c in zip(system.xi[:n], gamma[i][:n])), ZERO)
+        pairs = list(zip(system.xi[:n], gamma[i][:n]))
         if k + 1 + i <= m_free:
-            e = e - system.xi[k + i]
-        varsigma.append(e)
+            pairs.append((-system.xi[k + i], ONE))
+        varsigma.append(_sum_of_products(pairs))
 
     holomorphic = _constancy(
         "holomorphic", (("", e) for row in gamma for e in row), k, tol, grid
@@ -757,8 +755,10 @@ def inverse_transform(
     back gives, with M = (delta_{l,c} + P^c_l), the support equations
     sum_c M[l][c] y_c + beta_l = 0, re-solved for the last k angles; the
     dw-coefficients beta return to fibre offsets and the constants Q
-    return to holonomy phases.  The wit_index reported is that of the
-    input bundle, the dimension k of its fibre traces.
+    return to holonomy phases: one fraction-free solve of M_last X =
+    [M_free | I] gives a = -M_last^-1 M_free and chi = -M_last^-1 beta,
+    and a singular M_last has no chart.  The wit_index reported is that
+    of the input bundle, the dimension k of its fibre traces.
 
     The returned alpha is the chart form of the induced connection: the
     dx-row of the bundle minus the exact gauge term
@@ -781,26 +781,17 @@ def inverse_transform(
             "inverse transform needs rational constant fibre coefficients"
         ) from exc
 
-    # M[l][c] = delta + P^c_l over c = 1..g; split into the free block
+    # M[l][c] = delta + P^c_l over c = 1..g, split into the free block
     # (columns 1..g-k) and the block of the angles being solved for.
-    m_last_rows = []
-    m_free_rows = []
-    for l in range(1, k + 1):
-        row_last = []
-        row_free = []
-        for c in range(1, g + 1):
-            e = Fraction(1 if c == l else 0)
-            if c > k:
-                e += p_val[c - k - 1][l - 1]
-            if c > m_free:
-                row_last.append(e)
-            else:
-                row_free.append(e)
-        m_last_rows.append(row_last)
-        m_free_rows.append(row_free)
-    m_last = RatMatrix(m_last_rows, k)
+    m_rows = [
+        [int(c == l) + (p_val[c - k - 1][l - 1] if c > k else 0) for c in range(1, g + 1)]
+        for l in range(1, k + 1)
+    ]
     try:
-        m_inv = m_last.inverse()
+        x, d = _solve(
+            [row[m_free:] for row in m_rows],
+            [row[:m_free] + [int(i == j) for j in range(k)] for i, row in enumerate(m_rows)],
+        )
     except ValueError:
         raise ConditionError(
             "chart",
@@ -810,28 +801,15 @@ def inverse_transform(
             ),
         )
 
-    a_exact = [
-        [
-            -sum(m_inv.rows[l][lp] * m_free_rows[lp][m] for lp in range(k))
-            for m in range(m_free)
-        ]
-        for l in range(k)
-    ]
+    a_exact = [[Fraction(-e, d) for e in row[:m_free]] for row in x]
     a_rows = tuple(tuple(num(e) for e in row) for row in a_exact)
     chi_out = tuple(
-        sum((-m_inv.rows[l][lp] * bundle.fibre_turns[lp] for lp in range(k)), ZERO)
-        for l in range(k)
+        _sum_of_products(zip((Fraction(-e, d) for e in row[m_free:]), bundle.fibre_turns))
+        for row in x
     )
-
-    def q_of(c: int) -> Fraction:
-        return q_val[c - k - 1] if c > k else Fraction(0)
-
+    q = [0] * k + q_val  # q[c - 1] = Q_c, which is 0 for c <= k
     xi_out = tuple(
-        mod1(
-            -q_of(m + 1)
-            - sum(q_of(m_free + l + 1) * a_exact[l][m] for l in range(k))
-        )
-        for m in range(m_free)
+        mod1(-q[m] - sum(q[m_free + l] * a_exact[l][m] for l in range(k))) for m in range(m_free)
     )
 
     alpha_out = tuple(a - t for a, t in zip(bundle.alpha, gauge_term(q_val, chi_out)))
@@ -850,10 +828,9 @@ def gauge_term(varsigma, chi) -> tuple[Expr, ...]:
     alpha; `roundtrip` predicts it from the data it starts from.
     """
     k, m_free = len(chi), len(varsigma)
-    total: Expr = ZERO
-    for l, c in enumerate(chi):
-        if m_free + l >= k:
-            total = total + varsigma[m_free + l - k] * c
+    total = _sum_of_products(
+        (varsigma[m_free + l - k], c) for l, c in enumerate(chi) if m_free + l >= k
+    )
     return tuple(2 * PI * diff(total, j) for j in range(1, k + 1))
 
 

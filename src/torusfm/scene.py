@@ -141,9 +141,10 @@ def _exprs(value: str, where: str) -> tuple[Expr, ...]:
     return tuple(_expr(part, where) for part in value.split(";"))
 
 
-def _expr_rows(value: str, where: str) -> tuple[tuple[Expr, ...], ...]:
+def _expr_rows(value: str, where: str, nrows: int) -> tuple[tuple[Expr, ...], ...]:
+    """Rows split at ';' and entries at ','; an empty value is nrows rows of no entries."""
     if not value.strip():
-        return ()
+        return ((),) * nrows
     return tuple(
         tuple(_expr(entry, where) for entry in part.split(","))
         for part in value.split(";")
@@ -236,7 +237,7 @@ def _parse_support(torus: Torus, sup: dict, sysd: dict) -> Scene:
     m = g - k
     zeta = _exprs(sup["zeta"], "[support] zeta") if "zeta" in sup else _zeros(m)
     a = (
-        _expr_rows(sup["a"], "[support] a")
+        _expr_rows(sup["a"], "[support] a", k)
         if "a" in sup
         else tuple(_zeros(m) for _ in range(k))
     )
@@ -264,7 +265,7 @@ def _parse_bundle(torus: Torus, bd: dict) -> Scene:
     m = g - k
     zeta = _exprs(bd["zeta"], "[bundle] zeta") if "zeta" in bd else _zeros(m)
     p = (
-        _expr_rows(bd["P"], "[bundle] P")
+        _expr_rows(bd["P"], "[bundle] P", m)
         if "P" in bd
         else tuple(_zeros(k) for _ in range(m))
     )

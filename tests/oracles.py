@@ -152,6 +152,14 @@ def rational_rank(rows, ncols):
     return len(_gauss_jordan(rows, ncols)[1])
 
 
+def rational_inverse(rows):
+    """The inverse over Q of a square matrix by Gauss-Jordan on [A | I], or None if singular."""
+    n = len(rows)
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    reduced, pivots = _gauss_jordan([list(r) + e for r, e in zip(rows, eye)], n)
+    return [row[n:] for row in reduced] if len(pivots) == n else None
+
+
 def rational_solve(rows, rhs, ncols):
     """One solution of rows y = rhs over Q, free coordinates zero, or None.
 

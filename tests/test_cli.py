@@ -482,6 +482,43 @@ def test_system_lengths_are_checked(tmp_path, capsys, text, message, command):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+EMPTY_SLOPES = """
+[torus]
+g = 2
+
+[support]
+kind = relative
+k = 2
+a =
+chi = x1; 0
+
+[system]
+alpha = 0; 0
+"""
+
+EMPTY_DUAL_SLOPES = """
+[torus]
+g = 2
+
+[bundle]
+k = 0
+zeta = 1/2; 1/3
+P =
+Q = -1/5; 0
+"""
+
+
+@pytest.mark.parametrize("text", [EMPTY_SLOPES, EMPTY_DUAL_SLOPES], ids=["relative-a", "bundle-P"])
+@pytest.mark.parametrize("command", ["check", "transform", "roundtrip", "curvature"])
+def test_empty_slope_matrix_is_rows_of_no_entries(tmp_path, capsys, text, command):
+    # The k x 0 slopes of a relative scene at k = g, and the (g - k) x 0
+    # dual slopes of a bundle scene at k = 0, are written as an empty value.
+    scene = parse_scene(text)
+    assert (scene.support.a if scene.bundle is None else scene.bundle.gamma_tilde) == ((), ())
+    assert main([command, write(tmp_path, "s.scene", text)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_curvature_of_a_skyscraper_exits_2(tmp_path, capsys):
     assert main(["curvature", write(tmp_path, "s.scene", SKYSCRAPER)]) == 2
     assert "precondition failed [curvature]" in capsys.readouterr().err
@@ -633,13 +670,13 @@ def _scenes(draw):
     elif kind == "relative":
         # Entries are mostly polynomials in the base coordinates, and xi has
         # g - k entries, but one draw in eight is one too many or too few.
-        # A k x 0 slope matrix has no text, so `a` is left out when m = 0.
+        # A k x 0 slope matrix is written `a =`.
         p = _polynomials(k)
         e = st.one_of(p, p, p, _entries)
         n = max(m + draw(st.sampled_from([0, 0, 0, 0, 0, 0, 1, -1])), 0)
         xi = " ".join(draw(st.lists(_fraction, min_size=n, max_size=n)))
         lines = ["[support]", "kind = relative", f"k = {k}", f"zeta = {row(m, e)}"]
-        lines += [f"a = {matrix(k, m, e)}"] if m else []
+        lines += [f"a = {matrix(k, m, e) if m else ''}"]
         lines += [f"chi = {row(k, e)}", "[system]", f"alpha = {row(k, e)}", f"xi = {xi}"]
     elif kind == "subtorus":
         lines = ["[support]", "kind = subtorus",

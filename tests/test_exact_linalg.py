@@ -1,6 +1,7 @@
 """Integer and rational linear algebra against brute-force oracles."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from oracles import (
 from torusfm.exact_linalg import (
     IntMatrix,
     RatMatrix,
+    _solve,
     hnf,
     is_unimodular,
     kernel_basis,
@@ -211,6 +213,63 @@ def test_rat_inverse():
     assert a @ inv == RatMatrix.identity(2)
     with pytest.raises(ValueError, match="singular"):
         RatMatrix([[1, 2], [2, 4]]).inverse()
+
+
+_DENOMINATORS = (1, 1, 2, 3, 5, 6, 7, 12)
+
+
+@st.composite
+def square_systems(draw):
+    """(a, b): a square rational a up to 8 x 8, b with 0 to 3 columns.
+
+    Entries mix denominators and zeros.  Some leading rows get zero leading
+    columns, so the elimination has to swap rows; one draw in two makes a
+    singular, by a zero column or by a row that combines two others.
+    """
+    n = draw(st.integers(1, 8))
+    entry = st.builds(Fraction, st.integers(-9, 9), st.sampled_from(_DENOMINATORS))
+    a = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    lead = draw(st.integers(0, n - 1))
+    for row in a[: draw(st.integers(0, n - max(lead, 1)))]:
+        row[:lead] = [Fraction(0)] * lead
+    kind = draw(st.sampled_from(("generic", "generic", "zero column", "combination")))
+    if kind == "zero column":
+        c = draw(st.integers(0, n - 1))
+        for row in a:
+            row[c] = Fraction(0)
+    elif kind == "combination" and n > 1:
+        t = draw(st.integers(0, n - 1))
+        others = st.sampled_from([r for r in range(n) if r != t])
+        i, j, p, q = draw(others), draw(others), draw(entry), draw(entry)
+        a[t] = [p * x + q * y for x, y in zip(a[i], a[j])]
+    m = draw(st.integers(0, 3))
+    b = [[draw(entry) for _ in range(m)] for _ in range(n)]
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_systems())
+def test_fraction_free_kernel_matches_rational_arithmetic(system):
+    a, b = system
+    n = len(a)
+    rank = rational_rank(a, n)
+    assert RatMatrix(a).rank() == rank
+    scaled = IntMatrix([[e * math.lcm(*(f.denominator for f in row)) for e in row] for row in a])
+    assert scaled.det() == naive_det(scaled)
+    if rank < n:
+        with pytest.raises(ValueError, match="singular"):
+            _solve(a, b)
+        with pytest.raises(ValueError, match="singular"):
+            RatMatrix(a).inverse()
+        return
+    x, d = _solve(a, b)
+    sol = [[Fraction(e, d) for e in row] for row in x]
+    assert [[sum(a[i][l] * sol[l][j] for l in range(n)) for j in range(len(b[0]))]
+            for i in range(n)] == b
+    inv = RatMatrix(a).inverse().rows
+    assert [[sum(a[i][l] * inv[l][j] for l in range(n)) for j in range(n)] for i in range(n)] == [
+        [int(i == j) for j in range(n)] for i in range(n)
+    ]
 
 
 def test_positive_definite():

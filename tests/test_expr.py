@@ -18,6 +18,7 @@ from torusfm.expr import (
     ZERO,
     ParseError,
     Verdict,
+    _sum_of_products,
     all_zero,
     cos,
     diff,
@@ -313,6 +314,29 @@ def test_vars_and_constant():
 def test_linear_combination():
     e = Fraction(1, 2) * var(1) + 0 * var(2) + (-2) * var(3)
     assert e == parse("x1/2 - 2*x3")
+
+
+_factors = st.one_of(
+    st.recursive(leaf, _extend, max_leaves=6),
+    st.fractions(-5, 5, max_denominator=6),
+    st.integers(-3, 3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_factors, _factors), max_size=6), st.booleans())
+def test_sum_of_products_equals_the_chained_sum(pairs, cancel):
+    # Polynomials, characters, opaque atoms and plain rationals; with cancel
+    # every product appears once more negated, so the sum is ZERO.
+    if cancel:
+        pairs = pairs + [(-a, b) for a, b in reversed(pairs)]
+    chained = sum((a * b for a, b in pairs), ZERO)
+    out = _sum_of_products(pairs)
+    assert out == chained
+    # The same term order keeps evaluation sums bit for bit the same.
+    assert list(out.terms) == list(chained.terms)
+    if cancel:
+        assert out == ZERO
 
 
 # ---------------------------------------------------------------- zero test

@@ -14,7 +14,15 @@ from instances import (
     polynomial_instance,
     section_instance,
 )
-from oracles import c1_coefficients, deadline, fd_partial, leibniz_minor, naive_det, rational_rank
+from oracles import (
+    c1_coefficients,
+    deadline,
+    fd_partial,
+    leibniz_minor,
+    naive_det,
+    rational_inverse,
+    rational_rank,
+)
 
 import torusfm.fm_relative as fm_relative
 from torusfm.exact_linalg import IntMatrix, RatMatrix
@@ -24,6 +32,7 @@ from torusfm.expr import (
     Verdict,
     _eliminate_constants,
     all_zero,
+    cos,
     diff,
     eval_at,
     eval_exact,
@@ -33,6 +42,8 @@ from torusfm.expr import (
     max_var,
     num,
     parse,
+    sin,
+    to_str,
     var,
     weyl_points,
 )
@@ -1193,6 +1204,90 @@ def test_gauged_instances_return_up_to_the_gauge_term(shape, seed):
         assert_proven_zero(e_in - e_out)
     for j in range(1, k + 1):
         assert_proven_zero(gauge_residual(s, sys_in, bundle, inv, j))
+
+
+def seeded_constant_bundle(g, k, rng):
+    """A bundle with constant rational P and Q and its data: (bundle, P, Q, alpha, beta).
+
+    alpha is a closed linear form plus constants, so D1 and D2 hold; beta
+    mixes polynomials, pi and characters, so the offsets and the gauge term
+    vary.  About one entry of P in four is 0, which makes some charts
+    singular.
+    """
+    m_free = g - k
+
+    def rat():
+        if rng.random() < 0.25:
+            return 0
+        return Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 4, 7)))
+
+    p = [[rat() for _ in range(k)] for _ in range(m_free)]
+    q = [rat() for _ in range(m_free)]
+    xs = [var(j) for j in range(1, k + 1)]
+    sym = [[rat() for _ in range(k)] for _ in range(k)]
+    alpha = [num(rat()) + sum((sym[min(i, j)][max(i, j)] * xs[i] for i in range(k)), ZERO)
+             for j in range(k)]
+    beta = []
+    for _ in range(k):
+        i, j = rng.randrange(k), rng.randrange(k)
+        e = num(rat()) + rat() * xs[i] * xs[j] + rat() * PI * xs[j]
+        e = e + rat() * (sin(xs[i]) if rng.random() < 0.5 else cos(2 * PI * xs[j]))
+        beta.append(e)
+    zeta = [sum((c * x for c, x in zip(row, xs)), num(rat())) for row in p]
+    bundle = TransformedBundle(g, k, zeta, p, q, alpha, beta)
+    return bundle, p, q, alpha, beta
+
+
+def textbook_inverse(g, k, p, q, alpha, beta):
+    """(a, chi, xi, alpha) of the inverse transform by the formulas, or None for no chart.
+
+    M[l][c] = delta + P^c_l; the inverse of its last k columns comes from
+    the oracle's Gauss-Jordan, a = -M_last^-1 M_free and chi = -M_last^-1 beta;
+    xi_m = -Q_(m+1) - sum_l Q_(g-k+l+1) a[l][m] mod 1, and alpha loses
+    2 pi d_j(sum_l Q_(g-k+l+1) chi_l), where Q_c is 0 for c <= k.
+    """
+    m_free = g - k
+    m = [[int(c == l) + (p[c - k - 1][l - 1] if c > k else 0) for c in range(1, g + 1)]
+         for l in range(1, k + 1)]
+    inv = rational_inverse([row[m_free:] for row in m])
+    if inv is None:
+        return None
+    a = [[-sum(inv[l][i] * m[i][c] for i in range(k)) for c in range(m_free)] for l in range(k)]
+    chi = [sum((-inv[l][i] * beta[i] for i in range(k)), ZERO) for l in range(k)]
+
+    def q_of(c):
+        return q[c - k - 1] if c > k else 0
+
+    xi = [(-q_of(c + 1) - sum(q_of(m_free + l + 1) * a[l][c] for l in range(k))) % 1
+          for c in range(m_free)]
+    potential = sum((q_of(m_free + l + 1) * chi[l] for l in range(k)), ZERO)
+    alpha_out = [e - 2 * PI * diff(potential, j) for j, e in enumerate(alpha, 1)]
+    return a, chi, xi, alpha_out
+
+
+@pytest.mark.parametrize("g", range(3, 12))
+def test_inverse_matches_the_textbook_formula(g):
+    charts = 0
+    for k in range(1, g):
+        for seed in range(3):
+            rng = random.Random(1000 * g + 10 * k + seed)
+            bundle, p, q, alpha, beta = seeded_constant_bundle(g, k, rng)
+            ref = textbook_inverse(g, k, p, q, alpha, beta)
+            if ref is None:
+                with pytest.raises(ConditionError) as exc:
+                    inverse_transform(bundle)
+                assert exc.value.condition == "chart"
+                continue
+            charts += 1
+            a, chi, xi, alpha_out = ref
+            inv = inverse_transform(bundle)
+            assert [[to_str(e) for e in row] for row in inv.support.a] == [
+                [to_str(num(e)) for e in row] for row in a
+            ]
+            assert [to_str(e) for e in inv.support.chi] == [to_str(e) for e in chi]
+            assert list(inv.system.xi) == xi
+            assert [to_str(e) for e in inv.system.alpha] == [to_str(e) for e in alpha_out]
+    assert charts >= g - 1
 
 
 @settings(max_examples=20, deadline=None)

@@ -136,16 +136,18 @@ def test_membership_matches_cover_solutions(data):
     a = IntMatrix([[data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3))]], g)
     if rational_rank(a.rows, g) != 1:
         return
-    c = [F(data.draw(st.integers(0, 7)), 8)]
-    s = subtorus_from_equations(Torus(g), a, c)
+    c8 = data.draw(st.integers(0, 7))
+    s = subtorus_from_equations(Torus(g), a, [F(c8, 8)])
     # Any solvable lift equation here has a solution with entries in [-8, 8].
+    # The oracle runs on the equation times 8: a.(y8 + 8*lam) + c8 = 0 for
+    # the grid point y = y8/8 and the lift lam.
     lifts = list(itertools.product(range(-8, 9), repeat=g))
-    for y in rational_grid(2, 8):
+    (row,) = a.rows
+    for y8 in itertools.product(range(8), repeat=g):
         has_exact_lift = any(
-            all(v + ci == 0 for v, ci in zip(a.mul_vector([yi + li for yi, li in zip(y, lam)]), c))
-            for lam in lifts
+            sum(e * (yi + 8 * li) for e, yi, li in zip(row, y8, lam)) + c8 == 0 for lam in lifts
         )
-        assert s.contains(y) == has_exact_lift
+        assert s.contains(tuple(F(yi, 8) for yi in y8)) == has_exact_lift
 
 
 # ---------------------------------------------------------------- offsets
