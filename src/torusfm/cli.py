@@ -26,7 +26,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .expr import Verdict, to_str
+from .expr import ZERO, Verdict, eval_exact, to_str
 from .fm_absolute import SubtorusLocalSystem, transform as absolute_transform
 from .fm_relative import (
     ConditionError,
@@ -152,6 +152,14 @@ def _put_hodge(out: dict, alpha, turns, tol, grid, warnings: list) -> None:
         v = _gather(name, ((name, e) for row in grid_ for e in row), tol, grid).verdict
         out[f"{name}.vanishes"] = _verdict_text(v)
         _note(warnings, f"{name}.vanishes", v)
+
+
+def _angle_drift(e):
+    """e, or zero when it is an integer constant: angles are equal mod 1."""
+    try:
+        return ZERO if eval_exact(e, ()).denominator == 1 else e
+    except ValueError:
+        return e
 
 
 def _alpha_comparison(alpha_out, alpha_in, varsigma, chi, tol, grid, warnings) -> str:
@@ -333,7 +341,7 @@ def _cmd_roundtrip(scene: Scene, args, out: dict, warnings: list) -> None:
     )
     out["Q"] = _equality(
         [
-            (f"Q[{j + 1}]", fwd.varsigma[j] - b.varsigma[j])
+            (f"Q[{j + 1}]", _angle_drift(fwd.varsigma[j] - b.varsigma[j]))
             for j in range(b.g - b.k)
         ],
         tol, grid, warnings, "Q",

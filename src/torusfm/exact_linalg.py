@@ -1,10 +1,11 @@
 """Exact integer and rational linear algebra.
 
 Row convention: lattices and equation systems are stored as rows.  All
-arithmetic is exact and runs on Python ints: rational ranks, inverses and
-solves scale each row by the lcm of its denominators and share one
-fraction-free elimination with the determinant (`_gauss_jordan`), so a
-Fraction appears only as a final quotient.  Matrices are immutable.
+arithmetic is exact and runs on Python ints.  Every exact rational rank,
+determinant, solve, inverse and definiteness test scales each row by the
+lcm of its denominators (`_integer_rows`) and runs one fraction-free
+elimination (`_gauss_jordan`), so a Fraction appears only as a final
+quotient.  Matrices are immutable.
 """
 
 from __future__ import annotations
@@ -48,35 +49,23 @@ def _integral(e, i: int, j: int) -> int:
 
 
 @dataclass(frozen=True)
-class IntMatrix:
-    """Immutable integer matrix, stored as a tuple of row tuples."""
+class _Matrix:
+    """Immutable matrix, stored as a tuple of row tuples."""
 
-    rows: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple, ...]
     ncols: int
 
-    def __init__(self, rows: Iterable[Iterable[int]], ncols: int | None = None):
-        rs = tuple(
-            tuple(_integral(e, i, j) for j, e in enumerate(row)) for i, row in enumerate(rows)
-        )
-        if rs:
-            width = len(rs[0])
-            if any(len(r) != width for r in rs):
-                raise ValueError("ragged rows")
-            if ncols is not None and ncols != width:
-                raise ValueError("ncols disagrees with row length")
-            ncols = width
-        elif ncols is None:
+    def _set(self, rs: tuple[tuple, ...], ncols: int | None) -> None:
+        """Store converted rows after the one shape check both matrix types share."""
+        width = len(rs[0]) if rs else ncols
+        if width is None:
             raise ValueError("empty matrix needs an explicit column count")
+        if any(len(r) != width for r in rs):
+            raise ValueError("ragged rows")
+        if ncols is not None and ncols != width:
+            raise ValueError("ncols disagrees with row length")
         object.__setattr__(self, "rows", rs)
-        object.__setattr__(self, "ncols", int(ncols))
-
-    @classmethod
-    def _trusted(cls, rows: tuple[tuple[int, ...], ...], ncols: int) -> "IntMatrix":
-        """Wrap rows that are already a rectangular tuple of int tuples, unchecked."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "ncols", ncols)
-        return m
+        object.__setattr__(self, "ncols", int(width))
 
     @property
     def nrows(self) -> int:
@@ -85,6 +74,30 @@ class IntMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
+
+    def mul_vector(self, v: Sequence) -> RatVector:
+        if len(v) != self.ncols:
+            raise ValueError("dimension mismatch")
+        return tuple(dot(row, v) for row in self.rows)
+
+
+@dataclass(frozen=True)
+class IntMatrix(_Matrix):
+    """Integer matrix; an entry that int() would truncate is an error."""
+
+    def __init__(self, rows: Iterable[Iterable[int]], ncols: int | None = None):
+        rs = tuple(
+            tuple(_integral(e, i, j) for j, e in enumerate(row)) for i, row in enumerate(rows)
+        )
+        self._set(rs, ncols)
+
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple[int, ...], ...], ncols: int) -> "IntMatrix":
+        """Wrap rows that are already a rectangular tuple of int tuples, unchecked."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "ncols", ncols)
+        return m
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
@@ -112,72 +125,22 @@ class IntMatrix:
         )
         return IntMatrix._trusted(out, other.ncols)
 
-    def mul_vector(self, v: Sequence) -> RatVector:
-        if len(v) != self.ncols:
-            raise ValueError("dimension mismatch")
-        return tuple(dot(row, v) for row in self.rows)
-
     def det(self) -> int:
-        """The last pivot of the fraction-free elimination, signed by its row swaps."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        pivots, d, sign = _gauss_jordan([list(r) for r in self.rows], self.ncols)
-        return sign * d if len(pivots) == self.ncols else 0
+        return _det([list(r) for r in self.rows], self.ncols)
 
 
 @dataclass(frozen=True)
-class RatMatrix:
-    """Immutable rational matrix.  Fraction keeps entries reduced with positive denominators."""
-
-    rows: tuple[tuple[Fraction, ...], ...]
-    ncols: int
+class RatMatrix(_Matrix):
+    """Rational matrix.  Fraction keeps entries reduced with positive denominators."""
 
     def __init__(self, rows: Iterable[Iterable], ncols: int | None = None):
-        rs = tuple(tuple(Fraction(e) for e in row) for row in rows)
-        if rs:
-            width = len(rs[0])
-            if any(len(r) != width for r in rs):
-                raise ValueError("ragged rows")
-            if ncols is not None and ncols != width:
-                raise ValueError("ncols disagrees with row length")
-            ncols = width
-        elif ncols is None:
-            raise ValueError("empty matrix needs an explicit column count")
-        object.__setattr__(self, "rows", rs)
-        object.__setattr__(self, "ncols", int(ncols))
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.nrows, self.ncols)
+        self._set(tuple(tuple(Fraction(e) for e in row) for row in rows), ncols)
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
         return RatMatrix(tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)), n)
-
-    @staticmethod
-    def zero(nrows: int, ncols: int) -> "RatMatrix":
-        return RatMatrix(tuple(tuple(Fraction(0) for _ in range(ncols)) for _ in range(nrows)), ncols)
-
-    def transpose(self) -> "RatMatrix":
-        if not self.rows:
-            return RatMatrix(tuple(() for _ in range(self.ncols)), 0)
-        return RatMatrix(tuple(zip(*self.rows)), self.nrows)
-
-    def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("dimension mismatch")
-        cols = list(zip(*other.rows)) if other.rows else [()] * other.ncols
-        out = tuple(tuple(dot(row, col) for col in cols) for row in self.rows)
-        return RatMatrix(out, other.ncols)
-
-    def mul_vector(self, v: Sequence) -> RatVector:
-        if len(v) != self.ncols:
-            raise ValueError("dimension mismatch")
-        return tuple(dot(row, v) for row in self.rows)
 
     def rank(self) -> int:
         return len(_gauss_jordan(_integer_rows(self.rows), self.ncols)[0])
@@ -189,32 +152,20 @@ class RatMatrix:
         x, d = _solve(self.rows, IntMatrix.identity(n).rows)
         return RatMatrix(tuple(tuple(Fraction(e, d) for e in row) for row in x), n)
 
-    def is_symmetric(self) -> bool:
-        return self.nrows == self.ncols and all(
-            self.rows[i][j] == self.rows[j][i] for i in range(self.nrows) for j in range(i)
-        )
-
     def is_positive_definite(self) -> bool:
-        """Symmetric elimination without row exchanges; every pivot must be > 0.
+        """Symmetric with every leading principal minor positive (Sylvester).
 
-        The k-th pivot is the ratio of the k-th to the (k-1)-th leading
-        principal minor, so this is Sylvester's criterion in one O(n^3) pass.
+        Scaling a row by the positive lcm of its denominators keeps the sign
+        of every minor, and an elimination with no row swap has the leading
+        principal minors as its pivots, so one pass decides all of them.
         """
-        if not self.is_symmetric():
-            return False
-        work = [list(r) for r in self.rows]
         n = self.nrows
-        for k in range(n):
-            pivot = work[k][k]
-            if pivot <= 0:
-                return False
-            for i in range(k + 1, n):
-                if work[i][k]:
-                    factor = work[i][k] / pivot
-                    row_i, row_k = work[i], work[k]
-                    for j in range(k + 1, n):
-                        row_i[j] -= factor * row_k[j]
-        return True
+        if n != self.ncols or any(
+            self.rows[i][j] != self.rows[j][i] for i in range(n) for j in range(i)
+        ):
+            return False
+        pivots, minors, swaps = _gauss_jordan(_integer_rows(self.rows), n)
+        return len(pivots) == n and not swaps and all(p > 0 for p in minors)
 
 
 def _integer_rows(rows) -> list[list[int]]:
@@ -226,19 +177,23 @@ def _integer_rows(rows) -> list[list[int]]:
     return out
 
 
-def _gauss_jordan(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
+def _gauss_jordan(rows: list[list[int]], ncols: int) -> tuple[list[int], list[int], int]:
     """Fraction-free Gauss-Jordan in place, pivoting on the first ncols columns.
 
     A pivot p in row y turns every other row x into (p*x - f*y) // prev, f
     being x's entry in the pivot column and prev the previous pivot.  Every
     entry is a minor of the input, so the division is exact (Bareiss, Math.
     Comp. 22, 1968; Nakos, Turner and Williams, 1997), and each pivot entry
-    ends equal to the last pivot d, which leaves d times the solution in the
-    columns past ncols.  Returns (pivot columns, d, sign of the row swaps).
+    ends equal to the last pivot, which leaves it times the solution in the
+    columns past ncols.  Returns (pivot columns, [1, *pivots], row swaps).
+    With no row swap and pivots in the leading columns, the pivots are the
+    leading principal minors; the determinant of a square input is the
+    last one, signed by the parity of the swaps.
     """
     nrows = len(rows)
     pivots: list[int] = []
-    prev, sign = 1, 1
+    minors = [1]
+    swaps = 0
     for col in range(ncols):
         r = len(pivots)
         if r == nrows:
@@ -248,24 +203,37 @@ def _gauss_jordan(rows: list[list[int]], ncols: int) -> tuple[list[int], int, in
             continue
         if i != r:
             rows[r], rows[i] = rows[i], rows[r]
-            sign = -sign
+            swaps += 1
         top = rows[r]
         p = top[col]
+        prev = minors[-1]
         for i, row in enumerate(rows):
             if i != r:
                 f = row[col]
                 rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
-        prev = p
+        minors.append(p)
         pivots.append(col)
-    return pivots, prev, sign
+    return pivots, minors, swaps
+
+
+def _det(rows: list[list[int]], n: int) -> int:
+    """The determinant d of the first n columns of n integer rows, eliminated in place.
+
+    A nonzero d leaves the rows equal to d * [I | X], X being the solution
+    of the first n columns against the columns past them.
+    """
+    pivots, minors, swaps = _gauss_jordan(rows, n)
+    if swaps % 2:
+        rows[:] = [[-e for e in row] for row in rows]
+    return (-1) ** swaps * minors[-1] if len(pivots) == n else 0
 
 
 def _solve(a, b) -> tuple[list[list[int]], int]:
     """Integer X and d with a @ X = d * b for square rational a; ValueError if a is singular."""
     n = len(a)
     rows = _integer_rows([*ra, *rb] for ra, rb in zip(a, b))
-    pivots, d, _ = _gauss_jordan(rows, n)
-    if len(pivots) < n:
+    d = _det(rows, n)
+    if not d:
         raise ValueError("singular matrix")
     return [row[n:] for row in rows], d
 

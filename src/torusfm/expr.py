@@ -638,7 +638,7 @@ def eval_exact(e: Expr, point: Sequence) -> Fraction:
     return Fraction(0) if total is None else total
 
 
-def _integer_rows(matrix) -> tuple[list[int], list[list[dict]]]:
+def _scaled_term_rows(matrix) -> tuple[list[int], list[list[dict]]]:
     """(scales, rows): each row as term maps times the common denominator of its coefficients."""
     scales = []
     scaled = []
@@ -649,18 +649,19 @@ def _integer_rows(matrix) -> tuple[list[int], list[list[dict]]]:
     return scales, scaled
 
 
-def _eliminate_constants(matrix) -> tuple[int, object, list[list[Expr]]]:
+def _eliminate_constants(matrix) -> tuple[int, list[list[Expr]]]:
     """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) on constant pivots.
 
     On the rows scaled to integer term maps, as in `exact_minors`, the next
     pivot p is any nonzero rational constant entry.  Each other entry e of
     the block left over becomes (p*e - f*g)/q, exactly, with f and g the
     entries in the pivot's column and row and q the previous pivot.  After
-    t pivots rank(matrix) = t + rank(block) at every point.  Returns (t,
-    det, block); det is the scaled matrix's determinant when t is both sizes.
+    t pivots rank(matrix) = t + rank(block) at every point, and the two
+    determinants, when square, differ by a constant factor.  Returns (t,
+    block).
     """
-    rows = _integer_rows(matrix)[1]
-    t, sign, q = 0, 1, 1
+    rows = _scaled_term_rows(matrix)[1]
+    t, q = 0, 1
     while pivot := next(
         ((i, j) for i, row in enumerate(rows) for j, e in enumerate(row)
          if len(e) == 1 and ((), None) in e),
@@ -676,8 +677,8 @@ def _eliminate_constants(matrix) -> tuple[int, object, list[list[Expr]]]:
                      for e, g in zip(row, top))
             block.append([{u: c // q if not c % q else Fraction(c) / q for u, c in e.items()}
                           for e in cross])
-        rows, q, t, sign = block, p, t + 1, sign * (-1) ** (i + j)
-    return t, sign * q, [[Expr(e) for e in row] for row in rows]
+        rows, q, t = block, p, t + 1
+    return t, [[Expr(e) for e in row] for row in rows]
 
 
 def exact_minors(matrix):
@@ -690,7 +691,7 @@ def exact_minors(matrix):
     runs on integer term maps; a minor is divided by the scales of its rows
     when it is handed out.
     """
-    scales, scaled = _integer_rows(matrix)
+    scales, scaled = _scaled_term_rows(matrix)
     memo: dict = {}
 
     def minor(rows, cols) -> dict:

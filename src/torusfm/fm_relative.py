@@ -36,12 +36,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .exact_linalg import _solve, mod1, rat_vector
+from .exact_linalg import _gauss_jordan, _integer_rows, _solve, mod1, rat_vector
 from .expr import (
     ONE,
     PI,
@@ -350,18 +349,18 @@ def _rank_witness(b, points) -> bool | None:
     by the intermediate value theorem on the segment between the points.
     None when an entry has no exact value (pi, a character, an opaque atom).
     """
-    size = len(b) if len(b) == len(b[0]) else None
-    ranks, signs = set(), set()
+    square = len(b) == len(b[0])
+    seen = set()
     for p in points:
         try:
-            values = [[num(eval_exact(e, p)) for e in row] for row in b]
+            values = [[eval_exact(e, p) for e in row] for row in b]
         except ValueError:
             return None
-        r, det, _ = _eliminate_constants(values)
-        ranks.add(r)
-        if r == size:
-            signs.add(det > 0)
-        if len(ranks) > 1 or len(signs) > 1:
+        # (rank, determinant > 0); rows scaled by positive lcms keep its sign.
+        pivots, minors, swaps = _gauss_jordan(_integer_rows(values), len(b[0]))
+        full = square and len(pivots) == len(b)
+        seen.add((len(pivots), full and (minors[-1] > 0) == (swaps % 2 == 0)))
+        if len(seen) > 1:
             return True
     return False
 
@@ -373,7 +372,7 @@ def _constant_rank_verdict(a, k: int, tol: float, grid: int) -> Verdict:
     if all(is_constant(e) for row in a for e in row):
         return Verdict.proven_zero()
     # rank a = t + rank b at every point, so b = 0 proves the rank constant.
-    _, _, b = _eliminate_constants(a)
+    _, b = _eliminate_constants(a)
     if all(e == ZERO for row in b for e in row):
         return Verdict.proven_zero()
     nvars = max(max_var(e) for row in a for e in row)
@@ -837,22 +836,34 @@ def gauge_term(varsigma, chi) -> tuple[Expr, ...]:
 # ------------------------------------------------------------- fibre slices
 
 
-def _rational_rows_to_subtorus(torus: Torus, rows, offsets) -> AffineSubtorus:
-    int_rows = []
-    int_offsets = []
-    for row, off in zip(rows, offsets):
-        scale = 1
-        for e in list(row) + [off]:
-            scale = scale * e.denominator // math.gcd(scale, e.denominator)
-        int_rows.append([int(e * scale) for e in row])
-        int_offsets.append(off * scale)
-    return subtorus_from_equations(torus, int_rows, int_offsets)
-
-
 @functools.cache
 def _standard_torus(g: int) -> Torus:
     """One standard torus per dimension, shared by every slice that needs one."""
     return Torus(g)
+
+
+def _fibre_trace(torus: Torus, k: int, slopes, offsets, base: Sequence) -> AffineSubtorus:
+    """The subtorus y_{g-n+i} = sum_j slopes[i][j](b) y_j + offsets[i](b), i < n, at base b.
+
+    n is the number of offsets and b the k free base coordinates.  The
+    coefficients are evaluated at b, and each equation is scaled to
+    integers before it is put in canonical form.
+    """
+    b = rat_vector(base)
+    if len(b) != k:
+        raise ValueError("one coordinate per free base direction")
+    n = len(offsets)
+    rows = _integer_rows(
+        [*(-eval_exact(e, b) for e in row), *(int(i == l) for l in range(n)), -eval_exact(c, b)]
+        for i, (row, c) in enumerate(zip(slopes, offsets))
+    )
+    return subtorus_from_equations(torus, [r[:-1] for r in rows], [r[-1] for r in rows])
+
+
+def _paired(sup: AffineSubtorus, phases) -> SubtorusLocalSystem:
+    """The system on sup pairing each canonical direction's leading angles with phases."""
+    hol = tuple(mod1(sum(x * p for x, p in zip(d, phases))) for d in sup.direction_basis().rows)
+    return SubtorusLocalSystem._trusted(sup, hol)
 
 
 def fibre_support(
@@ -864,20 +875,7 @@ def fibre_support(
     there and the solved equations are rewritten as integer constraints.
     """
     t = torus if torus is not None else _standard_torus(s.g)
-    b = rat_vector(base)
-    if len(b) != s.k:
-        raise ValueError("one coordinate per free base direction")
-    m_free = s.g - s.k
-    rows = []
-    offsets = []
-    for j in range(s.k):
-        row = [Fraction(0)] * s.g
-        for m in range(m_free):
-            row[m] = -eval_exact(s.a[j][m], b)
-        row[m_free + j] = Fraction(1)
-        rows.append(row)
-        offsets.append(-eval_exact(s.chi[j], b))
-    return _rational_rows_to_subtorus(t, rows, offsets)
+    return _fibre_trace(t, s.k, s.a, s.chi, base)
 
 
 def fibre_system(
@@ -892,13 +890,7 @@ def fibre_system(
     xi with the free-angle part of that direction.
     """
     _validate_system(s, system)
-    sup = fibre_support(s, base, torus)
-    m_free = s.g - s.k
-    hol = tuple(
-        mod1(sum(d[m] * system.xi[m] for m in range(m_free)))
-        for d in sup.direction_basis().rows
-    )
-    return SubtorusLocalSystem._trusted(sup, hol)
+    return _paired(fibre_support(s, base, torus), system.xi)
 
 
 def fibre_of_transform(
@@ -912,24 +904,5 @@ def fibre_of_transform(
     """
     # The standard torus is self-dual.
     t = torus if torus is not None else _standard_torus(bundle.g)
-    b = rat_vector(base)
-    if len(b) != bundle.k:
-        raise ValueError("one coordinate per free base direction")
-    g, k = bundle.g, bundle.k
-    m_free = g - k
-    rows = []
-    offsets = []
-    for i in range(m_free):
-        row = [Fraction(0)] * g
-        for j in range(k):
-            row[j] = -eval_exact(bundle.gamma_tilde[i][j], b)
-        row[k + i] = Fraction(1)
-        rows.append(row)
-        offsets.append(-eval_exact(bundle.varsigma[i], b))
-    sup = _rational_rows_to_subtorus(t, rows, offsets)
-    turns_at_b = [eval_exact(e, b) for e in bundle.fibre_turns]
-    hol = tuple(
-        mod1(sum(d[j] * turns_at_b[j] for j in range(k)))
-        for d in sup.direction_basis().rows
-    )
-    return SubtorusLocalSystem._trusted(sup, hol)
+    sup = _fibre_trace(t, bundle.k, bundle.gamma_tilde, bundle.varsigma, base)
+    return _paired(sup, [eval_exact(e, base) for e in bundle.fibre_turns])

@@ -64,6 +64,7 @@ def constant_instance(
             continue
         break
 
+    inv = gt_inv.rows
     a = []
     for jp in range(k):
         a.append([Fraction(0)] * m_free)
@@ -75,7 +76,7 @@ def constant_instance(
             for j in range(1, k + 1)
         ]
         # solve sum_jp a[jp][m-1] * gt[jp][j] = -v[j]
-        sol = gt_inv.transpose().mul_vector([-x for x in v])
+        sol = [-sum(inv[l][jp] * v[l] for l in range(k)) for jp in range(k)]
         for jp in range(k):
             a[jp][m - 1] = sol[jp]
 
@@ -116,12 +117,12 @@ def gauged_instance(
         ],
         k,
     )
-    inv_t = gt.inverse().transpose()
+    inv = gt.inverse().rows
     psi = num(_rat(rng)) * (var(rng.randint(1, k)) * var(rng.randint(1, k)))
     psi = psi + _poly_atom(rng, list(range(1, k + 1)))
     grad = [diff(psi, j) for j in range(1, k + 1)]
     chi = tuple(
-        sum((c * e for c, e in zip(inv_t.rows[jp], grad)), ZERO) for jp in range(k)
+        sum((inv[l][jp] * e for l, e in enumerate(grad)), ZERO) for jp in range(k)
     )
     return RelativeSupport(g, k, s.zeta, s.a, chi), system
 

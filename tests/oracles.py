@@ -41,6 +41,11 @@ def deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+def matmul(a, b):
+    """The product of two matrices given as row lists, entry by entry."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
 def naive_det(m):
     """Laplace expansion along the first row."""
     return _laplace(m.rows)
@@ -130,8 +135,12 @@ def is_canonical_hnf(h):
 
 
 def _gauss_jordan(rows, width):
-    """Reduced echelon form over Q of the first width columns: (rows, pivots)."""
-    rows = [[Fraction(e) for e in row] for row in rows]
+    """Reduced echelon form over Q of the first width columns: (rows, pivots).
+
+    Entries stay as given, ints or Fractions, until a division by a pivot
+    other than 1 turns a row into Fractions; zero products are skipped.
+    """
+    rows = [list(row) for row in rows]
     pivots = []
     for c in range(width):
         r = len(pivots)
@@ -139,11 +148,13 @@ def _gauss_jordan(rows, width):
         if p is None:
             continue
         rows[r], rows[p] = rows[p], rows[r]
-        rows[r] = [e / rows[r][c] for e in rows[r]]
+        pivot = Fraction(rows[r][c])
+        if pivot != 1:
+            rows[r] = [e / pivot if e else e for e in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
     return rows, pivots
 
@@ -157,7 +168,7 @@ def rational_inverse(rows):
     n = len(rows)
     eye = [[int(i == j) for j in range(n)] for i in range(n)]
     reduced, pivots = _gauss_jordan([list(r) + e for r, e in zip(rows, eye)], n)
-    return [row[n:] for row in reduced] if len(pivots) == n else None
+    return [[Fraction(e) for e in row[n:]] for row in reduced] if len(pivots) == n else None
 
 
 def rational_solve(rows, rhs, ncols):
@@ -170,7 +181,7 @@ def rational_solve(rows, rhs, ncols):
         return None
     y = [Fraction(0)] * ncols
     for row, c in zip(reduced, pivots):
-        y[c] = row[ncols]
+        y[c] = Fraction(row[ncols])
     return y
 
 
@@ -182,7 +193,7 @@ def rational_kernel(rows, ncols):
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
         for row, c in zip(reduced, pivots):
-            v[c] = -row[f]
+            v[c] = -Fraction(row[f])
         basis.append(v)
     return basis
 

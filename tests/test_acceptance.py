@@ -462,19 +462,19 @@ def test_09_failed_conditions_are_proven_not_numerical():
 # ---------------------------------------------------------- integer algebra
 
 
-def _in_lattice(vec, m, rank):
+def _in_lattice(vec, m, rank, minors_gcd):
     # Membership of vec in the row lattice of m, with possibly dependent
     # rows, so a rational particular solve cannot decide it.  Adjoining
     # a vector of the rational row space keeps the rank; it keeps the
-    # gcd of maximal minors exactly when the lattice is unchanged, since
-    # for nested lattices of equal rank the index is the ratio of those
-    # gcds.
+    # gcd of maximal minors, minors_gcd = gcd_of_minors(m, rank), exactly
+    # when the lattice is unchanged, since for nested lattices of equal
+    # rank the index is the ratio of those gcds.
     if rank == 0:
         return all(x == 0 for x in vec)
     stacked = IntMatrix(m.rows + (tuple(vec),), m.ncols)
     if rational_rank(stacked.rows, stacked.ncols) != rank:
         return False
-    return gcd_of_minors(stacked, rank) == gcd_of_minors(m, rank)
+    return gcd_of_minors(stacked, rank) == minors_gcd
 
 
 def _hnf_agrees(m, rank):
@@ -485,9 +485,10 @@ def _hnf_agrees(m, rank):
     assert u @ m == h
     for row in m.rows:
         assert in_row_span_z(row, h)
+    minors_gcd = gcd_of_minors(m, rank)
     for row in h.rows:
         if any(row):
-            assert _in_lattice(row, m, rank)
+            assert _in_lattice(row, m, rank, minors_gcd)
 
 
 def _snf_agrees(m, rank):

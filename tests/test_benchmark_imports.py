@@ -1,25 +1,32 @@
-"""Every library name the benchmark harness binds must exist.
+"""Every library name the benchmark harness binds or traces must exist.
 
 `perfbench/run.py` looks its names up in `LIBRARY` when it loads the
-package.  Reading that mapping here, without running the harness, turns
-a renamed or deleted function into a test failure instead of an empty
-benchmark run.
+package, and `perfbench/tracing.py` reads its per-layer metrics at the
+boundaries in `EXPECTED`.  Reading both here, without running the
+harness, turns a renamed or deleted function into a test failure instead
+of an empty benchmark run or a metric reported missing.
 """
 
 import ast
 import importlib
 from pathlib import Path
 
-RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+RUN = PERFBENCH / "run.py"
+TRACING = PERFBENCH / "tracing.py"
+
+
+def _constant(path: Path, name: str):
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{path} defines no {name}")
 
 
 def benchmark_library() -> dict:
-    for node in ast.parse(RUN.read_text(encoding="utf-8")).body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "LIBRARY" for t in node.targets
-        ):
-            return ast.literal_eval(node.value)
-    raise AssertionError(f"{RUN} defines no LIBRARY mapping")
+    return _constant(RUN, "LIBRARY")
 
 
 def test_every_name_the_benchmark_binds_resolves():
@@ -31,4 +38,18 @@ def test_every_name_the_benchmark_binds_resolves():
         for name in names
         if not hasattr(importlib.import_module(f"torusfm.{module}"), name)
     ]
+    assert missing == []
+
+
+def test_every_boundary_the_tracer_expects_resolves():
+    expected = _constant(TRACING, "EXPECTED")
+    assert "exact_linalg.RatMatrix.rank" in expected
+    missing = []
+    for key in expected:
+        module, *path = key.split(".")
+        obj = importlib.import_module(f"torusfm.{module}")
+        for name in path:
+            obj = getattr(obj, name, None)
+        if obj is None:
+            missing.append(key)
     assert missing == []

@@ -292,6 +292,20 @@ def test_roundtrip_of_a_bundle_scene(tmp_path, capsys):
     assert out.count("matches the sliced transform") == 3
 
 
+# Q holds the offsets of the dual fibre equations, angles mod 1: the
+# forward transform may return them shifted by an integer.
+@pytest.mark.parametrize(
+    "text",
+    [BUNDLE.replace("Q = -1/3", "Q = 2/3"), "[torus]\ng = 2\n\n[bundle]\nk = 0\nQ = 1/5; 0\n"],
+    ids=["k1", "k0"],
+)
+def test_roundtrip_reads_q_mod_1(tmp_path, capsys, text):
+    assert main(["roundtrip", write(tmp_path, "b.scene", text), "--seed", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "Q: exact (proven)" in out
+    assert out.count("matches the sliced transform") == 3
+
+
 # Fibre offsets that vary along the base: the inverse returns alpha shifted
 # by the exact gauge term 2 pi d(sum_c Q_c chi_c), here -(4/3) pi x1 dx1.
 GAUGED_RELATIVE = """

@@ -12,6 +12,7 @@ from oracles import (
     gcd_of_minors,
     in_row_span_z,
     is_canonical_hnf,
+    matmul,
     naive_det,
     random_unimodular,
     rational_rank,
@@ -21,6 +22,7 @@ from oracles import (
 from torusfm.exact_linalg import (
     IntMatrix,
     RatMatrix,
+    _gauss_jordan,
     _solve,
     hnf,
     is_unimodular,
@@ -210,7 +212,7 @@ def test_bareiss_det_matches_laplace(rows):
 def test_rat_inverse():
     a = RatMatrix([[2, 1], [1, 1]])
     inv = a.inverse()
-    assert a @ inv == RatMatrix.identity(2)
+    assert matmul(a.rows, inv.rows) == [[1, 0], [0, 1]]
     with pytest.raises(ValueError, match="singular"):
         RatMatrix([[1, 2], [2, 4]]).inverse()
 
@@ -291,11 +293,11 @@ def symmetric_rational_matrices(draw):
         upper = {(i, j): draw(rational_entries()) for i in range(n) for j in range(i, n)}
         return RatMatrix([[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)])
     k = draw(st.integers(0, n))
-    b = RatMatrix([[draw(rational_entries()) for _ in range(k)] for _ in range(n)], k)
-    gram = b @ b.transpose()
+    b = [[draw(rational_entries()) for _ in range(k)] for _ in range(n)]
+    gram = [[sum(x * y for x, y in zip(r, s)) for s in b] for r in b]
     shift = draw(st.integers(-2, 2)) if kind == "shifted" else 0
     return RatMatrix(
-        [[e + shift * (i == j) for j, e in enumerate(row)] for i, row in enumerate(gram.rows)]
+        [[e + shift * (i == j) for j, e in enumerate(row)] for i, row in enumerate(gram)]
     )
 
 
@@ -303,6 +305,17 @@ def symmetric_rational_matrices(draw):
 @given(symmetric_rational_matrices())
 def test_positive_definite_matches_sylvester_oracle(m):
     assert m.is_positive_definite() == sylvester_positive_definite(m)
+
+
+def test_positive_definite_reads_the_swaps_not_their_parity():
+    # Two [[0, 1], [1, 0]] blocks have eigenvalues 1 and -1.  The
+    # elimination meets them with two row swaps and every pivot 1, so a
+    # check of the swap parity alone would accept the matrix.
+    rows = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+    pivots, minors, swaps = _gauss_jordan([r[:] for r in rows], 4)
+    assert (pivots, minors, swaps) == ([0, 1, 2, 3], [1, 1, 1, 1, 1], 2)
+    assert not RatMatrix(rows).is_positive_definite()
+    assert not sylvester_positive_definite(RatMatrix(rows))
 
 
 def test_positive_definite_edge_cases():

@@ -69,7 +69,7 @@ from torusfm.fm_relative import (
     transform_nontransversal,
     wit_index,
 )
-from torusfm.torus import is_normal_to
+from torusfm.torus import Torus, is_normal_to, whole_torus
 
 F = Fraction
 
@@ -598,16 +598,21 @@ _ENTRIES = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 5), st.data())
 def test_constant_pivot_elimination_keeps_rank_and_determinant(n, m, data):
+    # The block keeps the rank at every point and, for square slopes, the
+    # determinant up to one constant factor, so the sign of the product of
+    # the two determinants is the same wherever neither vanishes.
     a = [[data.draw(_ENTRIES) for _ in range(m)] for _ in range(n)]
-    t, _, block = _eliminate_constants(a)
-    for p in ((F(0), F(0)), (F(1, 2), F(-3)), (F(2, 3), F(1, 4))):
+    t, block = _eliminate_constants(a)
+    signs = set()
+    for p in ((F(0), F(0)), (F(1, 2), F(-3)), (F(2, 3), F(1, 4)), (F(-1), F(5, 2))):
         at = [[eval_exact(e, p) for e in row] for row in a]
         rest = [[eval_exact(e, p) for e in row] for row in block]
         assert rational_rank(at, m) == t + (rational_rank(rest, m - t) if rest else 0)
-        r, det, _ = _eliminate_constants([[num(v) for v in row] for row in at])
-        assert r == rational_rank(at, m)
-        if r == n == m:
-            assert (det > 0) == (naive_det(RatMatrix(at)) > 0)
+        if n == m:
+            product = naive_det(RatMatrix(at)) * naive_det(RatMatrix(rest, m - t))
+            if product:
+                signs.add(product > 0)
+    assert len(signs) <= 1
 
 
 @settings(max_examples=150, deadline=None)
@@ -691,6 +696,19 @@ def test_line_fixture_transforms_to_the_expected_bundle():
     assert exact(b.fibre_turns[0], 1) == F(1, 4)
     assert b.holomorphic.kind == "proven_zero"
     assert b.alpha == ANTIDIAGONAL_SYSTEM.alpha
+
+
+def test_fibre_trace_with_no_equations_is_the_whole_torus():
+    whole = whole_torus(Torus(3))
+    assert fm_relative._fibre_trace(Torus(3), 2, (), (), (F(1, 2), F(1, 3))) == whole
+    # The support slice at k = 0 and the dual slice at k = g have no equations.
+    point_base = RelativeSupport(3, 0, (F(1, 3), F(1, 2), F(0)), (), ())
+    assert fibre_support(point_base, ()) == whole
+    section = SectionSupport(tuple(parse(f"x{j}") for j in (1, 2, 3)))
+    bundle = transform_nontransversal(section, LocalSystemData((0, 0, 0), ()))
+    assert fibre_of_transform(bundle, (F(1, 5), F(2, 3), F(3, 4))).support == whole
+    with pytest.raises(ValueError, match="one coordinate per free base direction"):
+        fibre_of_transform(bundle, (F(1, 5),))
 
 
 def test_line_fixture_slices_match_the_absolute_transform():

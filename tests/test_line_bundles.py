@@ -159,7 +159,7 @@ def test_poincare_restriction_is_the_dual_point_holonomy():
 
 
 def test_flat_factor_holonomy_round_trip():
-    f = FactorOfAutomorphy(2, IntMatrix.zero(2, 2), RatMatrix.zero(2, 2), (F(1, 3), F(1, 2)))
+    f = FactorOfAutomorphy(2, IntMatrix.zero(2, 2), RatMatrix([[0, 0], [0, 0]]), (F(1, 3), F(1, 2)))
     assert f.is_flat()
     assert f.holonomy() == (F(1, 3), F(1, 2))
     assert f.phase_turns((0, 0), (1, 0)) == F(1, 3)
