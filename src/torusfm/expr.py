@@ -5,7 +5,8 @@ differences, products, division by a rational constant, nonnegative integer
 powers, sin and cos.
 
 An `Expr` is canonical when it is built: a sparse map from terms to nonzero
-Fractions, so two expressions are equal exactly when their maps are.  A term
+rationals, ints when integral and Fractions otherwise, so two expressions
+are equal exactly when their maps are.  A term
 is a monomial in the variables, pi and opaque atoms, times a real character.
 
 - The character is 1, cos(w.x) or sin(w.x).  The frequency w is a nonzero
@@ -28,8 +29,9 @@ such functions are undecidable in general (Richardson, J. Symb. Logic 33,
 1968).
 
 `parse` bounds what it builds.  A sum may not exceed MAX_TERMS terms, nor a
-product MAX_TERMS pairs of terms; exponents are at most MAX_EXPONENT and
-coefficients below 2**MAX_COEFFICIENT_BITS.  Parenthesized groups and
+product MAX_TERMS pairs of terms; exponents are at most MAX_EXPONENT,
+coefficients below 2**MAX_COEFFICIENT_BITS and variable indices at most
+MAX_VARIABLE.  Parenthesized groups and
 sin/cos calls nest at most MAX_DEPTH - 1 deep; flat chains of operators and
 minus signs may be of any length.
 """
@@ -49,11 +51,13 @@ from typing import Iterable, Sequence
 # frequency a tuple of (i, a, b) for the coefficient a + b*pi of x_i, by
 # increasing i.
 _PI = (0,)
-_UNIT = Fraction(1)
 
 
 class Expr:
-    """An immutable sum of terms; `terms` maps (monomial, character) to a Fraction.
+    """An immutable sum of terms; `terms` maps (monomial, character) to a rational.
+
+    Every coefficient is an int when it is integral and a Fraction
+    otherwise, so integer arithmetic carries most of the work.
 
     Build expressions with `parse`, `num`, `var`, `PI`, `sin`, `cos` and the
     arithmetic operators, which accept ints and Fractions too.  `terms` is
@@ -118,26 +122,34 @@ def as_expr(value):
     return num(value) if isinstance(value, (int, Fraction)) else value
 
 
+def _exact(c):
+    """An int or Fraction c as an int when it is integral."""
+    return c if c.__class__ is int or c.denominator != 1 else c.numerator
+
+
 def num(value) -> Expr:
-    c = Fraction(value)
+    c = value if value.__class__ is int else _exact(Fraction(value))
     return Expr({((), None): c} if c else {})
 
 
 def var(index: int) -> Expr:
     if index < 1:
         raise ValueError("variable indices start at 1")
-    return Expr({((((1, index), 1),), None): _UNIT})
+    if index > MAX_VARIABLE:
+        raise ValueError(f"variable index exceeds {MAX_VARIABLE}")
+    return Expr({((((1, index), 1),), None): 1})
 
 
 ZERO = Expr({})
 ONE = num(1)
-PI = Expr({(((_PI, 1),), None): _UNIT})
+PI = Expr({(((_PI, 1),), None): 1})
 
 
 # ---------------------------------------------------------------- term maps
 #
-# Sums and products of raw term maps.  Coefficients may be any exact
-# numbers: `exact_minors` runs them on integers.
+# Sums and products of raw term maps.  Coefficients are ints or Fractions,
+# ints whenever integral; `_products`, `exact_minors` and
+# `_eliminate_constants` run them on ints scaled by a common denominator.
 
 
 def _put(out: dict, t, c) -> None:
@@ -148,7 +160,7 @@ def _put(out: dict, t, c) -> None:
     else:
         s += c
         if s:
-            out[t] = s
+            out[t] = s if s.__class__ is int or s.denominator != 1 else s.numerator
         else:
             del out[t]
 
@@ -163,7 +175,7 @@ def _add(a: dict, b: dict, sign: int = 1) -> dict:
         else:
             s = s + c if sign > 0 else s - c
             if s:
-                out[t] = s
+                out[t] = s if s.__class__ is int or s.denominator != 1 else s.numerator
             else:
                 del out[t]
     return out
@@ -185,30 +197,82 @@ def _mul(a: dict, b: dict) -> dict:
         a, b = b, a
     if len(b) == 1 and ((), None) in b:
         k = b[((), None)]
-        return dict(a) if k == 1 else {t: c * k for t, c in a.items()}
+        return dict(a) if k == 1 else {t: _exact(c * k) for t, c in a.items()}
     out: dict = {}
     for (ma, xa), ca in a.items():
         for (mb, xb), cb in b.items():
             m = _mono_mul(ma, mb)
-            # Variables and pi carry the shared unit; skip its Fraction product.
-            c = cb if ca is _UNIT else ca if cb is _UNIT else ca * cb
+            c = ca * cb
+            if c.__class__ is not int and c.denominator == 1:
+                c = c.numerator
             if xa is None or xb is None:
                 _put(out, (m, xa or xb), c)
             else:
-                for x, f in _char_mul(xa, xb):
-                    _put(out, (m, x), c * f)
+                # Each piece of a product of characters carries a factor +-1/2.
+                for x, s in _char_mul(xa, xb):
+                    h = c * s
+                    _put(out, (m, x), h // 2 if h.__class__ is int and not h & 1 else Fraction(h, 2))
     return out
 
 
-def _sum_of_products(pairs) -> Expr:
-    """sum a*b over pairs of Exprs or rationals in one term map: chained `+`, term order kept."""
-    out: dict = {}
-    for a, b in pairs:
-        a, b = as_expr(a).terms, as_expr(b).terms
-        if a and b:
-            for t, c in _mul(a, b).items():
-                _put(out, t, c)
-    return Expr(out)
+def _denominator(maps) -> int:
+    """The lcm of the coefficient denominators of the term maps; None counts as zero."""
+    return math.lcm(*(c.denominator for m in maps if m for c in m.values()))
+
+
+def _times(maps, d: int) -> list:
+    """Each term map times d, a multiple of their common denominator, so with int coefficients."""
+    if d == 1:
+        return list(maps)
+    return [
+        m and {t: c * d if c.__class__ is int else c.numerator * (d // c.denominator) for t, c in m.items()}
+        for m in maps
+    ]
+
+
+def _divided(m: dict, d: int) -> dict:
+    """The term map m over the int d, each coefficient an int when it is integral."""
+    if d == 1:
+        return m
+    return {t: c // d if not c % d else Fraction(c, d) for t, c in m.items()}
+
+
+def _products(rows, columns) -> list[list[Expr]]:
+    """The matrix product: out[i][j] = sum over l of rows[i][l] * columns[j][l].
+
+    Entries are Exprs, ints, Fractions or None, which stands for zero and
+    is skipped, as are zero entries.  Each row, and the columns together,
+    are scaled once to int term maps over the lcm of their denominators;
+    the column scale is doubled when the columns hold characters, so that
+    the halves of character products stay ints.  The products are then
+    added as ints, in the term order of the chained sum
+    rows[i][0] * columns[j][0] + rows[i][1] * columns[j][1] + ..., and each
+    output coefficient is divided once, by the two scales.
+    """
+    cols = [[None if e is None else as_expr(e).terms for e in col] for col in columns]
+    dc = _denominator(m for col in cols for m in col)
+    if any(x is not None for col in cols for m in col if m for _, x in m):
+        dc *= 2
+    cols = [_times(col, dc) for col in cols]
+    out = []
+    for row in rows:
+        row = [None if e is None else as_expr(e).terms for e in row]
+        dr = _denominator(row)
+        row = _times(row, dr)
+        line = []
+        for col in cols:
+            acc: dict = {}
+            for a, b in zip(row, col):
+                if a and b:
+                    p = _mul(a, b)
+                    if not acc:
+                        acc = p
+                        continue
+                    for t, c in p.items():
+                        _put(acc, t, c)
+            line.append(Expr(_divided(acc, dr * dc)))
+        out.append(line)
+    return out
 
 
 def _freq_combine(u: tuple, v: tuple, sign: int) -> tuple:
@@ -216,7 +280,7 @@ def _freq_combine(u: tuple, v: tuple, sign: int) -> tuple:
     acc = {i: (a, b) for i, a, b in u}
     for i, a, b in v:
         p, q = acc.get(i, (0, 0))
-        acc[i] = (p + sign * a, q + sign * b)
+        acc[i] = (_exact(p + sign * a), _exact(q + sign * b))
     return tuple((i, a, b) for i, (a, b) in sorted(acc.items()) if a or b)
 
 
@@ -232,7 +296,7 @@ def _character(kind: str, freq: tuple):
 
 
 def _char_mul(xa, xb) -> list:
-    """The product of two characters as (character, factor) pairs."""
+    """The product of two characters as (character, s) pairs, each piece s/2 times its character."""
     (ka, fa), (kb, fb) = xa, xb
     plus, minus = _freq_combine(fa, fb, 1), _freq_combine(fa, fb, -1)
     if ka == kb:
@@ -243,7 +307,7 @@ def _char_mul(xa, xb) -> list:
     for kind, freq, s in pieces:
         x, sign = _character(kind, freq)
         if sign:
-            out.append((x, Fraction(s * sign, 2)))
+            out.append((x, s * sign))
     return out
 
 
@@ -298,11 +362,11 @@ def _trig(kind: str, arg: Expr) -> Expr:
         q = (quarter + (kind == "cos")) % 4
         x, sign = _character(("sin", "cos")[q % 2], freq)
         sign *= (1, 1, -1, -1)[q]
-        return Expr({((), x): Fraction(sign)} if sign else {})
+        return Expr({((), x): sign} if sign else {})
     sign = 1
     if min(arg.terms.items(), key=_term_key)[1] < 0:
         arg, sign = -arg, -1 if kind == "sin" else 1
-    return Expr({(((_Opaque((2, to_str(arg), kind, arg)), 1),), None): Fraction(sign)})
+    return Expr({(((_Opaque((2, to_str(arg), kind, arg)), 1),), None): sign})
 
 
 def sin(e: Expr) -> Expr:
@@ -333,10 +397,13 @@ class ParseError(ValueError):
 MAX_DEPTH = 200
 # Bounds on what parsing builds, so that the text's size bounds the work:
 # the terms of a sum and the pairs of terms a product expands, the value of
-# an exponent, and the bits of a coefficient's numerator and denominator.
+# an exponent, the bits of a coefficient's numerator and denominator, and
+# the index of a variable, since a sampled zero test builds one coordinate
+# per index up to the largest in use.  `var` refuses the same indices.
 MAX_TERMS = 1000
 MAX_EXPONENT = 1000
 MAX_COEFFICIENT_BITS = 4096
+MAX_VARIABLE = 100_000
 
 
 class _Parser:
@@ -420,7 +487,7 @@ class _Parser:
                 c = r.terms.get(((), None))
                 if c is None or len(r.terms) != 1:
                     raise self.error("denominator must be a nonzero rational literal")
-                e = Expr({t: v / c for t, v in e.terms.items()})
+                e = Expr({t: _exact(Fraction(v, c)) for t, v in e.terms.items()})
                 e = self.bounded(e, e.terms, at)
             else:
                 e = self.product(e, r, at)
@@ -456,9 +523,15 @@ class _Parser:
         elif tok == "pi":
             e = PI
         elif vm := re.fullmatch(r"x([1-9][0-9]*)", tok):
-            e = var(int(vm.group(1)))
-        else:
+            # Compared as text first: int() refuses very long digit strings.
+            digits = vm.group(1)
+            if len(digits) > len(str(MAX_VARIABLE)) or int(digits) > MAX_VARIABLE:
+                raise self.error(f"variable index exceeds {MAX_VARIABLE}", at)
+            e = var(int(digits))
+        elif tok[0].isalpha():
             raise self.error(f"unknown name {tok!r}", at)
+        else:
+            raise self.error("expected an expression", at)
         if self.peek_token() == "^":
             self.next_token()
             at = self.last_start
@@ -547,13 +620,13 @@ def diff(e: Expr, index: int) -> Expr:
                 continue
             rest = mono[:pos] + (((a, k - 1),) if k > 1 else ()) + mono[pos + 1 :]
             if a[0] == 1:
-                _put(out, (rest, x), c * k if k > 1 else c)
+                _put(out, (rest, x), _exact(c * k) if k > 1 else c)
                 continue
             # d sin(u) = cos(u) du and d cos(u) = -sin(u) du, on the same u.
             du = diff(a[3], index)
             if du.terms:
                 other = _Opaque((2, a[1], "cos" if a[2] == "sin" else "sin", a[3]))
-                scale = c * k if a[2] == "sin" else -c * k
+                scale = _exact(c * k if a[2] == "sin" else -c * k)
                 for t, v in _mul({(_mono_mul(rest, ((other, 1),)), x): scale}, du.terms).items():
                     _put(out, t, v)
         if x is not None:
@@ -563,9 +636,9 @@ def diff(e: Expr, index: int) -> Expr:
                     turned = ("sin" if x[0] == "cos" else "cos", x[1])
                     s = -c if x[0] == "cos" else c
                     if p:
-                        _put(out, (mono, turned), s * p)
+                        _put(out, (mono, turned), _exact(s * p))
                     if q:
-                        _put(out, (_mono_mul(mono, ((_PI, 1),)), turned), s * q)
+                        _put(out, (_mono_mul(mono, ((_PI, 1),)), turned), _exact(s * q))
     return Expr(out)
 
 
@@ -635,18 +708,14 @@ def eval_exact(e: Expr, point: Sequence) -> Fraction:
             v = Fraction(_coordinate(point, a[1]))
             c *= v if k == 1 else v**k
         total = c if total is None else total + c
-    return Fraction(0) if total is None else total
+    return Fraction(0 if total is None else total)
 
 
 def _scaled_term_rows(matrix) -> tuple[list[int], list[list[dict]]]:
     """(scales, rows): each row as term maps times the common denominator of its coefficients."""
-    scales = []
-    scaled = []
-    for row in matrix:
-        d = math.lcm(*(c.denominator for e in row for c in e.terms.values()))
-        scales.append(d)
-        scaled.append([{t: int(c * d) for t, c in e.terms.items()} for e in row])
-    return scales, scaled
+    maps = [[e.terms for e in row] for row in matrix]
+    scales = [_denominator(row) for row in maps]
+    return scales, [_times(row, d) for row, d in zip(maps, scales)]
 
 
 def _eliminate_constants(matrix) -> tuple[int, list[list[Expr]]]:
@@ -675,8 +744,7 @@ def _eliminate_constants(matrix) -> tuple[int, list[list[Expr]]]:
             f = row.pop(j)
             cross = (_add({u: c * p for u, c in e.items()}, _mul(f, g) if f and g else {}, -1)
                      for e, g in zip(row, top))
-            block.append([{u: c // q if not c % q else Fraction(c) / q for u, c in e.items()}
-                          for e in cross])
+            block.append([_divided(e, q) for e in cross])
         rows, q, t = block, p, t + 1
     return t, [[Expr(e) for e in row] for row in rows]
 
@@ -710,8 +778,7 @@ def exact_minors(matrix):
         return d
 
     def exact(rows, cols) -> Expr:
-        d = math.prod(scales[r] for r in rows)
-        return Expr({t: Fraction(c) / d for t, c in minor(rows, cols).items()})
+        return Expr(_divided(minor(rows, cols), math.prod(scales[r] for r in rows)))
 
     return exact
 

@@ -48,7 +48,7 @@ from .expr import (
     Expr,
     Verdict,
     _eliminate_constants,
-    _sum_of_products,
+    _products,
     all_zero,
     as_expr,
     diff,
@@ -258,32 +258,30 @@ class LocalSystemData:
 # Jacobian gamma of zeta.  Only gamma is found by differentiation.
 
 
-def _frame_pairing(coeffs, gamma, k: int, first: int, j: int) -> Expr:
-    """sum_l coeffs[l] * d x^(first+l)/dx^j; identity rows add, zero factors are skipped."""
-    return _sum_of_products(
-        (e, gamma[c - k - 1][j - 1] if c > k else ONE)
-        for c, e in enumerate(coeffs, first)
-        if c > k or c == j
-    )
-
-
 def _chart(s: RelativeSupport):
-    """(gamma, -theta), theta_j = sum_c chi_c d x^c/dx^j over c = g-k+1..g."""
-    k = s.k
+    """(gamma, frame, -theta), theta_j = sum_c chi_c d x^c/dx^j over c = g-k+1..g.
+
+    Column j of frame lists d x^c/dx^j over those c, None where the
+    identity part of the Jacobian is zero.
+    """
+    g, k = s.g, s.k
     gamma = tuple(tuple(diff(z, j) for j in range(1, k + 1)) for z in s.zeta)
-    turns = tuple(-_frame_pairing(s.chi, gamma, k, s.g - k + 1, j) for j in range(1, k + 1))
-    return gamma, turns
+    frame = [
+        [gamma[c - k - 1][j - 1] if c > k else ONE if c == j else None for c in range(g - k + 1, g + 1)]
+        for j in range(1, k + 1)
+    ]
+    turns = tuple(-e for e in _products([s.chi], frame)[0])
+    return gamma, frame, turns
 
 
-def _lagrangian_report(s: RelativeSupport, gamma, turns, tol: float, grid: int) -> ConditionReport:
-    k, m_free = s.k, s.g - s.k
-    columns = list(zip(*s.a))
+def _lagrangian_report(s: RelativeSupport, gamma, frame, turns, tol: float, grid: int) -> ConditionReport:
+    k = s.k
+    block = _products(list(zip(*s.a)), frame)
     labelled = []
     for j in range(1, k + 1):
-        for m in range(1, m_free + 1):
+        for m, row in enumerate(block, 1):
             own = ONE if m == j else ZERO if m <= k else gamma[m - k - 1][j - 1]
-            e = own + _frame_pairing(columns[m - 1], gamma, k, m_free + 1, j)
-            labelled.append((f"dy{m}^dx{j}", e))
+            labelled.append((f"dy{m}^dx{j}", own + row[j - 1]))
     labelled.extend((f"dx{j}^dx{m}", e) for j, m, e in _exterior(turns))
     return _gather("C1", labelled, tol, grid)
 
@@ -561,8 +559,8 @@ def transform_nontransversal(
     further derivative unless an entry holds opaque atoms.
     """
     _validate_system(s, system)
-    gamma, turns = _chart(s)
-    c1 = _lagrangian_report(s, gamma, turns, tol, grid)
+    gamma, frame, turns = _chart(s)
+    c1 = _lagrangian_report(s, gamma, frame, turns, tol, grid)
     if not c1.holds:
         raise ConditionError("C1", c1)
     c2, _ = check_C2_C3(s, tol, grid)
@@ -576,14 +574,13 @@ def transform_nontransversal(
     m_free = g - k
 
     # Offset of the dual fibre equation for w^{k+1+i}, fixed by requiring
-    # each base slice to agree with the absolute transform of that fibre.
+    # each base slice to agree with the absolute transform of that fibre:
+    # sum_{j < min(k, g-k)} xi_j gamma[i][j], less xi_{k+i} when k+i < g-k.
     n = min(k, m_free)
-    varsigma = []
-    for i in range(m_free):
-        pairs = list(zip(system.xi[:n], gamma[i][:n]))
-        if k + 1 + i <= m_free:
-            pairs.append((-system.xi[k + i], ONE))
-        varsigma.append(_sum_of_products(pairs))
+    xi = (*system.xi[:n], *(-x for x in system.xi[k:]))
+    varsigma = _products(
+        [xi], [[*gamma[i][:n], *(ONE if l == i else None for l in range(m_free - k))] for i in range(m_free)]
+    )[0]
 
     holomorphic = _constancy(
         "holomorphic", (("", e) for row in gamma for e in row), k, tol, grid
@@ -660,7 +657,7 @@ def curvature_hodge(data, tol: float = 1e-9, grid: int = 17):
     and no dx-part; no condition on the support is checked.
     """
     if isinstance(data, RelativeSupport):
-        return hodge_components((), _chart(data)[1], tol, grid)
+        return hodge_components((), _chart(data)[2], tol, grid)
     return hodge_components(data.alpha, data.fibre_turns, tol, grid)
 
 
@@ -679,7 +676,7 @@ def check_F02_iff_lagrangian(
     the C1 check.
     """
     _, _, f02 = _hodge_from_turns(bundle.fibre_turns)
-    curl = _exterior(_chart(s)[1])
+    curl = _exterior(_chart(s)[2])
     return all_zero(
         is_zero(f02[m - 1][j - 1] - _HALF_PI * e, tol, grid) for j, m, e in curl
     )
@@ -802,10 +799,8 @@ def inverse_transform(
 
     a_exact = [[Fraction(-e, d) for e in row[:m_free]] for row in x]
     a_rows = tuple(tuple(num(e) for e in row) for row in a_exact)
-    chi_out = tuple(
-        _sum_of_products(zip((Fraction(-e, d) for e in row[m_free:]), bundle.fibre_turns))
-        for row in x
-    )
+    chi_column = _products([[Fraction(-e, d) for e in row[m_free:]] for row in x], [bundle.fibre_turns])
+    chi_out = tuple(row[0] for row in chi_column)
     q = [0] * k + q_val  # q[c - 1] = Q_c, which is 0 for c <= k
     xi_out = tuple(
         mod1(-q[m] - sum(q[m_free + l] * a_exact[l][m] for l in range(k))) for m in range(m_free)
@@ -827,9 +822,8 @@ def gauge_term(varsigma, chi) -> tuple[Expr, ...]:
     alpha; `roundtrip` predicts it from the data it starts from.
     """
     k, m_free = len(chi), len(varsigma)
-    total = _sum_of_products(
-        (varsigma[m_free + l - k], c) for l, c in enumerate(chi) if m_free + l >= k
-    )
+    q = [varsigma[m_free + l - k] if m_free + l >= k else None for l in range(k)]
+    total = _products([q], [chi])[0][0]
     return tuple(2 * PI * diff(total, j) for j in range(1, k + 1))
 
 

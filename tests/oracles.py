@@ -8,6 +8,7 @@ which no transform calls, are used; every algorithm here is its own.
 `deadline` bounds the wall time of the tests that time the library.
 """
 
+import functools
 import itertools
 import math
 import signal
@@ -103,15 +104,44 @@ def gcd_of_minors(m, k):
     """gcd of all k x k minors, 0 when there are none or all vanish.
 
     The enumeration stops once the running gcd is 1, which no further
-    minor can change.
+    minor can change.  Each matrix keeps one table of its minors of every
+    size, shared by all k, so asking again, or for another size, expands
+    no minor twice; the tables of the last few matrices are kept.
     """
-    g = 0
-    for rows in itertools.combinations(range(m.nrows), k):
-        for cols in itertools.combinations(range(m.ncols), k):
-            g = math.gcd(g, _laplace([tuple(m.rows[i][j] for j in cols) for i in rows]))
-            if g == 1:
-                return 1
-    return g
+    return _minor_gcd_table(tuple(map(tuple, m.rows)), m.ncols)(k)
+
+
+@functools.lru_cache(maxsize=8)
+def _minor_gcd_table(rows, ncols):
+    """The function k -> gcd of the k x k minors of rows, memoised with every minor."""
+    minors = {}
+
+    def minor(rs, cs):
+        # Laplace expansion along the first column over the memoised minors.
+        if not rs:
+            return 1
+        d = minors.get((rs, cs))
+        if d is None:
+            d = 0
+            for i, r in enumerate(rs):
+                e = rows[r][cs[0]]
+                if e:
+                    sub = minor(rs[:i] + rs[i + 1 :], cs[1:])
+                    d += -e * sub if i % 2 else e * sub
+            minors[(rs, cs)] = d
+        return d
+
+    @functools.cache
+    def gcd_of(k):
+        g = 0
+        for rs in itertools.combinations(range(len(rows)), k):
+            for cs in itertools.combinations(range(ncols), k):
+                g = math.gcd(g, minor(rs, cs))
+                if g == 1:
+                    return 1
+        return g
+
+    return gcd_of
 
 
 def is_canonical_hnf(h):

@@ -465,14 +465,15 @@ def test_09_failed_conditions_are_proven_not_numerical():
 def _in_lattice(vec, m, rank, minors_gcd):
     # Membership of vec in the row lattice of m, with possibly dependent
     # rows, so a rational particular solve cannot decide it.  Adjoining
-    # a vector of the rational row space keeps the rank; it keeps the
-    # gcd of maximal minors, minors_gcd = gcd_of_minors(m, rank), exactly
-    # when the lattice is unchanged, since for nested lattices of equal
-    # rank the index is the ratio of those gcds.
+    # a vector of the rational row space keeps the rank, so every minor
+    # one size larger vanishes; it keeps the gcd of maximal minors,
+    # minors_gcd = gcd_of_minors(m, rank), exactly when the lattice is
+    # unchanged, since for nested lattices of equal rank the index is the
+    # ratio of those gcds.  Both sizes read one table of minors.
     if rank == 0:
         return all(x == 0 for x in vec)
     stacked = IntMatrix(m.rows + (tuple(vec),), m.ncols)
-    if rational_rank(stacked.rows, stacked.ncols) != rank:
+    if gcd_of_minors(stacked, rank + 1) != 0:
         return False
     return gcd_of_minors(stacked, rank) == minors_gcd
 

@@ -21,7 +21,7 @@ from torusfm import (
     parse_scene,
 )
 from torusfm.cli import main
-from torusfm.expr import MAX_EXPONENT, MAX_TERMS, parse
+from torusfm.expr import MAX_EXPONENT, MAX_TERMS, MAX_VARIABLE, parse
 
 SKYSCRAPER = """
 [torus]
@@ -435,6 +435,14 @@ def test_oversized_expression_exits_1_naming_the_limit(tmp_path, capsys, command
     assert main([command, write(tmp_path, "big.scene", text)]) == 1
     assert time.perf_counter() - start < 2
     assert capsys.readouterr().err == f"error: [support] epsilon: {message}\n"
+
+
+def test_variable_index_past_the_bound_exits_1(tmp_path, capsys):
+    text = SECTION.replace("epsilon = x2 + 2*x1; x1", f"epsilon = x2; x{MAX_VARIABLE + 1}")
+    assert main(["check", write(tmp_path, "far.scene", text)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: [support] epsilon: variable index exceeds {MAX_VARIABLE} at offset 0\n"
+    )
 
 
 def test_missing_file_exits_1(tmp_path, capsys):

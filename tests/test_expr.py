@@ -14,11 +14,13 @@ from torusfm.expr import (
     MAX_DEPTH,
     MAX_EXPONENT,
     MAX_TERMS,
+    MAX_VARIABLE,
     PI,
     ZERO,
     ParseError,
     Verdict,
-    _sum_of_products,
+    _eliminate_constants,
+    _products,
     all_zero,
     cos,
     diff,
@@ -102,6 +104,25 @@ def test_parse_error_offsets():
         parse("x1^x2")
     with pytest.raises(ParseError):
         parse("")
+
+
+@pytest.mark.parametrize(
+    "text, offset",
+    [("*x1", 0), ("()", 1), ("sin()", 4), ("x1 + * 2", 5), (",", 0)],
+)
+def test_punctuation_in_place_of_an_operand_is_a_missing_expression(text, offset):
+    with pytest.raises(ParseError, match=f"^expected an expression at offset {offset}$"):
+        parse(text)
+
+
+def test_variable_indices_are_bounded():
+    assert parse(f"x{MAX_VARIABLE}") == var(MAX_VARIABLE)
+    message = f"variable index exceeds {MAX_VARIABLE}"
+    for text, offset in ((f"x{MAX_VARIABLE + 1}", 0), ("x1 + x100001", 5), ("x" + "9" * 5000, 0)):
+        with pytest.raises(ParseError, match=f"^{message} at offset {offset}$"):
+            parse(text)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        var(MAX_VARIABLE + 1)
 
 
 def deep_text(shape, n):
@@ -331,12 +352,74 @@ def test_sum_of_products_equals_the_chained_sum(pairs, cancel):
     if cancel:
         pairs = pairs + [(-a, b) for a, b in reversed(pairs)]
     chained = sum((a * b for a, b in pairs), ZERO)
-    out = _sum_of_products(pairs)
+    out = _products([[a for a, _ in pairs]], [[b for _, b in pairs]])[0][0]
     assert out == chained
     # The same term order keeps evaluation sums bit for bit the same.
     assert list(out.terms) == list(chained.terms)
     if cancel:
         assert out == ZERO
+
+
+_entries = st.one_of(st.none(), _factors)
+
+
+@st.composite
+def _matrix_factors(draw):
+    """(rows, columns): n rows and m columns of length l, with None for gaps."""
+    n, m, l = draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    rows = draw(st.lists(st.lists(_entries, min_size=l, max_size=l), min_size=n, max_size=n))
+    columns = draw(st.lists(st.lists(_entries, min_size=l, max_size=l), min_size=m, max_size=m))
+    return rows, columns
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrix_factors())
+def test_products_equal_the_chained_sums(factors):
+    # Each entry against the operators alone, skipping the gaps.
+    rows, columns = factors
+    out = _products(rows, columns)
+    assert len(out) == len(rows)
+    for row, line in zip(rows, out):
+        assert len(line) == len(columns)
+        for column, e in zip(columns, line):
+            chained = ZERO
+            for a, b in zip(row, column):
+                if a is not None and b is not None:
+                    chained = chained + a * b
+            assert e == chained
+            assert list(e.terms) == list(chained.terms)
+            assert hash(e) == hash(chained)
+            assert _coefficients_are_normal(e)
+
+
+def _coefficients_are_normal(e) -> bool:
+    """Every coefficient an int exactly when it is integral, inside opaque atoms too."""
+    for (mono, _), c in e.terms.items():
+        if type(c) is not (int if Fraction(c).denominator == 1 else Fraction):
+            return False
+        if any(a[0] == 2 and not _coefficients_are_normal(a[3]) for a, _ in mono):
+            return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(exprs, exprs, st.integers(1, 3))
+def test_coefficients_are_ints_exactly_when_integral(a, b, j):
+    made = [a, b, a + b, a - b, a * b, -a, a * Fraction(2, 3), Fraction(3, 2) * a * 2, diff(a, j)]
+    made += [parse(to_str(e)) for e in made]
+    made += [cos(var(1)) * cos(var(1)), sin(var(1) * Fraction(1, 2)) ** 2 * 4, parse("x1/2*2 + 3/3")]
+    # Halves that meet in one term of a product: x1 gets 1/2 + 1/2.
+    made.append(parse("(x1/2 + 1/2)*(x1 + 1)"))
+    made += [e for row in _eliminate_constants([[a, num(2)], [b, num(Fraction(1, 3))]])[1] for e in row]
+    for e in made:
+        assert _coefficients_are_normal(e), to_str(e)
+    assert type(eval_exact(num(2) + var(1), [3])) is Fraction
+    assert type(eval_exact(num(0), ())) is Fraction
+    # The same value by different routes: equal maps and equal hashes.
+    halves = (a * Fraction(1, 2) + Fraction(1, 2) * a, a)
+    for x, y in ((a * 2 * Fraction(1, 2), a), halves, (parse(to_str(a * b)), b * a)):
+        assert x == y
+        assert hash(x) == hash(y)
 
 
 # ---------------------------------------------------------------- zero test
