@@ -23,13 +23,13 @@ def rat_vector(entries: Iterable) -> RatVector:
     return tuple(Fraction(e) for e in entries)
 
 
-def mod1(x: Fraction) -> Fraction:
-    """Reduce a rational into the fundamental interval [0, 1)."""
-    return Fraction(x) % 1
+def mod1(x) -> Fraction:
+    """Reduce a rational into the fundamental interval [0, 1), making one Fraction."""
+    return (x if type(x) is Fraction else Fraction(x)) % 1
 
 
 def mod1_vector(v: Iterable) -> RatVector:
-    return tuple(mod1(Fraction(e)) for e in v)
+    return tuple(map(mod1, v))
 
 
 def dot(u: Sequence, v: Sequence) -> Fraction:
@@ -373,18 +373,32 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     return _kernel_hermite(m)[1]
 
 
-def saturate(m: IntMatrix) -> IntMatrix:
-    """Canonical basis of (Q-span of the rows) intersected with Z^n.
+def _saturation(top: list[list[int]], m: IntMatrix) -> IntMatrix:
+    """Canonical saturation of m's rows from the top rows [H | U] of `_kernel_hermite(m)`.
 
-    The saturation is the kernel of the kernel, so it is two Hermite forms
-    and needs no Smith form; for a square nonsingular m it is the identity.
-    The input rows must be linearly independent over Q; otherwise raises
-    ValueError("rank deficient").
+    W m^T = [H; 0] with W unimodular, so m = H^T S with S's rows, the first
+    r columns of W^-1, a basis of the saturation.  Forward substitution on
+    H^T finds S, each division exact; one Hermite form makes it canonical.
     """
-    k = kernel_basis(m)
-    if k.nrows != m.ncols - m.nrows:
+    s: list[list[int]] = []
+    for k, row in enumerate(m.rows):
+        for sl, h in zip(s, top):
+            if h[k]:
+                row = [a - h[k] * b for a, b in zip(row, sl)]
+        s.append([a // top[k][k] for a in row])
+    _echelon(s, m.ncols)
+    return IntMatrix._trusted(_tuples(s), m.ncols)
+
+
+def saturate(m: IntMatrix) -> IntMatrix:
+    """Canonical basis of (Q-span of the rows) intersected with Z^n, by `_saturation`.
+
+    Rows dependent over Q raise ValueError("rank deficient").
+    """
+    top = _kernel_hermite(m)[0]
+    if len(top) < m.nrows:
         raise ValueError("rank deficient")
-    return kernel_basis(k)
+    return _saturation(top, m)
 
 
 def is_unimodular(m: IntMatrix) -> bool:

@@ -18,7 +18,7 @@ from .torus import (
     AffineSubtorus,
     Torus,
     TorusPoint,
-    dual_support,
+    _swap,
     intersect,
     whole_torus,
 )
@@ -37,7 +37,7 @@ class SubtorusLocalSystem:
     rank: int
 
     def __init__(self, support: AffineSubtorus, holonomy, rank: int = 1):
-        holonomy = mod1_vector(rat_vector(holonomy))
+        holonomy = mod1_vector(holonomy)
         if len(holonomy) != support.dim:
             raise ValueError("holonomy dimension mismatch")
         rank = int(rank)
@@ -77,7 +77,7 @@ class SubtorusLocalSystem:
         if len(phases) != self.support.dim:
             raise ValueError("holonomy dimension mismatch")
         moved = tuple(mod1(h + p) for h, p in zip(self.holonomy, phases))
-        return SubtorusLocalSystem(self.support, moved, self.rank)
+        return SubtorusLocalSystem._trusted(self.support, moved, self.rank)
 
 
 def skyscraper(torus: Torus, coords, rank: int = 1) -> SubtorusLocalSystem:
@@ -99,10 +99,10 @@ class TransformResult:
 def transform(system: SubtorusLocalSystem) -> TransformResult:
     """Transform of a supported system; concentrated in degree dim(support).
 
-    The support's directions become the dual constraints with the holonomy
-    as offset, and the old offsets become the dual holonomy.
+    The directions become the dual constraints with the stored holonomy as
+    offset, not reduced again, and the old offsets become the dual holonomy.
     """
-    hat, dual_holonomy = dual_support(system.support, system.holonomy)
+    hat, dual_holonomy = _swap(system.support, system.holonomy)
     return TransformResult(
         SubtorusLocalSystem._trusted(hat, dual_holonomy, system.rank), system.support.dim
     )
@@ -116,11 +116,9 @@ def restrict_system(system: SubtorusLocalSystem, sub: AffineSubtorus) -> Subtoru
     """
     if intersect(system.support, sub) != [sub]:
         raise ValueError("subtorus is not contained in the support")
-    phases = []
-    for row in sub.direction_basis().rows:
-        coeffs = system.support.direction_coordinates(row)
-        phases.append(mod1(sum((c * h for c, h in zip(coeffs, system.holonomy)), Fraction(0))))
-    return SubtorusLocalSystem(sub, tuple(phases), system.rank)
+    coords = map(system.support.direction_coordinates, sub.direction_basis().rows)
+    phases = (sum((c * h for c, h in zip(cs, system.holonomy)), Fraction(0)) for cs in coords)
+    return SubtorusLocalSystem(sub, phases, system.rank)
 
 
 def morphism_space_dim(a: SubtorusLocalSystem, b: SubtorusLocalSystem) -> int:

@@ -6,7 +6,8 @@ rational offset c, denoting the image in T of the affine solution set
 basis of the saturation of its own row span and c lies in [0,1)^m.  With a
 saturated A the image of the affine space coincides with the full mod-1
 solution set {[y] : A y + c in Z^m} and is connected, so equal subtori have
-equal stored data and dataclass equality is set equality.
+equal stored data and dataclass equality is set equality.  One Hermite
+form of [A^T | I] gives both the saturation and the directions.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .exact_linalg import (
     RatMatrix,
     RatVector,
     _kernel_hermite,
+    _saturation,
     hnf,
     kernel_basis,
     mod1,
@@ -195,10 +197,9 @@ def subtorus_from_equations(torus: Torus, rows, offsets) -> AffineSubtorus:
     ValueError("degenerate equations").
 
     One Hermite form of [A^T | I] gives everything: its kernel block is the
-    direction basis K, the saturation is the kernel of K, and its top block
-    U A^T = H gives the particular solution y0 = U^T z of A y0 = -c, where
-    H^T z = -c is solved by triangular substitution over one integer
-    denominator.  The canonical offset is chi = -sat y0 mod 1.
+    direction basis K, and with its top block U A^T = H, triangular
+    substitution on H^T solves A = H^T S for the saturation S and H^T z = -c
+    for y0 = U^T z, with A y0 = -c.  The canonical offset is chi = -S y0 mod 1.
     """
     a = rows if isinstance(rows, IntMatrix) else IntMatrix(rows, torus.dim)
     c = rat_vector(offsets)
@@ -206,8 +207,6 @@ def subtorus_from_equations(torus: Torus, rows, offsets) -> AffineSubtorus:
         raise ValueError("equation width does not match the torus dimension")
     if len(c) != a.nrows:
         raise ValueError("one offset per equation row is required")
-    if a.nrows == 0:
-        return whole_torus(torus)
     return next(_components(torus, a, c))
 
 
@@ -215,10 +214,10 @@ def _components(torus: Torus, a: IntMatrix, c: RatVector) -> Iterator[AffineSubt
     """Components of {[y] : A y + c in Z^r} for A of full row rank.
 
     In the Hermite form of [A^T | I] the top rows [H | U] have U A^T = H,
-    with H upper triangular with pivots p_k, and the kernel block K holds
-    the directions.  Every y is U^T z + K^T w, and A y = H^T z, so a
-    component is a class of z mod Z^r with H^T z + c integral.  Row k of
-    the lower triangular H^T pins z_k to
+    with H upper triangular with pivots p_k; H gives the saturation
+    (`_saturation`), and the kernel block K the directions.  Every y is
+    U^T z + K^T w, and A y = H^T z, so a component is a class of z mod Z^r
+    with H^T z + c integral.  Row k of the lower triangular H^T pins z_k to
     (t_k - c_k - sum_{l<k} H_{lk} z_l) / p_k for one residue t_k in
     [0, p_k), which gives prod(p_k) components.  With L the lcm of the
     offset denominators, z is kept as the integers z * M for
@@ -230,7 +229,7 @@ def _components(torus: Torus, a: IntMatrix, c: RatVector) -> Iterator[AffineSubt
     top, directions = _kernel_hermite(a)
     if len(top) < r:
         raise ValueError("degenerate equations")
-    sat = kernel_basis(directions)
+    sat = _saturation(top, a)
     denom = math.lcm(*(x.denominator for x in c))
     n = [x.numerator * (denom // x.denominator) for x in c]
     steps = [top[k][k] for k in range(r)]
@@ -263,13 +262,17 @@ def dual_support(s: AffineSubtorus, xi) -> tuple[AffineSubtorus, RatVector]:
     and is cut out by the direction basis itself with offset xi; the dual
     holonomy is chi, carried on the directions of the dual support, which
     are exactly the rows of A.  Applying the map twice returns the input.
+    The phases are checked and reduced mod 1 here; `_swap` trusts them.
     """
-    xi = rat_vector(xi)
+    xi = mod1_vector(xi)
     if len(xi) != s.dim:
         raise ValueError("holonomy dimension mismatch")
-    hat = AffineSubtorus._canonical(s.torus.dual(), s.direction_basis(), mod1_vector(xi))
-    # The directions of the dual support are the rows of A: the saturated
-    # kernel of the saturated kernel of A is A.
+    return _swap(s, xi)
+
+
+def _swap(s: AffineSubtorus, xi: RatVector) -> tuple[AffineSubtorus, RatVector]:
+    """`dual_support` on phases in [0, 1); the dual's directions are the rows of A."""
+    hat = AffineSubtorus._canonical(s.torus.dual(), s.direction_basis(), xi)
     object.__setattr__(hat, "_directions", s.eqns)
     return hat, s.offset
 

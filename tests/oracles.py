@@ -100,6 +100,11 @@ def sylvester_positive_definite(m):
     return all(naive_det(IntMatrix([r[:t] for r in ints[:t]], t)) > 0 for t in range(1, n + 1))
 
 
+def _rows(m):
+    """The rows of an IntMatrix, or of a plain sequence of rows, as tuples."""
+    return tuple(map(tuple, getattr(m, "rows", m)))
+
+
 def gcd_of_minors(m, k):
     """gcd of all k x k minors, 0 when there are none or all vanish.
 
@@ -108,7 +113,8 @@ def gcd_of_minors(m, k):
     size, shared by all k, so asking again, or for another size, expands
     no minor twice; the tables of the last few matrices are kept.
     """
-    return _minor_gcd_table(tuple(map(tuple, m.rows)), m.ncols)(k)
+    rows = _rows(m)
+    return _minor_gcd_table(rows, getattr(m, "ncols", len(rows[0]) if rows else 0))(k)
 
 
 @functools.lru_cache(maxsize=8)
@@ -145,9 +151,10 @@ def _minor_gcd_table(rows, ncols):
 
 
 def is_canonical_hnf(h):
+    rows = _rows(h)
     pivots = []
     seen_zero_row = False
-    for row in h.rows:
+    for row in rows:
         nz = [j for j, e in enumerate(row) if e != 0]
         if not nz:
             seen_zero_row = True
@@ -160,7 +167,7 @@ def is_canonical_hnf(h):
         pivots.append(p)
     for r, p in enumerate(pivots):
         for i in range(r):
-            assert 0 <= h.rows[i][p] < h.rows[r][p], "entry above pivot not reduced"
+            assert 0 <= rows[i][p] < rows[r][p], "entry above pivot not reduced"
     return True
 
 
@@ -230,10 +237,11 @@ def rational_kernel(rows, ncols):
 
 def in_row_span_z(vec, basis):
     """Membership of an integer vector in the Z-span of the basis rows."""
-    if basis.nrows == 0:
+    rows = _rows(basis)
+    if not rows:
         return all(e == 0 for e in vec)
-    columns = list(zip(*basis.rows))
-    coeffs = rational_solve(columns, vec, basis.nrows)
+    columns = list(zip(*rows))
+    coeffs = rational_solve(columns, vec, len(rows))
     return coeffs is not None and all(c.denominator == 1 for c in coeffs)
 
 

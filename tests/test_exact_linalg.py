@@ -28,6 +28,7 @@ from torusfm.exact_linalg import (
     is_unimodular,
     kernel_basis,
     mod1,
+    mod1_vector,
     saturate,
     snf,
     stack,
@@ -334,6 +335,12 @@ def test_mod1_lands_in_unit_interval():
     assert mod1(Fraction(-3, 2)) == Fraction(1, 2)
     assert mod1(Fraction(7, 3)) == Fraction(1, 3)
     assert mod1(Fraction(2)) == 0
+    # Ints, Fractions, negatives and strings give Fraction(x) % 1, as Fractions.
+    inputs = [0, 3, -3, Fraction(7, 3), Fraction(-3, 2), Fraction(-4), "5/4", "-1/3", "2", 0.75]
+    want = tuple(Fraction(x) % 1 for x in inputs)
+    for out in (tuple(map(mod1, inputs)), mod1_vector(inputs), mod1_vector(iter(inputs))):
+        assert out == want
+        assert all(type(e) is Fraction and 0 <= e < 1 for e in out)
 
 
 def test_stack():

@@ -11,6 +11,7 @@ from oracles import (
     deadline,
     gcd_of_minors,
     in_row_span_z,
+    is_canonical_hnf,
     matmul,
     naive_det,
     offset_by_particular_solution,
@@ -273,6 +274,55 @@ def test_hard_systems_finish_under_a_deadline(name):
         assert product == gcd_of_minors(m, k)
 
 
+# Row scales that give the Hermite form of A^T pivots other than 1, so the
+# exact division of the saturation's triangular substitution matters.
+ROW_SCALES = (1, -1, 2, -3, 6, 35)
+
+
+@st.composite
+def scaled_systems(draw, max_g=10):
+    """Plain integer rows, each a small row times a drawn scale, and offsets."""
+    g = draw(st.integers(1, max_g))
+    codim = draw(st.integers(0, g))
+    scales = draw(st.lists(st.sampled_from(ROW_SCALES), min_size=codim, max_size=codim))
+    rows = tuple(
+        tuple(k * e for e in draw(st.lists(st.integers(-3, 3), min_size=g, max_size=g)))
+        for k in scales
+    )
+    offsets = tuple(F(draw(st.integers(-6, 6)), draw(st.integers(1, 6))) for _ in rows)
+    return g, rows, offsets
+
+
+def assert_saturation_of(sat, rows, g):
+    """sat is the canonical basis of the saturation of the rows, by the oracles alone."""
+    assert len(sat) == len(rows)
+    assert is_canonical_hnf(sat)
+    if rows:
+        assert gcd_of_minors(sat, len(rows)) == 1
+    assert all(in_row_span_z(row, sat) for row in rows)
+    assert rational_rank([*rows, *sat], g) == len(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scaled_systems())
+def test_saturation_by_substitution_agrees_with_the_oracles(system):
+    g, rows, offsets = system
+    if rational_rank(rows, g) < len(rows):
+        with pytest.raises(ValueError, match="rank deficient"):
+            saturate(IntMatrix(rows, g))
+        with pytest.raises(ValueError, match="degenerate equations"):
+            subtorus_from_equations(Torus(g), rows, offsets)
+        return
+    assert_saturation_of(saturate(IntMatrix(rows, g)).rows, rows, g)
+    s = subtorus_from_equations(Torus(g), rows, offsets)
+    eqns = s.eqns.rows
+    assert_saturation_of(eqns, rows, g)
+    assert s.offset == offset_by_particular_solution(eqns, rows, offsets, g)[1]
+    directions = s.direction_basis()
+    assert all(not any(s.eqns.mul_vector(d)) for d in directions.rows)
+    assert directions == kernel_basis(s.eqns)
+
+
 # ---------------------------------------------------------------- duality
 
 
@@ -307,6 +357,32 @@ def test_holonomy_dimension_mismatch():
     s = subtorus_from_equations(T2, [[1, 0]], [0])
     with pytest.raises(ValueError, match="holonomy dimension mismatch"):
         dual_support(s, (F(1, 2), F(1, 3)))
+
+
+def test_dual_support_reduces_and_checks_the_phases():
+    s = subtorus_from_equations(T3, [[1, 2, 3]], [F(1, 5)])
+    hat, hol = dual_support(s, (F(3, 2), F(-1, 3)))
+    assert hat.offset == (F(1, 2), F(2, 3))
+    assert hol == s.offset
+    assert dual_support(s, (3, -1))[0].offset == (0, 0)
+    assert dual_support(s, ("5/4", -2))[0].offset == (F(1, 4), 0)
+    for bad in ((F(1, 2),), (0, 0, 0)):
+        with pytest.raises(ValueError, match="holonomy dimension mismatch"):
+            dual_support(s, bad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scaled_systems(max_g=6), st.data())
+def test_transform_swaps_what_dual_support_swaps(system, data):
+    g, rows, offsets = system
+    assume(rational_rank(rows, g) == len(rows))
+    s = subtorus_from_equations(Torus(g), rows, offsets)
+    raw = [F(data.draw(st.integers(-12, 12)), 6) for _ in range(s.dim)]
+    local = SubtorusLocalSystem(s, raw)
+    out = transform(local).system
+    assert out.support == dual_support(local.support, local.holonomy)[0]
+    assert out.support == dual_support(s, raw)[0]
+    assert out.holonomy == s.offset
 
 
 def test_is_normal_to():
