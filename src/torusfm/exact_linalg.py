@@ -252,8 +252,9 @@ def _echelon(rows: list[list[int]], ncols: int) -> list[int]:
     Pivots are positive, the entries above each pivot lie in [0, pivot),
     and rows that are zero on those columns sink to the bottom.  Columns
     past ncols ride along, so an appended identity block records the row
-    operations without any multiplier being kept.  Returns the pivot
-    columns.
+    operations without any multiplier being kept.  One scan per Euclidean
+    step finds the first entry of least size below the pivot and counts the
+    nonzero ones.  Returns the pivot columns.
     """
     nrows = len(rows)
     pivots: list[int] = []
@@ -263,12 +264,17 @@ def _echelon(rows: list[list[int]], ncols: int) -> list[int]:
             break
         # Euclidean reduction below the pivot position until one entry is left.
         while True:
-            nz = [i for i in range(r, nrows) if rows[i][col]]
-            if not nz:
+            count, best, least = 0, r, 0
+            for i in range(r, nrows):
+                e = abs(rows[i][col])
+                if e:
+                    count += 1
+                    if not least or e < least:
+                        best, least = i, e
+            if not count:
                 break
-            best = min(nz, key=lambda i: abs(rows[i][col]))
             rows[r], rows[best] = rows[best], rows[r]
-            if len(nz) == 1:
+            if count == 1:
                 break
             prow = rows[r]
             p = prow[col]
@@ -276,7 +282,7 @@ def _echelon(rows: list[list[int]], ncols: int) -> list[int]:
                 q = rows[i][col] // p
                 if q:
                     rows[i] = [a - q * b for a, b in zip(rows[i], prow)]
-        if not nz:
+        if not count:
             continue
         if rows[r][col] < 0:
             rows[r] = [-a for a in rows[r]]

@@ -696,19 +696,53 @@ def eval_at(e: Expr, point: Sequence) -> float:
     return total
 
 
+def _rational_factors(term) -> tuple:
+    """A term's monomial if all its atoms are variables; rejects pi, characters and opaque atoms."""
+    mono, x = term
+    if x is None and all(a[0] == 1 for a, _ in mono):
+        return mono
+    raise ValueError("not a rational expression")
+
+
 def eval_exact(e: Expr, point: Sequence) -> Fraction:
     """Exact value at a rational point; rejects pi, sin and cos."""
     total = None
-    for (mono, x), c in e.terms.items():
-        if x is not None:
-            raise ValueError("not a rational expression")
-        for a, k in mono:
-            if a[0] != 1:
-                raise ValueError("not a rational expression")
+    for term, c in e.terms.items():
+        for a, k in _rational_factors(term):
             v = Fraction(_coordinate(point, a[1]))
             c *= v if k == 1 else v**k
         total = c if total is None else total + c
     return Fraction(0 if total is None else total)
+
+
+def _integer_values(rows, point: Sequence) -> list[list[int]]:
+    """Each row of expressions at a rational point as ints, a positive multiple of its values.
+
+    The point holds ints or Fractions.  With x_i = n_i/D over one
+    denominator D and the row's term maps scaled to ints by the lcm L of
+    their coefficient denominators, a row of top total degree m is evaluated
+    times L*D^m, a term c*prod x^k of degree e giving c*prod n^k*D^(m-e),
+    then divided by the gcd of its entries.  Rejects what `eval_exact` does.
+    """
+    d = math.lcm(*(x.denominator for x in point))
+    nums = [x.numerator * (d // x.denominator) for x in point]
+    out = []
+    for row in rows:
+        maps = [e.terms for e in row]
+        top = max((sum(k for _, k in mono) for m in maps for mono, _ in m), default=0)
+        values = []
+        for m in _times(maps, _denominator(maps)):
+            v = 0
+            for term, c in m.items():
+                deg = top
+                for a, k in _rational_factors(term):
+                    c *= _coordinate(nums, a[1]) ** k
+                    deg -= k
+                v += c * d**deg
+            values.append(v)
+        g = math.gcd(*values)
+        out.append([v // g for v in values] if g > 1 else values)
+    return out
 
 
 def _scaled_term_rows(matrix) -> tuple[list[int], list[list[dict]]]:

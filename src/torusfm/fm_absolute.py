@@ -69,7 +69,7 @@ class SubtorusLocalSystem:
         return self.support.single_point()
 
     def translate(self, shift) -> "SubtorusLocalSystem":
-        return SubtorusLocalSystem(self.support.translate(shift), self.holonomy, self.rank)
+        return SubtorusLocalSystem._trusted(self.support.translate(shift), self.holonomy, self.rank)
 
     def twist(self, phases) -> "SubtorusLocalSystem":
         """Tensor with the flat system whose holonomy is the given phases."""

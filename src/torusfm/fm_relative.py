@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .exact_linalg import _gauss_jordan, _integer_rows, _solve, mod1, rat_vector
+from .exact_linalg import IntMatrix, _gauss_jordan, _integer_rows, _solve, mod1, rat_vector
 from .expr import (
     ONE,
     PI,
@@ -48,6 +48,7 @@ from .expr import (
     Expr,
     Verdict,
     _eliminate_constants,
+    _integer_values,
     _products,
     all_zero,
     as_expr,
@@ -330,8 +331,11 @@ def check_C2_C3(
         (f"a[{j + 1}][{m + 1}]", e) for j, row in enumerate(s.a) for m, e in enumerate(row)
     )
     c3 = _constancy("C3", entries, s.k, tol, grid)
-    c2 = ConditionReport("C2", _constant_rank_verdict(s.a, s.k, tol, grid))
-    return c2, c3
+    return _c2_report(s, tol, grid), c3
+
+
+def _c2_report(s: RelativeSupport, tol: float, grid: int) -> ConditionReport:
+    return ConditionReport("C2", _constant_rank_verdict(s.a, s.k, tol, grid))
 
 
 # Simple rational probes on the diagonal and on each axis of [0,1]^k:
@@ -442,7 +446,7 @@ def wit_index(s: RelativeSupport, tol: float = 1e-9, grid: int = 17) -> int:
 
     Requires constant fibre dimension; raises ConditionError otherwise.
     """
-    c2, _ = check_C2_C3(s, tol, grid)
+    c2 = _c2_report(s, tol, grid)
     if not c2.holds:
         raise ConditionError("C2", c2)
     return s.g - s.k
@@ -563,7 +567,7 @@ def transform_nontransversal(
     c1 = _lagrangian_report(s, gamma, frame, turns, tol, grid)
     if not c1.holds:
         raise ConditionError("C1", c1)
-    c2, _ = check_C2_C3(s, tol, grid)
+    c2 = _c2_report(s, tol, grid)
     if not c2.holds:
         raise ConditionError("C2", c2)
     closed = _closure_report(system.alpha, tol, grid)
@@ -836,27 +840,28 @@ def _standard_torus(g: int) -> Torus:
     return Torus(g)
 
 
-def _fibre_trace(torus: Torus, k: int, slopes, offsets, base: Sequence) -> AffineSubtorus:
+def _fibre_trace(torus: Torus, k: int, slopes, offsets, b: tuple) -> AffineSubtorus:
     """The subtorus y_{g-n+i} = sum_j slopes[i][j](b) y_j + offsets[i](b), i < n, at base b.
 
-    n is the number of offsets and b the k free base coordinates.  The
-    coefficients are evaluated at b, and each equation is scaled to
-    integers before it is put in canonical form.
+    n is the number of offsets and b the k free base coordinates as
+    Fractions.  Row [*slopes[i], offsets[i], 1] is evaluated at b as ints
+    times a positive scale (`_integer_values`), which the last entry gives;
+    the equation [-slopes, scale * e_i] with offset -offsets is then put in
+    canonical form.
     """
-    b = rat_vector(base)
     if len(b) != k:
         raise ValueError("one coordinate per free base direction")
-    n = len(offsets)
-    rows = _integer_rows(
-        [*(-eval_exact(e, b) for e in row), *(int(i == l) for l in range(n)), -eval_exact(c, b)]
-        for i, (row, c) in enumerate(zip(slopes, offsets))
-    )
-    return subtorus_from_equations(torus, [r[:-1] for r in rows], [r[-1] for r in rows])
+    values = _integer_values(([*row, c, ONE] for row, c in zip(slopes, offsets)), b)
+    rows = tuple((*(-e for e in v[:-2]), *(v[-1] if l == i else 0 for l in range(len(values))))
+                 for i, v in enumerate(values))
+    eqns = IntMatrix._trusted(rows, len(rows[0]) if rows else torus.dim)
+    return subtorus_from_equations(torus, eqns, [-v[-2] for v in values])
 
 
-def _paired(sup: AffineSubtorus, phases) -> SubtorusLocalSystem:
-    """The system on sup pairing each canonical direction's leading angles with phases."""
-    hol = tuple(mod1(sum(x * p for x, p in zip(d, phases))) for d in sup.direction_basis().rows)
+def _paired(sup: AffineSubtorus, phases: list[int]) -> SubtorusLocalSystem:
+    """The system on sup pairing each canonical direction's leading angles with m/q, phases = [*m, q]."""
+    *m, q = phases
+    hol = tuple(Fraction(sum(x * p for x, p in zip(d, m)) % q, q) for d in sup.direction_basis().rows)
     return SubtorusLocalSystem._trusted(sup, hol)
 
 
@@ -865,11 +870,12 @@ def fibre_support(
 ) -> AffineSubtorus:
     """The fibre trace of the support over a rational base point.
 
-    base gives the free coordinates x^1..x^k; coefficients are evaluated
-    there and the solved equations are rewritten as integer constraints.
+    base gives the free coordinates x^1..x^k.  Each solved equation is
+    evaluated there as one integer row, scaled by a positive int, and the
+    rows are put in canonical form.
     """
     t = torus if torus is not None else _standard_torus(s.g)
-    return _fibre_trace(t, s.k, s.a, s.chi, base)
+    return _fibre_trace(t, s.k, s.a, s.chi, rat_vector(base))
 
 
 def fibre_system(
@@ -884,7 +890,7 @@ def fibre_system(
     xi with the free-angle part of that direction.
     """
     _validate_system(s, system)
-    return _paired(fibre_support(s, base, torus), system.xi)
+    return _paired(fibre_support(s, base, torus), _integer_rows([[*system.xi, 1]])[0])
 
 
 def fibre_of_transform(
@@ -892,11 +898,12 @@ def fibre_of_transform(
 ) -> SubtorusLocalSystem:
     """The dual-side slice of a transformed bundle over a base point.
 
-    The support equations are the evaluated dual fibre equations; the
-    holonomy along a canonical direction is the pairing of the direction
-    with the dw-coefficient row.
+    The support equations are the dual fibre equations evaluated as integer
+    rows, as in `fibre_support`; the holonomy along a canonical direction
+    is its pairing with the dw-coefficient row, evaluated the same way.
     """
     # The standard torus is self-dual.
     t = torus if torus is not None else _standard_torus(bundle.g)
-    sup = _fibre_trace(t, bundle.k, bundle.gamma_tilde, bundle.varsigma, base)
-    return _paired(sup, [eval_exact(e, base) for e in bundle.fibre_turns])
+    b = rat_vector(base)
+    sup = _fibre_trace(t, bundle.k, bundle.gamma_tilde, bundle.varsigma, b)
+    return _paired(sup, _integer_values([[*bundle.fibre_turns, ONE]], b)[0])

@@ -20,6 +20,7 @@ from torusfm.expr import (
     ParseError,
     Verdict,
     _eliminate_constants,
+    _integer_values,
     _products,
     all_zero,
     cos,
@@ -614,3 +615,67 @@ def test_all_zero_combination():
     assert all_zero([nz, nn, pn]) == pn
     assert all_zero([pz, nn]) == nn
     assert all_zero([Verdict.numerically_zero(1e-9), Verdict.numerically_zero(1e-6)]).tol == 1e-6
+
+
+# A polynomial as (coefficient, variable indices) terms: each index list is
+# a monomial of total degree at most 3 in up to 4 variables.
+_coefficients = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+_polynomials = st.lists(
+    st.tuples(_coefficients, st.lists(st.integers(1, 4), max_size=3)), max_size=4
+)
+
+
+def _poly_expr(terms):
+    e = ZERO
+    for c, idx in terms:
+        m = num(c)
+        for i in idx:
+            m = m * var(i)
+        e = e + m
+    return e
+
+
+def _poly_value(terms, point):
+    """The polynomial at the point, in Fractions, from its own term list."""
+    total = Fraction(0)
+    for c, idx in terms:
+        v = Fraction(c)
+        for i in idx:
+            v *= point[i - 1]
+        total += v
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.lists(_polynomials, min_size=1, max_size=4), min_size=1, max_size=3),
+    st.lists(st.builds(Fraction, st.integers(-20, 20), st.sampled_from((1, 2, 3, 5, 7, 12))),
+             min_size=4, max_size=6),
+)
+def test_integer_values_are_positive_multiples_of_the_exact_values(rows, point):
+    out = _integer_values([[_poly_expr(p) for p in row] for row in rows], point)
+    assert len(out) == len(rows)
+    for row, ints in zip(rows, out):
+        assert len(ints) == len(row) and all(type(v) is int for v in ints)
+        exact = [_poly_value(p, point) for p in row]
+        if not any(exact):
+            assert not any(ints)
+            continue
+        j = next(j for j, v in enumerate(exact) if v)
+        scale = ints[j] / exact[j]
+        assert scale > 0
+        assert ints == [scale * v for v in exact]
+        assert math.gcd(*ints) == 1
+
+
+def test_integer_values_scale_by_the_top_degree_and_reject_non_rational_terms():
+    # x = (1/2, 2/3) is (3, 4)/6 and the top degree is 2, so the row is
+    # 36 * (4/3, 1/2, 1) = (48, 18, 36), divided by its gcd 6.
+    point = (Fraction(1, 2), Fraction(2, 3))
+    assert _integer_values([[parse("1 + x1*x2"), parse("x1"), num(1)]], point) == [[8, 3, 6]]
+    assert _integer_values([[ZERO, ZERO], []], point) == [[0, 0], []]
+    for bad in (PI, parse("sin(x1)"), parse("cos(pi*x1)*x2"), parse("sin(1)"), parse("sin(x1^2)"), var(3)):
+        with pytest.raises(ValueError):
+            _integer_values([[num(1)], [var(1), bad]], point)
+        with pytest.raises(ValueError):
+            eval_exact(bad, point)

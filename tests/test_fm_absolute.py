@@ -108,6 +108,19 @@ def test_translation_becomes_holonomy_twist():
     assert moved.holonomy == tuple((h - d) % 1 for h, d in zip(fixed.holonomy, shift))
 
 
+def test_translation_keeps_the_reduced_holonomy():
+    t3 = Torus(3)
+    s = subtorus_from_equations(t3, [[1, 2, 3]], [F(1, 5)])
+    t = (F(1, 7), F(-2, 3), F(5, 4))
+    sys_in = SubtorusLocalSystem(s, (F(1, 3), F(3, 4)), rank=2)
+    moved = sys_in.translate(t)
+    assert moved.holonomy is sys_in.holonomy
+    shifted = F(1, 5) - sum(a * x for a, x in zip((1, 2, 3), t))
+    fresh = SubtorusLocalSystem(subtorus_from_equations(t3, [[1, 2, 3]], [shifted]), sys_in.holonomy, rank=2)
+    assert moved == fresh
+    assert transform(moved) == transform(fresh)
+
+
 def test_holonomy_twist_becomes_translation():
     sys_in = line(T2, [3, -2], F(1, 5), F(3, 7))
     delta = (F(1, 3),)

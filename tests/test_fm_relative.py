@@ -47,6 +47,7 @@ from torusfm.expr import (
     var,
     weyl_points,
 )
+from torusfm.fm_absolute import SubtorusLocalSystem
 from torusfm.fm_absolute import transform as absolute_transform
 from torusfm.fm_relative import (
     ConditionError,
@@ -69,7 +70,7 @@ from torusfm.fm_relative import (
     transform_nontransversal,
     wit_index,
 )
-from torusfm.torus import Torus, is_normal_to, whole_torus
+from torusfm.torus import Torus, is_normal_to, subtorus_from_equations, whole_torus
 
 F = Fraction
 
@@ -354,6 +355,24 @@ def test_rank_drop_at_an_isolated_point_is_caught():
     with pytest.raises(ConditionError) as exc:
         wit_index(s)
     assert exc.value.condition == "C2"
+
+
+def test_transform_decides_c2_without_the_c3_check(monkeypatch):
+    # The transform and wit_index decide C2 alone; a forced drop then takes
+    # the ConditionError path.
+    def unused(*args):
+        raise AssertionError("check_C2_C3 called")
+
+    monkeypatch.setattr(fm_relative, "check_C2_C3", unused)
+    s = antidiagonal_support()
+    assert transform_nontransversal(s, ANTIDIAGONAL_SYSTEM).wit_index == wit_index(s) == 1
+    drop = Verdict.proven_nonzero()
+    monkeypatch.setattr(fm_relative, "_constant_rank_verdict", lambda *args: drop)
+    for call in (lambda: transform_nontransversal(s, ANTIDIAGONAL_SYSTEM), lambda: wit_index(s)):
+        with pytest.raises(ConditionError) as exc:
+            call()
+        assert exc.value.condition == "C2"
+        assert exc.value.report == fm_relative.ConditionReport("C2", drop)
 
 
 def test_rank_drop_found_by_sign_change():
@@ -1129,6 +1148,65 @@ def assert_slices_match(s, sys_in, bundle, base):
     assert sl_out == res.system
     assert res.wit_index == bundle.wit_index
     assert is_normal_to(sl_in.support, sl_out.support)
+
+
+def _slice_from_fractions(g, slopes, offsets, base, phases):
+    """The slice y_{g-n+i} = sum_j slopes[i][j] y_j + offsets[i] at base, from Fraction values.
+
+    Each row is scaled to integers by the lcm of its denominators and
+    canonicalised by the public constructor; each direction's holonomy
+    is its pairing with the phases.
+    """
+    n = len(offsets)
+    rows, shifts = [], []
+    for i, (row, c) in enumerate(zip(slopes, offsets)):
+        vals = [-eval_exact(e, base) for e in row] + [F(int(i == l)) for l in range(n)]
+        shift = -eval_exact(c, base)
+        d = math.lcm(*(v.denominator for v in vals), shift.denominator)
+        rows.append([int(v * d) for v in vals])
+        shifts.append(shift * d)
+    sup = subtorus_from_equations(Torus(g), IntMatrix(rows, g), shifts)
+    hol = [sum(x * p for x, p in zip(d, phases)) for d in sup.direction_basis().rows]
+    return SubtorusLocalSystem(sup, hol)
+
+
+def _degree(e):
+    return max((sum(k for _, k in mono) for mono, _ in e.terms), default=0)
+
+
+def _slice_instances():
+    """Polynomial instances with varying slopes and offsets of degree 2 or more, and k = 0, g."""
+    for g, k in ((3, 2), (4, 2), (4, 3), (5, 3), (6, 3), (6, 4)):
+        for seed in itertools.count():
+            s, system = polynomial_instance(g, k, random.Random(seed))
+            if (
+                any(not is_constant(e) for row in s.a for e in row)
+                and max(map(_degree, s.chi)) >= 2
+                and check_C2_C3(s)[0].holds
+            ):
+                yield s, system
+                break
+    for g in (1, 3, 5):
+        yield constant_instance(g, 0, random.Random(g))
+        yield section_instance(g, random.Random(g))
+
+
+def test_slices_equal_slices_built_from_fraction_values():
+    bases = [(F(1, 3), F(-2, 7), F(5, 9), F(4, 11)), (F(7, 5), F(1, 6), F(-3, 13), F(2, 3))]
+    cases = 0
+    for s, system in _slice_instances():
+        bundle = transform_nontransversal(s, system)
+        for base in bases:
+            base = base[: s.k] + (F(1, 3),) * (s.k - len(base))
+            sl_in = fibre_system(s, system, base)
+            assert sl_in == _slice_from_fractions(s.g, s.a, s.chi, base, system.xi)
+            assert fibre_support(s, base) == sl_in.support
+            turns = [eval_exact(e, base) for e in bundle.fibre_turns]
+            sl_out = fibre_of_transform(bundle, base)
+            assert sl_out == _slice_from_fractions(s.g, bundle.gamma_tilde, bundle.varsigma, base, turns)
+            assert absolute_transform(sl_in).system == sl_out
+            cases += 1
+    assert cases == 2 * (6 + 6)
 
 
 def bundle_expressions(bundle):
