@@ -152,8 +152,12 @@ PI = Expr({(((_PI, 1),), None): 1})
 # `_eliminate_constants` run them on ints scaled by a common denominator.
 
 
-def _put(out: dict, t, c) -> None:
-    """Add c to the coefficient of t, dropping it when the sum is zero."""
+def _put(out: dict, t, c, kept: int = 0, held: list | None = None) -> None:
+    """Add c to the coefficient of t, dropping t when the sum is zero.
+
+    `_mul` passes the number of keys out had before its product as kept: a
+    zero sum on one of those stays in place as 0 and is listed in held.
+    """
     s = out.get(t)
     if s is None:
         out[t] = c
@@ -161,6 +165,9 @@ def _put(out: dict, t, c) -> None:
         s += c
         if s:
             out[t] = s if s.__class__ is int or s.denominator != 1 else s.numerator
+        elif kept and t in itertools.islice(out, kept):
+            out[t] = 0
+            held.append(t)
         else:
             del out[t]
 
@@ -192,13 +199,24 @@ def _mono_mul(ma: tuple, mb: tuple) -> tuple:
     return tuple(sorted(exps.items()))
 
 
-def _mul(a: dict, b: dict) -> dict:
+def _mul(a: dict, b: dict, out: dict | None = None) -> dict:
+    """The term map a*b; with out, out + a*b, added into out in place.
+
+    The terms keep the order of the chained sum out + a*b: a term of out
+    stays in place when a partial sum of the product passes through zero,
+    and goes only if the sum ends at zero.
+    """
     if len(a) == 1 and ((), None) in a:
         a, b = b, a
     if len(b) == 1 and ((), None) in b:
         k = b[((), None)]
-        return dict(a) if k == 1 else {t: _exact(c * k) for t, c in a.items()}
-    out: dict = {}
+        if out is None:
+            return dict(a) if k == 1 else {t: _exact(c * k) for t, c in a.items()}
+        for t, c in a.items():
+            _put(out, t, c if k == 1 else _exact(c * k))
+        return out
+    out = {} if out is None else out
+    kept, held = len(out), []
     for (ma, xa), ca in a.items():
         for (mb, xb), cb in b.items():
             m = _mono_mul(ma, mb)
@@ -206,12 +224,15 @@ def _mul(a: dict, b: dict) -> dict:
             if c.__class__ is not int and c.denominator == 1:
                 c = c.numerator
             if xa is None or xb is None:
-                _put(out, (m, xa or xb), c)
+                _put(out, (m, xa or xb), c, kept, held)
             else:
                 # Each piece of a product of characters carries a factor +-1/2.
                 for x, s in _char_mul(xa, xb):
                     h = c * s
-                    _put(out, (m, x), h // 2 if h.__class__ is int and not h & 1 else Fraction(h, 2))
+                    _put(out, (m, x), h // 2 if h.__class__ is int and not h & 1 else Fraction(h, 2), kept, held)
+    for t in held:
+        if not out.get(t, 1):
+            del out[t]
     return out
 
 
@@ -245,9 +266,9 @@ def _products(rows, columns) -> list[list[Expr]]:
     are scaled once to int term maps over the lcm of their denominators;
     the column scale is doubled when the columns hold characters, so that
     the halves of character products stay ints.  The products are then
-    added as ints, in the term order of the chained sum
-    rows[i][0] * columns[j][0] + rows[i][1] * columns[j][1] + ..., and each
-    output coefficient is divided once, by the two scales.
+    added as ints into one map per entry, in the term order of the chained
+    sum rows[i][0] * columns[j][0] + rows[i][1] * columns[j][1] + ..., and
+    each output coefficient is divided once, by the two scales.
     """
     cols = [[None if e is None else as_expr(e).terms for e in col] for col in columns]
     dc = _denominator(m for col in cols for m in col)
@@ -264,12 +285,7 @@ def _products(rows, columns) -> list[list[Expr]]:
             acc: dict = {}
             for a, b in zip(row, col):
                 if a and b:
-                    p = _mul(a, b)
-                    if not acc:
-                        acc = p
-                        continue
-                    for t, c in p.items():
-                        _put(acc, t, c)
+                    _mul(a, b, acc)
             line.append(Expr(_divided(acc, dr * dc)))
         out.append(line)
     return out
@@ -839,11 +855,13 @@ class Verdict:
 
     @staticmethod
     def proven_zero() -> "Verdict":
-        return Verdict("proven_zero")
+        """The proven zero: one shared instance, since a Verdict is frozen."""
+        return _PROVEN_ZERO
 
     @staticmethod
     def proven_nonzero() -> "Verdict":
-        return Verdict("proven_nonzero")
+        """The proven nonzero: one shared instance, since a Verdict is frozen."""
+        return _PROVEN_NONZERO
 
     @staticmethod
     def numerically_zero(tol: float) -> "Verdict":
@@ -852,6 +870,10 @@ class Verdict:
     @staticmethod
     def numerically_nonzero(tol: float) -> "Verdict":
         return Verdict("numerically_nonzero", tol)
+
+
+_PROVEN_ZERO = Verdict("proven_zero")
+_PROVEN_NONZERO = Verdict("proven_nonzero")
 
 
 def weyl_points(nvars: int, n: int) -> list[tuple[float, ...]]:
@@ -895,17 +917,21 @@ def is_zero(e: Expr, tol: float = 1e-9, grid: int = 17) -> Verdict:
 def all_zero(verdicts: Iterable[Verdict]) -> Verdict:
     """Conjunction: zero only if every member is zero.
 
-    A proven nonzero member dominates any numerical one; among all-zero
-    results the certainty is the weakest member's.
+    A proven nonzero member dominates any numerical one: the first is
+    returned as soon as it is seen, else the first nonzero member.  Among
+    all-zero results the certainty is the weakest member's.
     """
-    vs = list(verdicts)
-    nonzero = [v for v in vs if not v.is_zero]
-    if nonzero:
-        for v in nonzero:
-            if v.proven:
-                return v
-        return nonzero[0]
-    if all(v.proven for v in vs):
-        return Verdict.proven_zero()
-    tols = [v.tol for v in vs if v.tol is not None]
-    return Verdict.numerically_zero(max(tols))
+    first = tol = None
+    numerical = False
+    for v in verdicts:
+        if v is _PROVEN_ZERO:
+            continue
+        if v.tol is not None:
+            tol = v.tol if tol is None else max(tol, v.tol)
+        if v.is_zero:
+            numerical = numerical or not v.proven
+        elif v.proven:
+            return v
+        elif first is None:
+            first = v
+    return first or (Verdict.numerically_zero(tol) if numerical else _PROVEN_ZERO)

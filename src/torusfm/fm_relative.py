@@ -143,7 +143,8 @@ class ConditionError(ValueError):
 
 def _report(name: str, labelled_verdicts) -> ConditionReport:
     pairs = list(labelled_verdicts)
-    failures = tuple(label for label, v in pairs if not v.is_zero)
+    zero = Verdict.proven_zero()
+    failures = tuple(label for label, v in pairs if v is not zero and not v.is_zero)
     return ConditionReport(name, all_zero(v for _, v in pairs), failures)
 
 
@@ -158,14 +159,15 @@ def _constancy(name: str, labelled, k: int, tol: float, grid: int) -> ConditionR
     Without opaque atoms, e is proven nonconstant exactly when some x_v
     with v <= k is in vars_of(e): by the canonical-form theorem of `expr`,
     that is when diff(e, v) is nonempty.  With opaque atoms, each partial
-    derivative is zero-tested.
+    derivative is zero-tested.  An empty map is a proven zero at once.
     """
 
     def verdict(e: Expr) -> Verdict:
+        if not e.terms:
+            return Verdict.proven_zero()
         if has_opaque(e):
             return all_zero(is_zero(diff(e, v), tol, grid) for v in range(1, k + 1))
-        nonconstant = any(v <= k for v in vars_of(e))
-        return Verdict.proven_nonzero() if nonconstant else Verdict.proven_zero()
+        return Verdict.proven_nonzero() if any(v <= k for v in vars_of(e)) else Verdict.proven_zero()
 
     return _report(name, ((label, verdict(e)) for label, e in labelled))
 
@@ -179,6 +181,14 @@ def _exterior(row):
 
 
 # ------------------------------------------------------------------ supports
+
+
+def _unchecked(cls, *values):
+    """The frozen dataclass cls from field values valid by construction, unchecked and unconverted."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__match_args__, values):
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -196,6 +206,8 @@ class RelativeSupport:
     zeta: tuple[Expr, ...]
     a: tuple[tuple[Expr, ...], ...]
     chi: tuple[Expr, ...]
+
+    _trusted = classmethod(_unchecked)
 
     def __post_init__(self):
         if self.g < 1 or not 0 <= self.k <= self.g:
@@ -244,6 +256,8 @@ class LocalSystemData:
 
     alpha: tuple[Expr, ...]
     xi: tuple[Fraction, ...]
+
+    _trusted = classmethod(_unchecked)
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", tuple(as_expr(e) for e in self.alpha))
@@ -484,12 +498,7 @@ class TransformedBundle:
     fibre_turns: tuple[Expr, ...]
     holomorphic: Verdict | None = None
 
-    @classmethod
-    def _trusted(cls, *values) -> "TransformedBundle":
-        b = object.__new__(cls)
-        for name, value in zip(("g", "k", *_BUNDLE_FIELDS, "holomorphic"), values):
-            object.__setattr__(b, name, value)
-        return b
+    _trusted = classmethod(_unchecked)
 
     def __post_init__(self):
         if self.g < 1 or not 0 <= self.k <= self.g:
@@ -757,8 +766,11 @@ def inverse_transform(
     dw-coefficients beta return to fibre offsets and the constants Q
     return to holonomy phases: one fraction-free solve of M_last X =
     [M_free | I] gives a = -M_last^-1 M_free and chi = -M_last^-1 beta,
-    and a singular M_last has no chart.  The wit_index reported is that
-    of the input bundle, the dimension k of its fibre traces.
+    and a singular M_last has no chart.  The outputs come from the integer
+    X and d directly, each phase xi one Fraction over E*d with E the lcm
+    of the denominators of Q, and are built valid, with `_trusted`.  The
+    wit_index reported is that of the input bundle, the dimension k of its
+    fibre traces.
 
     The returned alpha is the chart form of the induced connection: the
     dx-row of the bundle minus the exact gauge term
@@ -801,19 +813,21 @@ def inverse_transform(
             ),
         )
 
-    a_exact = [[Fraction(-e, d) for e in row[:m_free]] for row in x]
-    a_rows = tuple(tuple(num(e) for e in row) for row in a_exact)
-    chi_column = _products([[Fraction(-e, d) for e in row[m_free:]] for row in x], [bundle.fibre_turns])
-    chi_out = tuple(row[0] for row in chi_column)
-    q = [0] * k + q_val  # q[c - 1] = Q_c, which is 0 for c <= k
+    a_rows = tuple(tuple(num(Fraction(-e, d)) for e in row[:m_free]) for row in x)
+    chi_out = tuple(r[0] * Fraction(-1, d) for r in _products([r[m_free:] for r in x], [bundle.fibre_turns]))
+    # xi_m = -Q_m + sum_l Q_{m_free+l} X[l][m] / d mod 1, over E*d; q[c - 1] = E*Q_c, 0 for c <= k.
+    *q, e = _integer_rows([[*q_val, 1]])[0]
+    q = [0] * k + q
     xi_out = tuple(
-        mod1(-q[m] - sum(q[m_free + l] * a_exact[l][m] for l in range(k))) for m in range(m_free)
+        Fraction((-q[m] * d + sum(q[m_free + l] * x[l][m] for l in range(k))) % (e * d), e * d)
+        for m in range(m_free)
     )
 
     alpha_out = tuple(a - t for a, t in zip(bundle.alpha, gauge_term(q_val, chi_out)))
 
-    support = RelativeSupport(g, k, bundle.zeta, a_rows, chi_out)
-    system = LocalSystemData(alpha_out, xi_out)
+    # zeta is the bundle's, a constant, chi and alpha base-only, xi in [0, 1).
+    support = RelativeSupport._trusted(g, k, bundle.zeta, a_rows, chi_out)
+    system = LocalSystemData._trusted(alpha_out, xi_out)
     return InverseResult(support, system, k)
 
 

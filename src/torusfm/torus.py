@@ -202,7 +202,7 @@ def subtorus_from_equations(torus: Torus, rows, offsets) -> AffineSubtorus:
     for y0 = U^T z, with A y0 = -c.  The canonical offset is chi = -S y0 mod 1.
     """
     a = rows if isinstance(rows, IntMatrix) else IntMatrix(rows, torus.dim)
-    c = rat_vector(offsets)
+    c = tuple(x if x.__class__ is int else Fraction(x) for x in offsets)
     if a.ncols != torus.dim:
         raise ValueError("equation width does not match the torus dimension")
     if len(c) != a.nrows:
@@ -210,8 +210,8 @@ def subtorus_from_equations(torus: Torus, rows, offsets) -> AffineSubtorus:
     return next(_components(torus, a, c))
 
 
-def _components(torus: Torus, a: IntMatrix, c: RatVector) -> Iterator[AffineSubtorus]:
-    """Components of {[y] : A y + c in Z^r} for A of full row rank.
+def _components(torus: Torus, a: IntMatrix, c) -> Iterator[AffineSubtorus]:
+    """Components of {[y] : A y + c in Z^r} for A of full row rank; c holds ints and Fractions.
 
     In the Hermite form of [A^T | I] the top rows [H | U] have U A^T = H,
     with H upper triangular with pivots p_k; H gives the saturation

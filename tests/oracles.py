@@ -392,3 +392,13 @@ def check_poincare(system, dual, rng):
             verdict = poincare_member(src, point)
             assert predicted is None or verdict == predicted
             assert target.support.contains(point) == verdict, (src, point)
+
+
+def coefficients_are_normal(e) -> bool:
+    """Every coefficient an int exactly when it is integral, inside opaque atoms too."""
+    for (mono, _), c in e.terms.items():
+        if type(c) is not (int if Fraction(c).denominator == 1 else Fraction):
+            return False
+        if any(a[0] == 2 and not coefficients_are_normal(a[3]) for a, _ in mono):
+            return False
+    return True

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import coefficients_are_normal
 
 from torusfm.expr import (
     MAX_COEFFICIENT_BITS,
@@ -21,6 +22,7 @@ from torusfm.expr import (
     Verdict,
     _eliminate_constants,
     _integer_values,
+    _mul,
     _products,
     all_zero,
     cos,
@@ -390,17 +392,7 @@ def test_products_equal_the_chained_sums(factors):
             assert e == chained
             assert list(e.terms) == list(chained.terms)
             assert hash(e) == hash(chained)
-            assert _coefficients_are_normal(e)
-
-
-def _coefficients_are_normal(e) -> bool:
-    """Every coefficient an int exactly when it is integral, inside opaque atoms too."""
-    for (mono, _), c in e.terms.items():
-        if type(c) is not (int if Fraction(c).denominator == 1 else Fraction):
-            return False
-        if any(a[0] == 2 and not _coefficients_are_normal(a[3]) for a, _ in mono):
-            return False
-    return True
+            assert coefficients_are_normal(e)
 
 
 @settings(max_examples=200, deadline=None)
@@ -413,7 +405,7 @@ def test_coefficients_are_ints_exactly_when_integral(a, b, j):
     made.append(parse("(x1/2 + 1/2)*(x1 + 1)"))
     made += [e for row in _eliminate_constants([[a, num(2)], [b, num(Fraction(1, 3))]])[1] for e in row]
     for e in made:
-        assert _coefficients_are_normal(e), to_str(e)
+        assert coefficients_are_normal(e), to_str(e)
     assert type(eval_exact(num(2) + var(1), [3])) is Fraction
     assert type(eval_exact(num(0), ())) is Fraction
     # The same value by different routes: equal maps and equal hashes.
@@ -615,6 +607,67 @@ def test_all_zero_combination():
     assert all_zero([nz, nn, pn]) == pn
     assert all_zero([pz, nn]) == nn
     assert all_zero([Verdict.numerically_zero(1e-9), Verdict.numerically_zero(1e-6)]).tol == 1e-6
+
+
+def _all_zero_on_lists(verdicts):
+    """The list-based definition of all_zero, kept as the reference."""
+    vs = list(verdicts)
+    nonzero = [v for v in vs if not v.is_zero]
+    if nonzero:
+        for v in nonzero:
+            if v.proven:
+                return v
+        return nonzero[0]
+    if all(v.proven for v in vs):
+        return Verdict("proven_zero")
+    tols = [v.tol for v in vs if v.tol is not None]
+    return Verdict.numerically_zero(max(tols))
+
+
+# Shared constants and fresh instances of the proven kinds, and numerical
+# kinds whose tolerances often tie.
+_tolerances = st.one_of(st.sampled_from([1e-9, 1e-6]), st.floats(1e-15, 1.0))
+_verdicts = st.one_of(
+    st.sampled_from([Verdict.proven_zero(), Verdict.proven_nonzero()]),
+    st.builds(Verdict, st.sampled_from(["proven_zero", "proven_nonzero"])),
+    st.builds(Verdict.numerically_zero, _tolerances),
+    st.builds(Verdict.numerically_nonzero, _tolerances),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_verdicts, max_size=8))
+def test_all_zero_agrees_with_the_list_definition(verdicts):
+    ref = _all_zero_on_lists(verdicts)
+    out = all_zero(iter(verdicts))
+    assert out == ref
+    if not ref.is_zero:
+        # The member itself: the first proven nonzero, else the first nonzero.
+        assert out is ref
+    assert Verdict.proven_zero() is Verdict.proven_zero()
+    assert Verdict.proven_nonzero() is Verdict.proven_nonzero()
+
+
+def test_products_keep_the_chained_order_when_a_partial_sum_cancels():
+    # x1*x2 is made by the first product; the second makes -x1*x2 before
+    # +x1*x2, so the running sum passes through zero, and the chained sum
+    # keeps x1*x2 first.  In the last pair the second product cancels it.
+    x1, x2 = var(1), var(2)
+    cases = [
+        ([x1, x1 + x2], [x2, x1 - x2]),
+        ([cos(x1), cos(x1) + sin(x1)], [cos(x2), cos(x2) - sin(x2)]),
+        ([3 * x1 * x2 + 1, 2 + x1, -x1], [1, x2 - x1, 2 * x2]),
+        ([x1, -x1], [x2, x2]),
+    ]
+    for a, b in cases:
+        out = _products([a], [b])[0][0]
+        chained = sum((p * q for p, q in zip(a, b)), ZERO)
+        assert out == chained
+        assert list(out.terms) == list(chained.terms)
+        assert coefficients_are_normal(out)
+    acc = {}
+    assert _mul(x1.terms, x2.terms, acc) is acc
+    assert _mul((-x1).terms, x2.terms, acc) == {}
 
 
 # A polynomial as (coefficient, variable indices) terms: each index list is

@@ -16,6 +16,7 @@ from instances import (
 )
 from oracles import (
     c1_coefficients,
+    coefficients_are_normal,
     deadline,
     fd_partial,
     leibniz_minor,
@@ -29,6 +30,7 @@ from torusfm.exact_linalg import IntMatrix, RatMatrix
 from torusfm.expr import (
     PI,
     ZERO,
+    Expr,
     Verdict,
     _eliminate_constants,
     all_zero,
@@ -1384,6 +1386,64 @@ def test_inverse_matches_the_textbook_formula(g):
             assert list(inv.system.xi) == xi
             assert [to_str(e) for e in inv.system.alpha] == [to_str(e) for e in alpha_out]
     assert charts >= g - 1
+
+
+def _negative_determinant_bundles():
+    """Bundles with Q over mixed denominators whose chart block M_last has a negative determinant."""
+    x1, x2, x3 = var(1), var(2), var(3)
+    f = Fraction
+    # g = 2, k = 1: M_last = [[P11]].
+    yield TransformedBundle(2, 1, [2 * x1], [[f(-3, 2)]], [f(5, 6)], [x1], [x1 ** 2 + sin(x1)])
+    # g = 5, k = 2: M_last = [[P21, P31], [P22, P32]].
+    p = [[f(1, 2), f(2, 3)], [f(-3, 5), f(1, 7)], [f(2, 3), f(5, 2)]]
+    yield TransformedBundle(
+        5, 2, [x1 - x2, 3 * x2, num(f(1, 4))], p, [f(1, 2), f(-2, 3), f(3, 5)],
+        [x2, x1], [PI * x1 * x2, cos(2 * PI * x2) + f(1, 3)],
+    )
+    # g = 4, k = 3: det M_last = P11.
+    yield TransformedBundle(
+        4, 3, [x3 - x1], [[f(-7, 4), f(1, 6), 2]], [f(-5, 9)],
+        [num(1), x3, x2], [x1 * x3, f(2, 5) * x2, sin(x1) - 1],
+    )
+
+
+def test_trusted_inverse_outputs_equal_validated_copies():
+    bundles = [
+        seeded_constant_bundle(g, k, random.Random(1000 * g + 10 * k + seed))[0]
+        for g in range(3, 12) for k in range(1, g) for seed in range(3)
+    ]
+    special = list(_negative_determinant_bundles())
+    for b in special:
+        m_free = b.g - b.k
+        last = [[int(c == l) + (b.gamma_tilde[c - b.k - 1][l - 1] if c > b.k else ZERO)
+                 for c in range(m_free + 1, b.g + 1)] for l in range(1, b.k + 1)]
+        assert naive_det(RatMatrix([[eval_exact(e, ()) for e in row] for row in last])) < 0
+        assert len({eval_exact(q, ()).denominator for q in b.varsigma}) == len(b.varsigma)
+    inverses = 0
+    for b in bundles + special:
+        try:
+            inv = inverse_transform(b)
+        except ConditionError as exc:
+            assert exc.condition == "chart"
+            continue
+        inverses += 1
+        s, sy = inv.support, inv.system
+        assert RelativeSupport(s.g, s.k, s.zeta, s.a, s.chi) == s
+        assert LocalSystemData(sy.alpha, sy.xi) == sy
+        assert all(type(x) is Fraction and 0 <= x < 1 for x in sy.xi)
+        exprs = [*s.zeta, *(e for row in s.a for e in row), *s.chi, *sy.alpha]
+        assert all(type(e) is Expr and coefficients_are_normal(e) for e in exprs)
+    assert inverses >= len(special) + 100
+    # The special bundles against the formulas too.
+    for b in special:
+        p = [[eval_exact(e, ()) for e in row] for row in b.gamma_tilde]
+        q = [eval_exact(e, ()) for e in b.varsigma]
+        a, chi, xi, alpha_out = textbook_inverse(b.g, b.k, p, q, b.alpha, b.fibre_turns)
+        inv = inverse_transform(b)
+        assert inv.support.a == tuple(tuple(num(e) for e in row) for row in a)
+        assert inv.support.chi == tuple(chi)
+        assert list(inv.system.xi) == xi
+        assert inv.system.alpha == tuple(alpha_out)
 
 
 @settings(max_examples=20, deadline=None)
