@@ -43,13 +43,6 @@ from .fm_relative import (
     transform_nontransversal,
     wit_index,
 )
-from .line_bundles import (
-    AppellHumbertPair,
-    FactorOfAutomorphy,
-    pairing_vanishes,
-    poincare_gauge,
-    poincare_pair,
-)
 from .scene import Scene, load_scene, parse_scene
 from .torus import (
     AffineSubtorus,
@@ -66,11 +59,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineSubtorus",
-    "AppellHumbertPair",
     "ConditionError",
     "ConditionReport",
     "Expr",
-    "FactorOfAutomorphy",
     "IntMatrix",
     "InverseResult",
     "LocalSystemData",
@@ -109,11 +100,8 @@ __all__ = [
     "kernel_basis",
     "load_scene",
     "morphism_space_dim",
-    "pairing_vanishes",
     "parse",
     "parse_scene",
-    "poincare_gauge",
-    "poincare_pair",
     "restrict_system",
     "saturate",
     "skyscraper",

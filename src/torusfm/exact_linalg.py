@@ -38,14 +38,28 @@ def dot(u: Sequence, v: Sequence) -> Fraction:
     return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
 
 
-def _integral(e, i: int, j: int) -> int:
-    """The entry as an int; a value that int() would truncate is an error."""
+def _integral(e, what: str, i: int | None = None, j: int | None = None) -> int:
+    """e as an int; a value that int() would truncate or refuse raises a ValueError naming it.
+
+    i and j, when given, place the value at row i, column j of a matrix.
+    """
     if type(e) is int:
         return e
-    v = int(e)
-    if v != e:
-        raise ValueError(f"entry {e!r} at row {i}, column {j} is not an integer")
+    try:
+        v = int(e)
+    except (TypeError, ValueError, OverflowError):
+        v = None
+    if v is None or v != e:
+        at = "" if i is None else f" at row {i}, column {j}"
+        raise ValueError(f"{what} {e!r}{at} is not an integer")
     return v
+
+
+def _unchecked(cls, *values):
+    """The frozen dataclass cls from field values valid by construction, unchecked and unconverted."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__match_args__, values))
+    return obj
 
 
 @dataclass(frozen=True)
@@ -65,7 +79,7 @@ class _Matrix:
         if ncols is not None and ncols != width:
             raise ValueError("ncols disagrees with row length")
         object.__setattr__(self, "rows", rs)
-        object.__setattr__(self, "ncols", int(width))
+        object.__setattr__(self, "ncols", _integral(width, "column count"))
 
     @property
     def nrows(self) -> int:
@@ -87,48 +101,19 @@ class IntMatrix(_Matrix):
 
     def __init__(self, rows: Iterable[Iterable[int]], ncols: int | None = None):
         rs = tuple(
-            tuple(_integral(e, i, j) for j, e in enumerate(row)) for i, row in enumerate(rows)
+            tuple(_integral(e, "entry", i, j) for j, e in enumerate(row))
+            for i, row in enumerate(rows)
         )
         self._set(rs, ncols)
 
-    @classmethod
-    def _trusted(cls, rows: tuple[tuple[int, ...], ...], ncols: int) -> "IntMatrix":
-        """Wrap rows that are already a rectangular tuple of int tuples, unchecked."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "ncols", ncols)
-        return m
+    # Wraps rows that are already a rectangular tuple of int tuples, and ncols.
+    _trusted = classmethod(_unchecked)
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
         return IntMatrix._trusted(
             tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n
         )
-
-    @staticmethod
-    def zero(nrows: int, ncols: int) -> "IntMatrix":
-        return IntMatrix._trusted(
-            tuple(tuple(0 for _ in range(ncols)) for _ in range(nrows)), ncols
-        )
-
-    def transpose(self) -> "IntMatrix":
-        if not self.rows:
-            return IntMatrix._trusted(tuple(() for _ in range(self.ncols)), 0)
-        return IntMatrix._trusted(tuple(zip(*self.rows)), self.nrows)
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("dimension mismatch")
-        cols = list(zip(*other.rows)) if other.rows else [()] * other.ncols
-        out = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.rows
-        )
-        return IntMatrix._trusted(out, other.ncols)
-
-    def det(self) -> int:
-        if self.nrows != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
-        return _det([list(r) for r in self.rows], self.ncols)
 
 
 @dataclass(frozen=True)
@@ -405,10 +390,6 @@ def saturate(m: IntMatrix) -> IntMatrix:
     if len(top) < m.nrows:
         raise ValueError("rank deficient")
     return _saturation(top, m)
-
-
-def is_unimodular(m: IntMatrix) -> bool:
-    return m.nrows == m.ncols and abs(m.det()) == 1
 
 
 def stack(top: IntMatrix, bottom: IntMatrix) -> IntMatrix:

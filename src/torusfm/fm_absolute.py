@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_linalg import RatVector, mod1, mod1_vector, rat_vector
+from .exact_linalg import RatVector, _integral, _unchecked, mod1, mod1_vector, rat_vector
 from .torus import (
     AffineSubtorus,
     Torus,
@@ -40,23 +40,16 @@ class SubtorusLocalSystem:
         holonomy = mod1_vector(holonomy)
         if len(holonomy) != support.dim:
             raise ValueError("holonomy dimension mismatch")
-        rank = int(rank)
+        rank = _integral(rank, "rank")
         if rank < 1:
             raise ValueError("rank must be a positive integer")
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "holonomy", holonomy)
         object.__setattr__(self, "rank", rank)
 
-    @classmethod
-    def _trusted(
-        cls, support: AffineSubtorus, holonomy: RatVector, rank: int = 1
-    ) -> "SubtorusLocalSystem":
-        """Wrap a holonomy already reduced into [0, 1), one phase per direction, unchecked."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "support", support)
-        object.__setattr__(s, "holonomy", holonomy)
-        object.__setattr__(s, "rank", rank)
-        return s
+    # Wraps a support, a holonomy already reduced into [0, 1), one phase per
+    # direction, and a rank.
+    _trusted = classmethod(_unchecked)
 
     @property
     def torus(self) -> Torus:

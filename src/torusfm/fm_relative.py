@@ -40,7 +40,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .exact_linalg import IntMatrix, _gauss_jordan, _integer_rows, _solve, mod1, rat_vector
+from .exact_linalg import (
+    IntMatrix,
+    _gauss_jordan,
+    _integer_rows,
+    _solve,
+    _unchecked,
+    mod1,
+    rat_vector,
+)
 from .expr import (
     ONE,
     PI,
@@ -181,14 +189,6 @@ def _exterior(row):
 
 
 # ------------------------------------------------------------------ supports
-
-
-def _unchecked(cls, *values):
-    """The frozen dataclass cls from field values valid by construction, unchecked and unconverted."""
-    obj = object.__new__(cls)
-    for name, value in zip(cls.__match_args__, values):
-        object.__setattr__(obj, name, value)
-    return obj
 
 
 @dataclass(frozen=True)
@@ -876,7 +876,7 @@ def _paired(sup: AffineSubtorus, phases: list[int]) -> SubtorusLocalSystem:
     """The system on sup pairing each canonical direction's leading angles with m/q, phases = [*m, q]."""
     *m, q = phases
     hol = tuple(Fraction(sum(x * p for x, p in zip(d, m)) % q, q) for d in sup.direction_basis().rows)
-    return SubtorusLocalSystem._trusted(sup, hol)
+    return SubtorusLocalSystem._trusted(sup, hol, 1)
 
 
 def fibre_support(

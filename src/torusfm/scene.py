@@ -157,6 +157,11 @@ def _require(mapping: dict, key: str, section: str) -> str:
     return mapping[key]
 
 
+def _optional(mapping: dict, key: str, section: str, read, default, *args):
+    """The value under key read by read(value, "[section] key", *args), or default without it."""
+    return read(mapping[key], f"[{section}] {key}", *args) if key in mapping else default
+
+
 def _reject_unknown(mapping: dict, allowed: frozenset, section: str) -> None:
     unknown = sorted(set(mapping) - allowed)
     if unknown:
@@ -198,17 +203,9 @@ def _parse_support(torus: Torus, sup: dict, sysd: dict) -> Scene:
 
     if kind == "subtorus":
         rows = _int_rows(sup.get("equations", ""), "[support] equations")
-        offset = (
-            _fractions(sup["offset"], "[support] offset")
-            if "offset" in sup
-            else _zeros(len(rows))
-        )
+        offset = _optional(sup, "offset", "support", _fractions, _zeros(len(rows)))
         support = subtorus_from_equations(torus, rows, offset)
-        holonomy = (
-            _fractions(sysd["holonomy"], "[system] holonomy")
-            if "holonomy" in sysd
-            else _zeros(support.dim)
-        )
+        holonomy = _optional(sysd, "holonomy", "system", _fractions, _zeros(support.dim))
         rank = _int(sysd.get("rank", "1"), "[system] rank")
         return Scene(
             torus, kind, absolute=SubtorusLocalSystem(support, holonomy, rank)
@@ -218,11 +215,7 @@ def _parse_support(torus: Torus, sup: dict, sysd: dict) -> Scene:
         epsilon = _exprs(_require(sup, "epsilon", "support"), "[support] epsilon")
         if len(epsilon) != g:
             raise ValueError("[support] epsilon needs one component per coordinate")
-        alpha = (
-            _exprs(sysd["alpha"], "[system] alpha")
-            if "alpha" in sysd
-            else _zeros(g)
-        )
+        alpha = _optional(sysd, "alpha", "system", _exprs, _zeros(g))
         _check_length(alpha, g, "[system] alpha")
         return Scene(
             torus,
@@ -235,17 +228,11 @@ def _parse_support(torus: Torus, sup: dict, sysd: dict) -> Scene:
     if not 0 <= k <= g:
         raise ValueError("[support] k must lie between 0 and g")
     m = g - k
-    zeta = _exprs(sup["zeta"], "[support] zeta") if "zeta" in sup else _zeros(m)
-    a = (
-        _expr_rows(sup["a"], "[support] a", k)
-        if "a" in sup
-        else tuple(_zeros(m) for _ in range(k))
-    )
-    chi = _exprs(sup["chi"], "[support] chi") if "chi" in sup else _zeros(k)
-    alpha = (
-        _exprs(sysd["alpha"], "[system] alpha") if "alpha" in sysd else _zeros(k)
-    )
-    xi = _fractions(sysd["xi"], "[system] xi") if "xi" in sysd else _zeros(m)
+    zeta = _optional(sup, "zeta", "support", _exprs, _zeros(m))
+    a = _optional(sup, "a", "support", _expr_rows, (_zeros(m),) * k, k)
+    chi = _optional(sup, "chi", "support", _exprs, _zeros(k))
+    alpha = _optional(sysd, "alpha", "system", _exprs, _zeros(k))
+    xi = _optional(sysd, "xi", "system", _fractions, _zeros(m))
     _check_length(alpha, k, "[system] alpha")
     _check_length(xi, m, "[system] xi")
     return Scene(
@@ -263,15 +250,11 @@ def _parse_bundle(torus: Torus, bd: dict) -> Scene:
     if not 0 <= k <= g:
         raise ValueError("[bundle] k must lie between 0 and g")
     m = g - k
-    zeta = _exprs(bd["zeta"], "[bundle] zeta") if "zeta" in bd else _zeros(m)
-    p = (
-        _expr_rows(bd["P"], "[bundle] P", m)
-        if "P" in bd
-        else tuple(_zeros(k) for _ in range(m))
-    )
-    q = _exprs(bd["Q"], "[bundle] Q") if "Q" in bd else _zeros(m)
-    alpha = _exprs(bd["alpha"], "[bundle] alpha") if "alpha" in bd else _zeros(k)
-    beta = _exprs(bd["beta"], "[bundle] beta") if "beta" in bd else _zeros(k)
+    zeta = _optional(bd, "zeta", "bundle", _exprs, _zeros(m))
+    p = _optional(bd, "P", "bundle", _expr_rows, (_zeros(k),) * m, m)
+    q = _optional(bd, "Q", "bundle", _exprs, _zeros(m))
+    alpha = _optional(bd, "alpha", "bundle", _exprs, _zeros(k))
+    beta = _optional(bd, "beta", "bundle", _exprs, _zeros(k))
     return Scene(
         torus, "bundle", bundle=TransformedBundle(g, k, zeta, p, q, alpha, beta)
     )

@@ -22,8 +22,10 @@ from .exact_linalg import (
     IntMatrix,
     RatMatrix,
     RatVector,
+    _integral,
     _kernel_hermite,
     _saturation,
+    _unchecked,
     hnf,
     kernel_basis,
     mod1,
@@ -42,7 +44,7 @@ class Torus:
     metric: RatMatrix
 
     def __init__(self, dim: int, metric: RatMatrix | None = None):
-        dim = int(dim)
+        dim = _integral(dim, "torus dimension")
         if dim < 1:
             raise ValueError("torus dimension must be positive")
         if metric is None:
@@ -65,9 +67,7 @@ class Torus:
         """
         hat = self.__dict__.get("_dual")
         if hat is None:
-            hat = object.__new__(Torus)
-            object.__setattr__(hat, "dim", self.dim)
-            object.__setattr__(hat, "metric", self.metric.inverse())
+            hat = _unchecked(Torus, self.dim, self.metric.inverse())
             object.__setattr__(hat, "_dual", self)
             object.__setattr__(self, "_dual", hat)
         return hat
@@ -108,13 +108,7 @@ class AffineSubtorus:
     eqns: IntMatrix
     offset: RatVector
 
-    @classmethod
-    def _canonical(cls, torus: Torus, eqns: IntMatrix, offset: RatVector) -> "AffineSubtorus":
-        s = object.__new__(cls)
-        object.__setattr__(s, "torus", torus)
-        object.__setattr__(s, "eqns", eqns)
-        object.__setattr__(s, "offset", offset)
-        return s
+    _canonical = classmethod(_unchecked)
 
     def __post_init__(self):
         g = self.torus.dim

@@ -2,10 +2,12 @@
 
 Everything here is deliberately slow and simple: Laplace determinants,
 exhaustive minor enumeration, membership tests via rational solves.  The
-library under test must agree with these on small inputs.  Only the
-library's matrix container and the Poincare factor of `line_bundles`,
-which no transform calls, are used; every algorithm here is its own.
-`deadline` bounds the wall time of the tests that time the library.
+library under test must agree with these on small inputs.  Nothing here
+imports torusfm: matrices are plain row sequences (a library matrix is
+read through its `rows`), expressions are read through their documented
+term map, and the Poincare bundle is built here from its factor of
+automorphy.  `deadline` bounds the wall time of the tests that time the
+library.
 """
 
 import functools
@@ -14,16 +16,6 @@ import math
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
-
-from torusfm.exact_linalg import IntMatrix
-from torusfm.expr import eval_at
-from torusfm.line_bundles import (
-    gauge_transform,
-    pairing_vanishes,
-    poincare_gauge,
-    poincare_pair,
-    restrict_factor,
-)
 
 
 @contextmanager
@@ -43,13 +35,14 @@ def deadline(seconds):
 
 
 def matmul(a, b):
-    """The product of two matrices given as row lists, entry by entry."""
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+    """The product of two matrices, as a tuple of row tuples, entry by entry."""
+    cols = list(zip(*_rows(b)))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in _rows(a))
 
 
 def naive_det(m):
     """Laplace expansion along the first row."""
-    return _laplace(m.rows)
+    return _laplace(_rows(m))
 
 
 def _laplace(rows):
@@ -92,16 +85,19 @@ def sylvester_positive_definite(m):
     Entries may be rational; the matrix is scaled by a positive common
     denominator first, which keeps the sign of every minor.
     """
-    n = m.nrows
-    if m.ncols != n or any(m.rows[i][j] != m.rows[j][i] for i in range(n) for j in range(i)):
+    rows = _rows(m)
+    n = len(rows)
+    if any(len(r) != n for r in rows) or any(
+        rows[i][j] != rows[j][i] for i in range(n) for j in range(i)
+    ):
         return False
-    scale = math.lcm(*(Fraction(e).denominator for row in m.rows for e in row))
-    ints = [[int(e * scale) for e in row] for row in m.rows]
-    return all(naive_det(IntMatrix([r[:t] for r in ints[:t]], t)) > 0 for t in range(1, n + 1))
+    scale = math.lcm(*(Fraction(e).denominator for row in rows for e in row))
+    ints = [[int(e * scale) for e in row] for row in rows]
+    return all(naive_det([r[:t] for r in ints[:t]]) > 0 for t in range(1, n + 1))
 
 
 def _rows(m):
-    """The rows of an IntMatrix, or of a plain sequence of rows, as tuples."""
+    """The rows of a library matrix, or of a plain sequence of rows, as tuples."""
     return tuple(map(tuple, getattr(m, "rows", m)))
 
 
@@ -258,14 +254,40 @@ def offset_by_particular_solution(sat, rows, offsets, ncols):
 
 def random_unimodular(n, rng, steps=12):
     """Product of elementary row operations, so the determinant stays +-1."""
-    m = [list(r) for r in IntMatrix.identity(n).rows]
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(steps):
         i, j = rng.randrange(n), rng.randrange(n)
         if i == j:
             continue
         q = rng.randint(-3, 3)
         m[i] = [a + q * b for a, b in zip(m[i], m[j])]
-    return IntMatrix(m)
+    return _rows(m)
+
+
+def evaluate(e, point):
+    """Float value of an expression at a point, read from its documented term map.
+
+    Each (monomial, character) key maps to a rational.  A monomial is a
+    tuple of (atom, exponent): pi is (0,), x_i is (1, i), fed by
+    point[i-1], and an opaque atom is (2, text, "sin" or "cos", argument).
+    The character is None for 1, or ("cos" or "sin", frequency), the
+    frequency a tuple of (i, a, b) for the coefficient a + b*pi of x_i.
+    """
+    total = 0.0
+    for (mono, char), c in e.terms.items():
+        v = float(c)
+        for atom, k in mono:
+            if atom[0] == 0:
+                v *= math.pi**k
+            elif atom[0] == 1:
+                v *= float(point[atom[1] - 1]) ** k
+            else:
+                v *= getattr(math, atom[2])(evaluate(atom[3], point)) ** k
+        if char is not None:
+            phase = sum((a + b * math.pi) * float(point[i - 1]) for i, a, b in char[1])
+            v *= getattr(math, char[0])(phase)
+        total += v
+    return total
 
 
 def fd_partial(e, point, i, h=1e-6):
@@ -273,7 +295,7 @@ def fd_partial(e, point, i, h=1e-6):
 
     ``i`` is 1-based to match expression variables.
     """
-    return _central(lambda p: [eval_at(e, p)], point, i, h)[0]
+    return _central(lambda p: [evaluate(e, p)], point, i, h)[0]
 
 
 def _central(f, point, i, h=1e-6):
@@ -303,9 +325,9 @@ def c1_coefficients(zeta, a, chi, k, point):
 
     def chart(u):
         x, y = u[:k], u[k:]
-        xs = list(x) + [eval_at(z, x) for z in zeta]
+        xs = list(x) + [evaluate(z, x) for z in zeta]
         ys = list(y) + [
-            sum(eval_at(a[l][m], x) * y[m] for m in range(n)) + eval_at(chi[l], x)
+            sum(evaluate(a[l][m], x) * y[m] for m in range(n)) + evaluate(chi[l], x)
             for l in range(k)
         ]
         return xs + ys
@@ -327,22 +349,65 @@ def c1_coefficients(zeta, a, chi, k, point):
 
 
 # ------------------------------------------------------------ Poincare bundle
+#
+# Phases are in turns.  On T x T-hat, with coordinates x = (y, w), the
+# Poincare bundle is the line bundle of the standard symplectic pairing
+# J = [[0, -I], [I, 0]] (Mukai, Nagoya Math. J. 81, 1981), with the factor
+# of automorphy
+#
+#     a(x, lam) = exp(2 pi i (t.lam + lam^T U lam / 2 + x^T M lam)),
+#
+# U = the strict upper part of J, M = J/2 and t = 0.  It is a cocycle
+# because M - (U + U^T)/2 is an integer matrix.
 
-_POINCARE = {}
+
+def _symplectic(g):
+    """J = [[0, -I], [I, 0]] on coordinates (y_1..y_g, w_1..w_g)."""
+    return [[(r == c + g) - (c == r + g) for c in range(2 * g)] for r in range(2 * g)]
+
+
+@functools.cache
+def _gauged_poincare(g):
+    """(U + S, M + (S + S^T)/2), the factor gauged by exp(pi i x^T S x), S = [[0, I], [0, 0]]."""
+    n = 2 * g
+    j = _symplectic(g)
+    s = [[int(c == r + g) for c in range(n)] for r in range(n)]
+    u = [[(j[r][c] if c > r else 0) + s[r][c] for c in range(n)] for r in range(n)]
+    m = [[Fraction(j[r][c] + s[r][c] + s[c][r], 2) for c in range(n)] for r in range(n)]
+    assert all((2 * m[r][c] - u[r][c] - u[c][r]) % 2 == 0 for r in range(n) for c in range(n))
+    # Pinning w leaves a flat factor on T: no mixed term and an even quadratic part.
+    assert not any(m[r][c] for r in range(g) for c in range(g))
+    assert all((u[r][c] + u[c][r]) % 2 == 0 for r in range(g) for c in range(g))
+    return u, m
 
 
 def poincare_holonomy(g, point):
     """Holonomy on T of the Poincare bundle restricted to T x {point}.
 
-    The factor is gauged by exp(pi i y.w) once per g, so that pinning the
-    dual coordinates w leaves a flat factor on T.
+    Pinning w = point in the gauged factor leaves on T the block of U on
+    the y coordinates and the character t_c + sum_i w_i M[g+i][c]; the
+    holonomy of that flat factor along y_c is t_c + U[c][c]/2.
     """
-    f = _POINCARE.get(g)
-    if f is None:
-        f = _POINCARE[g] = gauge_transform(poincare_pair(g).factor(), poincare_gauge(g, 1))
-    pinned = restrict_factor(f, {g + i: Fraction(w) for i, w in enumerate(point)})
-    assert pinned.is_flat()
-    return pinned.holonomy()
+    u, m = _gauged_poincare(g)
+    t = [sum(Fraction(w) * m[g + i][c] for i, w in enumerate(point)) for c in range(g)]
+    return [t[c] + Fraction(u[c][c], 2) for c in range(g)]
+
+
+def pairing_vanishes(s, s_hat):
+    """Whether the Chern form of the Poincare bundle vanishes on all direction pairs.
+
+    It pairs a direction u of s (in the first factor) with a direction v
+    of s_hat (in the second) by J, which gives -u.v.
+    """
+    if s.torus.dim != s_hat.torus.dim:
+        return False
+    g = s.torus.dim
+    j = _symplectic(g)
+    return not any(
+        sum(a * j[r][g + c] * b for r, a in enumerate(u) for c, b in enumerate(v))
+        for u in s.direction_basis().rows
+        for v in s_hat.direction_basis().rows
+    )
 
 
 def poincare_member(system, point):

@@ -25,6 +25,7 @@ from oracles import (
     gcd_of_minors,
     in_row_span_z,
     is_canonical_hnf,
+    matmul,
     naive_det,
     rational_rank,
 )
@@ -483,7 +484,7 @@ def _hnf_agrees(m, rank):
     assert is_canonical_hnf(h)
     assert u.shape == (m.nrows, m.nrows)
     assert abs(naive_det(u)) == 1
-    assert u @ m == h
+    assert matmul(u, m) == h.rows
     for row in m.rows:
         assert in_row_span_z(row, h)
     minors_gcd = gcd_of_minors(m, rank)
@@ -496,7 +497,7 @@ def _snf_agrees(m, rank):
     d, u, v = snf(m)
     assert abs(naive_det(u)) == 1
     assert abs(naive_det(v)) == 1
-    assert (u @ m) @ v == d
+    assert matmul(matmul(u, m), v) == d.rows
     diag = [d.rows[i][i] for i in range(min(d.shape))]
     assert all(
         d.rows[i][j] == 0

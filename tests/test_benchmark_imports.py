@@ -4,7 +4,8 @@
 package, and `perfbench/tracing.py` reads its per-layer metrics at the
 boundaries in `EXPECTED`.  Reading both here, without running the
 harness, turns a renamed or deleted function into a test failure instead
-of an empty benchmark run or a metric reported missing.
+of an empty benchmark run or a metric reported missing.  The test oracles,
+for their part, must import nothing from the library.
 """
 
 import ast
@@ -13,6 +14,7 @@ from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 RUN = PERFBENCH / "run.py"
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
 TRACING = PERFBENCH / "tracing.py"
 
 
@@ -53,3 +55,14 @@ def test_every_boundary_the_tracer_expects_resolves():
         if obj is None:
             missing.append(key)
     assert missing == []
+
+
+def test_the_oracles_import_nothing_from_the_library():
+    imported = []
+    for node in ast.walk(ast.parse(ORACLES.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert "math" in imported
+    assert [name for name in imported if name.split(".")[0] in ("torusfm", "")] == []

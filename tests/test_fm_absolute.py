@@ -242,3 +242,18 @@ def test_rank_validation():
         SubtorusLocalSystem(whole_torus(T2), (0, 0), rank=0)
     with pytest.raises(ValueError, match="holonomy dimension mismatch"):
         SubtorusLocalSystem(whole_torus(T2), (0, 0, 0))
+
+
+def test_rank_must_be_an_integer():
+    # int() would truncate these to rank 1 and 2.
+    with pytest.raises(ValueError, match="rank 1.9 is not an integer"):
+        SubtorusLocalSystem(whole_torus(T2), (0, 0), rank=1.9)
+    with pytest.raises(ValueError, match=r"rank Fraction\(3, 2\) is not an integer"):
+        full_torus_system(T2, (0, 0), rank=F(3, 2))
+    assert SubtorusLocalSystem(whole_torus(T2), (0, 0), rank=F(4, 2)).rank == 2
+
+
+def test_skyscraper_rank_must_be_an_integer():
+    with pytest.raises(ValueError, match="rank 2.7 is not an integer"):
+        skyscraper(T2, (0, 0), rank=2.7)
+    assert skyscraper(T2, (0, 0), rank=3.0) == skyscraper(T2, (0, 0), rank=3)

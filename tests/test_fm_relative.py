@@ -473,7 +473,7 @@ def bidiagonal_times_constant(k, rng, drops=False):
     """
     while True:
         c = [[rng.choice((-2, -1, 1, 2)) for _ in range(k)] for _ in range(k)]
-        if IntMatrix(c).det() != 0:
+        if rational_rank(c, k) == k:
             break
     a = []
     for i in range(k):

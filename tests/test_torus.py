@@ -15,6 +15,7 @@ from oracles import (
     matmul,
     naive_det,
     offset_by_particular_solution,
+    pairing_vanishes,
     rational_rank,
 )
 
@@ -103,7 +104,7 @@ def unimodular(n, seed):
         if i != j:
             q = rng.randint(-2, 2)
             m[i] = [a + q * b for a, b in zip(m[i], m[j])]
-    return IntMatrix(m)
+    return m
 
 
 @settings(max_examples=100, deadline=None)
@@ -125,7 +126,8 @@ def test_presentation_invariance(g, data):
     torus = Torus(g)
     s = subtorus_from_equations(torus, a, c)
     p = unimodular(m, data.draw(st.integers(0, 10**6)))
-    s2 = subtorus_from_equations(torus, p @ a, p.mul_vector(c))
+    moved = [sum(e * x for e, x in zip(row, c)) for row in p]
+    s2 = subtorus_from_equations(torus, matmul(p, a), moved)
     assert s == s2
 
 
@@ -263,7 +265,7 @@ def test_hard_systems_finish_under_a_deadline(name):
     assert all(not any(m.mul_vector(row)) for row in kernel.rows)
     if kernel.nrows:
         assert gcd_of_minors(kernel, kernel.nrows) == 1
-    assert u @ m @ v == d
+    assert matmul(matmul(u, m), v) == d.rows
     assert abs(naive_det(u)) == 1 and abs(naive_det(v)) == 1
     diag = [d.rows[i][i] for i in range(r)]
     assert all(d.rows[i][j] == 0 for i in range(r) for j in range(g) if i != j)
@@ -396,6 +398,39 @@ def test_is_normal_to():
     assert not is_normal_to(s, subtorus_from_equations(Torus(2), [[1, 0]], [0]))
 
 
+def test_pairing_vanishes_matches_normality():
+    t = Torus(3)
+    s = subtorus_from_equations(t, [[1, 2, 3]], [F(1, 5)])
+    hat, _ = dual_support(s, (0, 0))
+    assert pairing_vanishes(s, hat)
+    assert is_normal_to(s, hat)
+    other = subtorus_from_equations(t, [[1, 0, 0]], [0])
+    assert not pairing_vanishes(s, other)
+    assert not is_normal_to(s, other)
+    # Vanishing alone does not pin the dimension; normality does.
+    line = subtorus_from_equations(t, [[1, 2, 3], [0, 1, 1]], [0, 0])
+    hat_line, _ = dual_support(line, (0,))
+    sub_of_hat = subtorus_from_equations(
+        Torus(3), hat_line.eqns, hat_line.offset
+    )
+    assert pairing_vanishes(line, sub_of_hat)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_pairing_vanishes_iff_normal_for_dual_pairs(data):
+    g = data.draw(st.integers(2, 4))
+    m = data.draw(st.integers(1, g - 1))
+    rows = [[data.draw(st.integers(-3, 3)) for _ in range(g)] for _ in range(m)]
+    a = IntMatrix(rows, g)
+    if rational_rank(a.rows, g) != m:
+        return
+    s = subtorus_from_equations(Torus(g), a, [0] * m)
+    hat, _ = dual_support(s, [0] * s.dim)
+    assert pairing_vanishes(s, hat)
+    assert is_normal_to(s, hat)
+
+
 def test_normality_is_metric_independent():
     metric = RatMatrix([[2, 1, 0], [1, 3, 0], [0, 0, 1]])
     t = Torus(3, metric)
@@ -476,10 +511,25 @@ def test_dual_torus_is_cached_inverse_and_links_back(t):
     hat = t.dual()
     assert hat is t.dual()
     assert hat.dual() is t
-    assert matmul(t.metric.rows, hat.metric.rows) == [
-        [int(i == j) for j in range(t.dim)] for i in range(t.dim)
-    ]
+    assert matmul(t.metric, hat.metric) == tuple(
+        tuple(int(i == j) for j in range(t.dim)) for i in range(t.dim)
+    )
     assert hat == Torus(t.dim, hat.metric)
+
+
+def test_torus_dimension_must_be_an_integer():
+    # int() would truncate these to the 2-torus.
+    with pytest.raises(ValueError, match="torus dimension 2.5 is not an integer"):
+        Torus(2.5)
+    with pytest.raises(ValueError, match=r"torus dimension Fraction\(5, 2\) is not an integer"):
+        Torus(F(5, 2))
+    assert Torus(F(4, 2)) == Torus(2) and type(Torus(2.0).dim) is int
+    # Values int() refuses, or would parse from text, are named as well.
+    for bad in (None, "2", float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="torus dimension .* is not an integer"):
+            Torus(bad)
+    with pytest.raises(ValueError, match="torus dimension must be positive"):
+        Torus(0)
 
 
 def test_public_constructors_still_reject_bad_data():
@@ -606,7 +656,7 @@ def components_one_at_a_time(s1, s2):
     if any(x.denominator != 1 for x in cprime[r:]):
         return []
     divisors = [d.rows[i][i] for i in range(r)]
-    rows = [[e // di for e in row] for row, di in zip((u @ a).rows, divisors)]
+    rows = [[e // di for e in row] for row, di in zip(matmul(u, a), divisors)]
     components = [
         subtorus_from_equations(
             s1.torus, rows, [(x - ti) / di for x, ti, di in zip(cprime, t, divisors)]
