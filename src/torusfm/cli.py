@@ -26,12 +26,13 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .expr import ZERO, Verdict, eval_exact, to_str
+from .expr import ZERO, Expr, Verdict, eval_exact, to_str
 from .fm_absolute import SubtorusLocalSystem, transform as absolute_transform
 from .fm_relative import (
     ConditionError,
     ConditionReport,
     TransformedBundle,
+    _differences,
     _gather,
     check_C1_lagrangian,
     check_C2_C3,
@@ -54,35 +55,23 @@ __all__ = ["main"]
 # ------------------------------------------------------------- formatting
 
 
-def _vec(values) -> str:
-    return "[" + ", ".join(str(v) for v in values) + "]"
+def _text(value) -> str:
+    """A report value: an Expr by `to_str`, a tuple or list as a bracketed list, anything else by str."""
+    if isinstance(value, Expr):
+        return to_str(value)
+    if isinstance(value, (tuple, list)):
+        return "[" + ", ".join(map(_text, value)) + "]"
+    return str(value)
 
 
-def _mat(rows) -> str:
-    return "[" + ", ".join(_vec(row) for row in rows) + "]"
-
-
-def _evec(exprs) -> str:
-    return "[" + ", ".join(to_str(e) for e in exprs) + "]"
-
-
-def _emat(rows) -> str:
-    return "[" + ", ".join(_evec(row) for row in rows) + "]"
+def _put(out: dict, prefix: str, **fields) -> None:
+    """Write prefix.key for each field in the order given; ints stay ints, the rest is text."""
+    for key, value in fields.items():
+        out[f"{prefix}.{key}"] = value if isinstance(value, int) else _text(value)
 
 
 def _strength(v: Verdict) -> str:
     return "proven" if v.proven else f"numerical, tol {v.tol:g}"
-
-
-def _verdict_text(v: Verdict) -> str:
-    return ("zero" if v.is_zero else "nonzero") + f" ({_strength(v)})"
-
-
-def _condition_text(rep: ConditionReport) -> str:
-    text = ("holds" if rep.holds else "fails") + f" ({_strength(rep.verdict)})"
-    if rep.failures:
-        text += " [" + ", ".join(rep.failures) + "]"
-    return text
 
 
 def _note(warnings: list, label: str, v: Verdict) -> None:
@@ -90,68 +79,61 @@ def _note(warnings: list, label: str, v: Verdict) -> None:
         warnings.append(f"{label} decided numerically (tol {v.tol:g})")
 
 
+def _put_verdict(out: dict, warnings: list, key: str, v: Verdict) -> None:
+    out[key] = ("zero" if v.is_zero else "nonzero") + f" ({_strength(v)})"
+    _note(warnings, key, v)
+
+
+def _put_condition(out: dict, warnings: list, key: str, rep: ConditionReport) -> None:
+    text = ("holds" if rep.holds else "fails") + f" ({_strength(rep.verdict)})"
+    out[key] = text + (" [" + ", ".join(rep.failures) + "]" if rep.failures else "")
+    _note(warnings, key, rep.verdict)
+
+
 def _differs(rep: ConditionReport) -> str:
     return "differs [" + ", ".join(rep.failures) + "]"
 
 
-def _equality(labelled, tol, grid, warnings, key) -> str:
-    """Summarize entrywise zero tests of differences as one report value."""
-    rep = _gather(key, labelled, tol, grid)
+def _equality(key, got, want, tol, grid, warnings, drift=lambda e: e) -> str:
+    """Zero-test drift(got - want) entry by entry; the outcome as one report value."""
+    rep = _gather(key, ((label, drift(e)) for label, e in _differences(key, got, want)), tol, grid)
     _note(warnings, key, rep.verdict)
     return f"exact ({_strength(rep.verdict)})" if rep.holds else _differs(rep)
 
 
 def _put_absolute(out: dict, prefix: str, system: SubtorusLocalSystem) -> None:
     sup = system.support
-    out[f"{prefix}.equations"] = _mat(sup.eqns.rows)
-    out[f"{prefix}.offset"] = _vec(sup.offset)
-    out[f"{prefix}.holonomy"] = _vec(system.holonomy)
-    out[f"{prefix}.rank"] = system.rank
-    out[f"{prefix}.support_dim"] = sup.dim
-
-
-def _put_bundle(out: dict, prefix: str, b, warnings: list) -> None:
-    out[f"{prefix}.k"] = b.k
-    out[f"{prefix}.zeta"] = _evec(b.zeta)
-    out[f"{prefix}.gamma_tilde"] = _emat(b.gamma_tilde)
-    out[f"{prefix}.varsigma"] = _evec(b.varsigma)
-    out[f"{prefix}.alpha"] = _evec(b.alpha)
-    out[f"{prefix}.fibre_turns"] = _evec(b.fibre_turns)
-    out[f"{prefix}.holomorphic"] = _verdict_text(b.holomorphic)
-    _note(warnings, f"{prefix}.holomorphic", b.holomorphic)
+    _put(
+        out, prefix, equations=sup.eqns.rows, offset=sup.offset,
+        holonomy=system.holonomy, rank=system.rank, support_dim=sup.dim,
+    )
 
 
 def _put_fibred_input(out: dict, scene: Scene) -> None:
     """Input keys of a section or relative scene; a section prints chi as epsilon."""
     s, system = scene.support, scene.system
     if scene.kind == "section":
-        out["input.epsilon"] = _evec(s.chi)
-        out["input.alpha"] = _evec(system.alpha)
-        return
-    out["input.k"] = s.k
-    out["input.zeta"] = _evec(s.zeta)
-    out["input.a"] = _emat(s.a)
-    out["input.chi"] = _evec(s.chi)
-    out["input.alpha"] = _evec(system.alpha)
-    out["input.xi"] = _vec(system.xi)
+        _put(out, "input", epsilon=s.chi, alpha=system.alpha)
+    else:
+        _put(
+            out, "input", k=s.k, zeta=s.zeta, a=s.a, chi=s.chi,
+            alpha=system.alpha, xi=system.xi,
+        )
 
 
 def _put_dual_input(out: dict, b: TransformedBundle) -> None:
-    out["input.k"] = b.k
-    out["input.zeta"] = _evec(b.zeta)
-    out["input.P"] = _emat(b.gamma_tilde)
-    out["input.Q"] = _evec(b.varsigma)
-    out["input.alpha"] = _evec(b.alpha)
-    out["input.beta"] = _evec(b.fibre_turns)
+    _put(
+        out, "input", k=b.k, zeta=b.zeta, P=b.gamma_tilde, Q=b.varsigma,
+        alpha=b.alpha, beta=b.fibre_turns,
+    )
 
 
 def _put_hodge(out: dict, alpha, turns, tol, grid, warnings: list) -> None:
     f20, f11, f02 = hodge_components(alpha, turns, tol, grid)
     for name, grid_ in (("F20", f20), ("F11", f11), ("F02", f02)):
-        out[name] = _emat(grid_)
+        out[name] = _text(grid_)
         v = _gather(name, ((name, e) for row in grid_ for e in row), tol, grid).verdict
-        out[f"{name}.vanishes"] = _verdict_text(v)
-        _note(warnings, f"{name}.vanishes", v)
+        _put_verdict(out, warnings, f"{name}.vanishes", v)
 
 
 def _angle_drift(e):
@@ -168,9 +150,7 @@ def _alpha_comparison(alpha_out, alpha_in, varsigma, chi, tol, grid, warnings) -
     The term is predicted from the data the round trip starts from, not
     taken from the inverse's report, so a wrong inverse cannot hide.
     """
-    drift = [
-        (f"alpha[{j + 1}]", out - inp) for j, (out, inp) in enumerate(zip(alpha_out, alpha_in))
-    ]
+    drift = list(_differences("alpha", alpha_out, alpha_in))
     gauged = [(label, e + t) for (label, e), t in zip(drift, gauge_term(varsigma, chi))]
     for labelled, how in ((drift, "exact"), (gauged, "exact up to the gauge term")):
         rep = _gather("alpha", labelled, tol, grid)
@@ -183,17 +163,6 @@ def _alpha_comparison(alpha_out, alpha_in, varsigma, chi, tol, grid, warnings) -
 # ------------------------------------------------------------- subcommands
 
 
-def _need_fibred(scene: Scene, command: str) -> None:
-    if scene.kind in ("skyscraper", "subtorus"):
-        raise ConditionError(
-            command,
-            message=(
-                f"the {command} command needs a section, relative or bundle "
-                f"scene; a {scene.kind} scene has no dual fibre data"
-            ),
-        )
-
-
 def _cmd_transform(scene: Scene, args, out: dict, warnings: list) -> None:
     tol, grid = args.tol, args.grid
     if scene.kind in ("skyscraper", "subtorus"):
@@ -203,17 +172,20 @@ def _cmd_transform(scene: Scene, args, out: dict, warnings: list) -> None:
         out["wit_index"] = res.wit_index
     elif scene.kind in ("section", "relative"):
         _put_fibred_input(out, scene)
-        bundle = transform_nontransversal(scene.support, scene.system, tol, grid)
-        _put_bundle(out, "output", bundle, warnings)
-        out["wit_index"] = bundle.wit_index
+        b = transform_nontransversal(scene.support, scene.system, tol, grid)
+        _put(
+            out, "output", k=b.k, zeta=b.zeta, gamma_tilde=b.gamma_tilde,
+            varsigma=b.varsigma, alpha=b.alpha, fibre_turns=b.fibre_turns,
+        )
+        _put_verdict(out, warnings, "output.holomorphic", b.holomorphic)
+        out["wit_index"] = b.wit_index
     else:
         _put_dual_input(out, scene.bundle)
         inv = inverse_transform(scene.bundle, tol, grid)
-        out["output.zeta"] = _evec(inv.support.zeta)
-        out["output.a"] = _emat(inv.support.a)
-        out["output.chi"] = _evec(inv.support.chi)
-        out["output.alpha"] = _evec(inv.system.alpha)
-        out["output.xi"] = _vec(inv.system.xi)
+        _put(
+            out, "output", zeta=inv.support.zeta, a=inv.support.a,
+            chi=inv.support.chi, alpha=inv.system.alpha, xi=inv.system.xi,
+        )
         out["wit_index"] = inv.wit_index
 
 
@@ -224,28 +196,22 @@ def _cmd_check(scene: Scene, args, out: dict, warnings: list) -> None:
         out["conditions"] = (
             "none apply; flat systems on affine subtori transform unconditionally"
         )
-    elif scene.kind == "section":
-        lag = check_C1_lagrangian(scene.support, tol, grid)
-        flat = check_flat(scene.system.alpha, tol, grid)
-        out["lagrangian"] = _condition_text(lag)
-        _note(warnings, "lagrangian", lag.verdict)
-        out["flat"] = _condition_text(flat)
-        _note(warnings, "flat", flat.verdict)
-    elif scene.kind == "relative":
-        c1 = check_C1_lagrangian(scene.support, tol, grid)
-        c2, c3 = check_C2_C3(scene.support, tol, grid)
-        flat = check_flat(scene.system.alpha, tol, grid)
-        for rep in (c1, c2, c3, flat):
-            out[rep.name] = _condition_text(rep)
-            _note(warnings, rep.name, rep.verdict)
-        if c2.holds:
-            out["wit_index"] = scene.support.g - scene.support.k
+        return
+    if scene.kind == "bundle":
+        b = scene.bundle
+        reports = [*check_D_conditions(b, tol, grid), check_cauchy_riemann(b, tol, grid)]
     else:
-        d1, d2, d3 = check_D_conditions(scene.bundle, tol, grid)
-        cr = check_cauchy_riemann(scene.bundle, tol, grid)
-        for rep in (d1, d2, d3, cr):
-            out[rep.name] = _condition_text(rep)
-            _note(warnings, rep.name, rep.verdict)
+        s = scene.support
+        reports = [check_C1_lagrangian(s, tol, grid)]
+        if scene.kind == "relative":
+            reports += check_C2_C3(s, tol, grid)
+        reports.append(check_flat(scene.system.alpha, tol, grid))
+    for rep in reports:
+        # A section reports C1 under the name of what it asks: a Lagrangian graph.
+        key = "lagrangian" if scene.kind == "section" and rep.name == "C1" else rep.name
+        _put_condition(out, warnings, key, rep)
+    if scene.kind == "relative" and reports[1].holds:
+        out["wit_index"] = s.g - s.k
 
 
 def _slices(out, seed, s, system, bundle) -> None:
@@ -266,7 +232,7 @@ def _slices(out, seed, s, system, bundle) -> None:
             and res.wit_index == bundle.wit_index
             and is_normal_to(sl_in.support, sl_out.support)
         )
-        out[f"slice{i}.base"] = _vec(base)
+        out[f"slice{i}.base"] = _text(base)
         out[f"slice{i}.fibre"] = "matches the sliced transform" if agree else "MISMATCH"
 
 
@@ -293,30 +259,14 @@ def _cmd_roundtrip(scene: Scene, args, out: dict, warnings: list) -> None:
         bundle = transform_nontransversal(s, system, tol, grid)
         inv = inverse_transform(bundle, tol, grid)
         if relative:
-            out["forward.holomorphic"] = _verdict_text(bundle.holomorphic)
-            _note(warnings, "forward.holomorphic", bundle.holomorphic)
+            _put_verdict(out, warnings, "forward.holomorphic", bundle.holomorphic)
         out["forward.wit_index"] = bundle.wit_index
         out["inverse.wit_index"] = inv.wit_index
         if relative:
-            out["zeta"] = (
-                "exact" if inv.support.zeta == s.zeta else "MISMATCH"
-            )
-            out["a"] = _equality(
-                [
-                    (f"a[{j + 1}][{m + 1}]", inv.support.a[j][m] - s.a[j][m])
-                    for j in range(s.k)
-                    for m in range(s.g - s.k)
-                ],
-                tol, grid, warnings, "a",
-            )
+            out["zeta"] = "exact" if inv.support.zeta == s.zeta else "MISMATCH"
+            out["a"] = _equality("a", inv.support.a, s.a, tol, grid, warnings)
         chi = "chi" if relative else "epsilon"
-        out[chi] = _equality(
-            [
-                (f"{chi}[{j + 1}]", inv.support.chi[j] - s.chi[j])
-                for j in range(s.k)
-            ],
-            tol, grid, warnings, chi,
-        )
+        out[chi] = _equality(chi, inv.support.chi, s.chi, tol, grid, warnings)
         out["alpha"] = _alpha_comparison(
             inv.system.alpha, system.alpha, bundle.varsigma, s.chi, tol, grid, warnings
         )
@@ -331,28 +281,9 @@ def _cmd_roundtrip(scene: Scene, args, out: dict, warnings: list) -> None:
     out["inverse.wit_index"] = inv.wit_index
     out["forward.wit_index"] = fwd.wit_index
     out["zeta"] = "exact" if fwd.zeta == b.zeta else "MISMATCH"
-    out["P"] = _equality(
-        [
-            (f"P[{j + 1}][{i + 1}]", fwd.gamma_tilde[j][i] - b.gamma_tilde[j][i])
-            for j in range(b.g - b.k)
-            for i in range(b.k)
-        ],
-        tol, grid, warnings, "P",
-    )
-    out["Q"] = _equality(
-        [
-            (f"Q[{j + 1}]", _angle_drift(fwd.varsigma[j] - b.varsigma[j]))
-            for j in range(b.g - b.k)
-        ],
-        tol, grid, warnings, "Q",
-    )
-    out["beta"] = _equality(
-        [
-            (f"beta[{j + 1}]", fwd.fibre_turns[j] - b.fibre_turns[j])
-            for j in range(b.k)
-        ],
-        tol, grid, warnings, "beta",
-    )
+    out["P"] = _equality("P", fwd.gamma_tilde, b.gamma_tilde, tol, grid, warnings)
+    out["Q"] = _equality("Q", fwd.varsigma, b.varsigma, tol, grid, warnings, _angle_drift)
+    out["beta"] = _equality("beta", fwd.fibre_turns, b.fibre_turns, tol, grid, warnings)
     out["alpha"] = _alpha_comparison(
         fwd.alpha, b.alpha, b.varsigma, inv.support.chi, tol, grid, warnings
     )
@@ -362,7 +293,14 @@ def _cmd_roundtrip(scene: Scene, args, out: dict, warnings: list) -> None:
 
 def _cmd_curvature(scene: Scene, args, out: dict, warnings: list) -> None:
     tol, grid = args.tol, args.grid
-    _need_fibred(scene, "curvature")
+    if scene.kind in ("skyscraper", "subtorus"):
+        raise ConditionError(
+            "curvature",
+            message=(
+                "the curvature command needs a section, relative or bundle "
+                f"scene; a {scene.kind} scene has no dual fibre data"
+            ),
+        )
     if scene.kind == "bundle":
         _put_dual_input(out, scene.bundle)
         alpha, turns = scene.bundle.alpha, scene.bundle.fibre_turns
@@ -375,7 +313,7 @@ def _cmd_curvature(scene: Scene, args, out: dict, warnings: list) -> None:
             turns = tuple(-e for e in scene.support.chi)
         else:
             turns = transform_nontransversal(scene.support, scene.system, tol, grid).fibre_turns
-    out["fibre_turns"] = _evec(turns)
+    out["fibre_turns"] = _text(turns)
     _put_hodge(out, alpha, turns, tol, grid, warnings)
 
 
@@ -398,23 +336,19 @@ def _command_report(scene: Scene, args) -> dict:
     return out
 
 
-def _render_text(report: dict) -> str:
+def _render(report: dict, fmt: str) -> str:
+    """The report as JSON, or as key: value lines; a failed scene's report holds only its error."""
+    if fmt == "json":
+        return json.dumps(report, indent=2) + "\n"
     lines = []
     for key, value in report.items():
-        if key == "warnings":
-            if value:
-                lines.extend(f"warning: {w}" for w in value)
-            else:
-                lines.append("warnings: none")
+        if key == "error":
+            lines.append(value)
+        elif key == "warnings":
+            lines.extend([f"warning: {w}" for w in value] or ["warnings: none"])
         else:
             lines.append(f"{key}: {value}")
     return "\n".join(lines) + "\n"
-
-
-def _render(report: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(report, indent=2) + "\n"
-    return _render_text(report)
 
 
 def _run(args) -> tuple[str, int]:
@@ -437,14 +371,8 @@ def _run(args) -> tuple[str, int]:
             reports[f.name] = {"error": str(exc)}
             code = max(code, 1)
     if args.format == "json":
-        return json.dumps(reports, indent=2) + "\n", code
-    parts = []
-    for name, report in reports.items():
-        if "error" in report and len(report) == 1:
-            parts.append(f"== {name} ==\n{report['error']}\n")
-        else:
-            parts.append(f"== {name} ==\n" + _render_text(report))
-    return "\n".join(parts), code
+        return _render(reports, "json"), code
+    return "\n".join(f"== {name} ==\n" + _render(report, "text") for name, report in reports.items()), code
 
 
 def _grid_count(text: str) -> int:

@@ -44,6 +44,7 @@ from .exact_linalg import (
     IntMatrix,
     _gauss_jordan,
     _integer_rows,
+    _integral,
     _solve,
     _unchecked,
     mod1,
@@ -111,6 +112,14 @@ def _check_base_only(entries, k: int, what: str) -> None:
             )
 
 
+def _check_dimensions(data) -> None:
+    """Store data.g and data.k as ints; a ValueError names a non-integer or g < 1, k outside [0, g]."""
+    g, k = _integral(data.g, "g"), _integral(data.k, "k")
+    if g < 1 or not 0 <= k <= g:
+        raise ValueError("need g >= 1 and 0 <= k <= g")
+    data.__dict__.update(g=g, k=k)
+
+
 # ------------------------------------------------------------- condition data
 
 
@@ -154,6 +163,22 @@ def _report(name: str, labelled_verdicts) -> ConditionReport:
     zero = Verdict.proven_zero()
     failures = tuple(label for label, v in pairs if v is not zero and not v.is_zero)
     return ConditionReport(name, all_zero(v for _, v in pairs), failures)
+
+
+def _entries(name: str, values):
+    """(label, entry) for a vector or a matrix: name[i] or name[i][j], 1-based, row by row."""
+    for i, v in enumerate(values, 1):
+        if isinstance(v, (tuple, list)):
+            for j, e in enumerate(v, 1):
+                yield f"{name}[{i}][{j}]", e
+        else:
+            yield f"{name}[{i}]", v
+
+
+def _differences(name: str, got, want):
+    """`_entries` of got - want, for two vectors or matrices of one shape."""
+    diff = [[e - w for e, w in zip(g, h)] if isinstance(g, (tuple, list)) else g - h for g, h in zip(got, want)]
+    return _entries(name, diff)
 
 
 def _gather(name: str, labelled, tol: float, grid: int) -> ConditionReport:
@@ -210,8 +235,7 @@ class RelativeSupport:
     _trusted = classmethod(_unchecked)
 
     def __post_init__(self):
-        if self.g < 1 or not 0 <= self.k <= self.g:
-            raise ValueError("need g >= 1 and 0 <= k <= g")
+        _check_dimensions(self)
         object.__setattr__(self, "zeta", tuple(as_expr(e) for e in self.zeta))
         object.__setattr__(
             self, "a", tuple(tuple(as_expr(e) for e in row) for row in self.a)
@@ -341,10 +365,7 @@ def check_C2_C3(
     when only one of them does not vanish identically.  C3 asks that
     every entry be constant, with offending entries named a[j][m], 1-based.
     """
-    entries = (
-        (f"a[{j + 1}][{m + 1}]", e) for j, row in enumerate(s.a) for m, e in enumerate(row)
-    )
-    c3 = _constancy("C3", entries, s.k, tol, grid)
+    c3 = _constancy("C3", _entries("a", s.a), s.k, tol, grid)
     return _c2_report(s, tol, grid), c3
 
 
@@ -369,11 +390,11 @@ def _rank_witness(b, points) -> bool | None:
     seen = set()
     for p in points:
         try:
-            values = [[eval_exact(e, p) for e in row] for row in b]
+            values = _integer_values(b, p)
         except ValueError:
             return None
-        # (rank, determinant > 0); rows scaled by positive lcms keep its sign.
-        pivots, minors, swaps = _gauss_jordan(_integer_rows(values), len(b[0]))
+        # (rank, determinant > 0); rows scaled by positive ints keep its sign.
+        pivots, minors, swaps = _gauss_jordan(values, len(b[0]))
         full = square and len(pivots) == len(b)
         seen.add((len(pivots), full and (minors[-1] > 0) == (swaps % 2 == 0)))
         if len(seen) > 1:
@@ -501,8 +522,7 @@ class TransformedBundle:
     _trusted = classmethod(_unchecked)
 
     def __post_init__(self):
-        if self.g < 1 or not 0 <= self.k <= self.g:
-            raise ValueError("need g >= 1 and 0 <= k <= g")
+        _check_dimensions(self)
         for name in _BUNDLE_FIELDS:
             val = getattr(self, name)
             if name == "gamma_tilde":
@@ -634,10 +654,7 @@ def _hodge_from_turns(turns):
         tuple(-_HALF_PI * (dt[m][j] + dt[j][m]) for j in range(n))
         for m in range(n)
     )
-    f02 = tuple(
-        tuple(_HALF_PI * (dt[j][m] - dt[m][j]) for j in range(n))
-        for m in range(n)
-    )
+    f02 = tuple(tuple(-e for e in row) for row in f20)
     return f20, f11, f02
 
 
@@ -717,14 +734,7 @@ def check_D_conditions(
     of the connection is closed.  D3: no coefficient depends on the dual
     angles, which the representation enforces, so it is reported proven.
     """
-    entries = itertools.chain(
-        (
-            (f"P[{j + 1}][{i + 1}]", e)
-            for j, row in enumerate(bundle.gamma_tilde)
-            for i, e in enumerate(row)
-        ),
-        ((f"Q[{j + 1}]", e) for j, e in enumerate(bundle.varsigma)),
-    )
+    entries = itertools.chain(_entries("P", bundle.gamma_tilde), _entries("Q", bundle.varsigma))
     d1 = _constancy("D1", entries, bundle.k, tol, grid)
     d2 = _closure_report(bundle.alpha, tol, grid, "D2")
     d3 = ConditionReport("D3", Verdict.proven_zero())
@@ -740,12 +750,8 @@ def check_cauchy_riemann(
     equations, entry by entry; offending entries are named P[j][i],
     1-based.
     """
-    labelled = [
-        (f"P[{j + 1}][{i + 1}]", e - diff(bundle.zeta[j], i + 1))
-        for j, row in enumerate(bundle.gamma_tilde)
-        for i, e in enumerate(row)
-    ]
-    return _gather("cauchy-riemann", labelled, tol, grid)
+    jacobian = [[diff(z, i) for i in range(1, bundle.k + 1)] for z in bundle.zeta]
+    return _gather("cauchy-riemann", _differences("P", bundle.gamma_tilde, jacobian), tol, grid)
 
 
 class InverseResult(NamedTuple):

@@ -173,7 +173,10 @@ class AffineSubtorus:
         moved = tuple(
             mod1(c - v) for c, v in zip(self.offset, self.eqns.mul_vector(t))
         )
-        return AffineSubtorus._canonical(self.torus, self.eqns, moved)
+        out = AffineSubtorus._canonical(self.torus, self.eqns, moved)
+        # A translation keeps the equations, so it shares their direction basis.
+        object.__setattr__(out, "_directions", self.direction_basis())
+        return out
 
     def single_point(self) -> TorusPoint:
         """The unique point of a zero-dimensional subtorus."""

@@ -376,6 +376,74 @@ def test_roundtrip_alpha_line_catches_a_wrong_inverse(tmp_path, capsys, monkeypa
         assert "alpha: differs [alpha[1]]" in capsys.readouterr().out
 
 
+def _shifted_support(s, a=None, chi=None):
+    """s with a[j][m] or chi[j] raised by one; each argument is a 0-based index."""
+    rows = [list(row) for row in s.a]
+    offsets = list(s.chi)
+    if a is not None:
+        rows[a[0]][a[1]] += 1
+    if chi is not None:
+        offsets[chi] += 1
+    return RelativeSupport(s.g, s.k, s.zeta, rows, offsets)
+
+
+@pytest.mark.parametrize(
+    "name, text, a, chi, lines",
+    [
+        ("r.scene", GAUGED_RELATIVE, (0, 0), 0, ["a: differs [a[1][1]]", "chi: differs [chi[1]]"]),
+        ("r.scene", GAUGED_RELATIVE, (0, 1), None, ["a: differs [a[1][2]]", "chi: exact (proven)"]),
+        ("s.scene", SECTION, None, 0, ["epsilon: differs [epsilon[1]]"]),
+        ("s.scene", SECTION, None, 1, ["epsilon: differs [epsilon[2]]"]),
+    ],
+)
+def test_roundtrip_names_the_entries_a_wrong_inverse_breaks(
+    tmp_path, capsys, monkeypatch, name, text, a, chi, lines
+):
+    real = torusfm.cli.inverse_transform
+
+    def shifted(bundle, tol, grid):
+        inv = real(bundle, tol, grid)
+        return inv._replace(support=_shifted_support(inv.support, a, chi))
+
+    monkeypatch.setattr(torusfm.cli, "inverse_transform", shifted)
+    assert main(["roundtrip", write(tmp_path, name, text)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    for line in lines:
+        assert line in out
+
+
+@pytest.mark.parametrize(
+    "entry, shift, lines",
+    [
+        ((0, 0), "1/2", ["P: differs [P[1][1]]", "Q: differs [Q[1]]", "beta: differs [beta[1]]"]),
+        ((1, 0), "1/2", ["P: differs [P[2][1]]", "Q: differs [Q[2]]", "beta: differs [beta[1]]"]),
+        # Q is compared mod 1: a whole turn added to Q[1] is no difference.
+        ((0, 0), "3", ["P: differs [P[1][1]]", "Q: exact (proven)", "beta: differs [beta[1]]"]),
+    ],
+)
+def test_roundtrip_names_the_entries_a_wrong_forward_transform_breaks(
+    tmp_path, capsys, monkeypatch, entry, shift, lines
+):
+    real = torusfm.cli.transform_nontransversal
+    c = parse(shift)
+    j, i = entry
+
+    def shifted(s, system, tol, grid):
+        b = real(s, system, tol, grid)
+        p = [list(row) for row in b.gamma_tilde]
+        p[j][i] += 1
+        q = list(b.varsigma)
+        q[j] += c
+        beta = [e + c for e in b.fibre_turns]
+        return TransformedBundle(b.g, b.k, b.zeta, p, q, b.alpha, beta, b.holomorphic)
+
+    monkeypatch.setattr(torusfm.cli, "transform_nontransversal", shifted)
+    assert main(["roundtrip", write(tmp_path, "b.scene", GAUGED_BUNDLE)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    for line in lines:
+        assert line in out
+
+
 def test_curvature_of_a_gradient_section(tmp_path, capsys):
     assert main(["curvature", write(tmp_path, "s.scene", SECTION)]) == 0
     out = capsys.readouterr().out

@@ -165,6 +165,25 @@ def test_support_shapes_are_checked():
         RelativeSupport(2, 3, (0,), ((1,),), (0,))
 
 
+@pytest.mark.parametrize(
+    "g, k, message",
+    [(2.5, 1, "g 2.5 is not an integer"), (2, 0.5, "k 0.5 is not an integer"), ("2", 1, "g '2'")],
+)
+def test_support_and_bundle_dimensions_must_be_integers(g, k, message):
+    with pytest.raises(ValueError, match=message):
+        RelativeSupport(g, k, (0,), ((1,),), (0,))
+    with pytest.raises(ValueError, match=message):
+        TransformedBundle(g, k, (0,), ((0,),), (0,), (0,), (0,))
+
+
+def test_integral_dimensions_are_stored_as_ints():
+    s = RelativeSupport(2.0, 1.0, (parse("-x1"),), ((1,),), (0,))
+    b = TransformedBundle(2.0, 1.0, (parse("-x1"),), ((-1,),), (0,), (0,), (0,))
+    assert type(s.g) is type(s.k) is type(b.g) is type(b.k) is int
+    assert check_C1_lagrangian(s).holds
+    assert inverse_transform(b).wit_index == 1
+
+
 def test_support_entries_must_live_on_the_base():
     with pytest.raises(ValueError, match="found x2"):
         RelativeSupport(2, 1, (parse("x2"),), ((1,),), (0,))

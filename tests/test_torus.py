@@ -568,6 +568,17 @@ def test_translate():
     assert s.translate((F(1, 2), 0)).translate((F(1, 2), 0)) == s
 
 
+@pytest.mark.parametrize("rows", [[], [[1, 0, 0]], [[2, 1, 0]], [[1, 2, 3], [0, 1, 4]]])
+def test_translate_shares_the_direction_basis(rows):
+    s = subtorus_from_equations(Torus(3), IntMatrix(rows, 3), [F(1, 3)] * len(rows))
+    t = s.translate((F(1, 5), F(2, 7), 0))
+    assert t.direction_basis() is s.direction_basis()
+    assert t.direction_basis() == kernel_basis(s.eqns)
+    assert t.translate((F(1, 2), 0, F(1, 3))).direction_basis() is s.direction_basis()
+    moved = SubtorusLocalSystem(s, (0,) * s.dim).translate((F(1, 4), 0, 0))
+    assert moved.support.direction_basis() is s.direction_basis()
+
+
 # ---------------------------------------------------------------- intersection
 
 
