@@ -1,4 +1,4 @@
-"""Time the absolute round trip and one fibre slice at g = 8, 16 and 32.
+"""Time the absolute round trip and one fibre slice at g = 8, 16, 32, 48 and 64.
 
 For each g the script draws REPEATS systems of g/2 equations from
 random.Random(f"{seed}:{g}"): integer entries in [-3, 3], offsets and
@@ -39,7 +39,7 @@ from torusfm import (
     transform,
 )
 
-DIMENSIONS = (8, 16, 32)
+DIMENSIONS = (8, 16, 32, 48, 64)
 REPEATS = 21
 
 

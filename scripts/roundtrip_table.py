@@ -1,4 +1,4 @@
-"""Time the relative round trip at g = 12, 16, 24 and 32, with k = g/2.
+"""Time the relative round trip at g = 12, 16, 24, 32, 48 and 64, with k = g/2.
 
 For each g the script draws REPEATS constant holomorphic bundles from
 random.Random(f"{seed}:{g}"): slopes P, dual fibre offsets Q, a connection
@@ -33,7 +33,7 @@ from torusfm import (
 )
 from torusfm.expr import num, var
 
-DIMENSIONS = (12, 16, 24, 32)
+DIMENSIONS = (12, 16, 24, 32, 48, 64)
 REPEATS = 21
 
 

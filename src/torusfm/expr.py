@@ -38,8 +38,10 @@ minus signs may be of any length.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -137,6 +139,12 @@ def var(index: int) -> Expr:
         raise ValueError("variable indices start at 1")
     if index > MAX_VARIABLE:
         raise ValueError(f"variable index exceeds {MAX_VARIABLE}")
+    return _variable(index)
+
+
+@functools.lru_cache(maxsize=1024)
+def _variable(index: int) -> Expr:
+    """x<index>, one Expr per index: every linear term in x<index> built from it shares its term key."""
     return Expr({((((1, index), 1),), None): 1})
 
 
@@ -258,11 +266,36 @@ def _divided(m: dict, d: int) -> dict:
     return {t: c // d if not c % d else Fraction(c, d) for t, c in m.items()}
 
 
+_UNIT = ((), None)
+
+
+def _rationals(matrix) -> list[list] | None:
+    """The value of every term map of the matrix, when each is a rational constant, else None.
+
+    None and the empty map read as 0.
+    """
+    out = []
+    for row in matrix:
+        values = []
+        for m in row:
+            if not m:
+                values.append(0)
+            elif len(m) == 1 and (c := m.get(_UNIT)) is not None:
+                values.append(c)
+            else:
+                return None
+        out.append(values)
+    return out
+
+
 def _products(rows, columns) -> list[list[Expr]]:
     """The matrix product: out[i][j] = sum over l of rows[i][l] * columns[j][l].
 
-    Entries are Exprs, ints, Fractions or None, which stands for zero and
-    is skipped, as are zero entries.  Each row, and the columns together,
+    Entries are Exprs, ints, Fractions or None, which stands for zero.
+    When every entry is a rational constant, each rational is read once,
+    the rows and the columns are put over one denominator each as ints,
+    and every entry is an int dot product divided once by the two scales.
+    Otherwise zero entries are skipped; each row, and the columns together,
     are scaled once to int term maps over the lcm of their denominators;
     the column scale is doubled when the columns hold characters, so that
     the halves of character products stay ints.  The products are then
@@ -271,13 +304,26 @@ def _products(rows, columns) -> list[list[Expr]]:
     each output coefficient is divided once, by the two scales.
     """
     cols = [[None if e is None else as_expr(e).terms for e in col] for col in columns]
+    rows = [[None if e is None else as_expr(e).terms for e in row] for row in rows]
+    col_values = _rationals(cols)
+    if col_values is not None and (row_values := _rationals(rows)) is not None:
+        dr, row_ints = _integer_scaled(row_values)
+        dc, col_ints = _integer_scaled(col_values)
+        d = dr * dc
+        out = []
+        for row in row_ints:
+            line = []
+            for col in col_ints:
+                s = sum(map(operator.mul, row, col))
+                line.append(Expr({_UNIT: s // d if not s % d else Fraction(s, d)}) if s else ZERO)
+            out.append(line)
+        return out
     dc = _denominator(m for col in cols for m in col)
     if any(x is not None for col in cols for m in col if m for _, x in m):
         dc *= 2
     cols = [_times(col, dc) for col in cols]
     out = []
     for row in rows:
-        row = [None if e is None else as_expr(e).terms for e in row]
         dr = _denominator(row)
         row = _times(row, dr)
         line = []
@@ -289,6 +335,12 @@ def _products(rows, columns) -> list[list[Expr]]:
             line.append(Expr(_divided(acc, dr * dc)))
         out.append(line)
     return out
+
+
+def _integer_scaled(values) -> tuple[int, list[list[int]]]:
+    """(d, ints): a matrix of ints and Fractions times d, the lcm of its denominators."""
+    d = math.lcm(*(c.denominator for row in values for c in row))
+    return d, [[c * d if c.__class__ is int else c.numerator * (d // c.denominator) for c in row] for row in values]
 
 
 def _freq_combine(u: tuple, v: tuple, sign: int) -> tuple:
@@ -655,7 +707,7 @@ def diff(e: Expr, index: int) -> Expr:
                         _put(out, (mono, turned), _exact(s * p))
                     if q:
                         _put(out, (_mono_mul(mono, ((_PI, 1),)), turned), _exact(s * q))
-    return Expr(out)
+    return Expr(out) if out else ZERO
 
 
 def vars_of(e: Expr) -> frozenset[int]:

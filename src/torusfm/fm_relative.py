@@ -297,32 +297,33 @@ class LocalSystemData:
 # Jacobian gamma of zeta.  Only gamma is found by differentiation.
 
 
-def _chart(s: RelativeSupport):
-    """(gamma, frame, -theta), theta_j = sum_c chi_c d x^c/dx^j over c = g-k+1..g.
+def _frame(k: int, gamma) -> list[list]:
+    """The chart's Jacobian by columns: column j lists d x^c/dx^j over c = 1..g.
 
-    Column j of frame lists d x^c/dx^j over those c, None where the
-    identity part of the Jacobian is zero.
+    That is the identity, None where it is zero, over gamma.
     """
-    g, k = s.g, s.k
-    gamma = tuple(tuple(diff(z, j) for j in range(1, k + 1)) for z in s.zeta)
-    frame = [
-        [gamma[c - k - 1][j - 1] if c > k else ONE if c == j else None for c in range(g - k + 1, g + 1)]
-        for j in range(1, k + 1)
-    ]
-    turns = tuple(-e for e in _products([s.chi], frame)[0])
-    return gamma, frame, turns
+    return [[ONE if c == j else None for c in range(1, k + 1)] + [row[j - 1] for row in gamma]
+            for j in range(1, k + 1)]
 
 
-def _lagrangian_report(s: RelativeSupport, gamma, frame, turns, tol: float, grid: int) -> ConditionReport:
-    k = s.k
-    block = _products(list(zip(*s.a)), frame)
-    labelled = []
-    for j in range(1, k + 1):
-        for m, row in enumerate(block, 1):
-            own = ONE if m == j else ZERO if m <= k else gamma[m - k - 1][j - 1]
-            labelled.append((f"dy{m}^dx{j}", own + row[j - 1]))
-    labelled.extend((f"dx{j}^dx{m}", e) for j, m, e in _exterior(turns))
-    return _gather("C1", labelled, tol, grid)
+def _chart(s: RelativeSupport):
+    """(gamma, -theta, curl), computed once per support and kept on it.
+
+    gamma is the Jacobian of zeta and theta_j = sum_c chi_c d x^c/dx^j
+    over c = g-k+1..g.  curl maps (j, m), j < m, to the coefficient
+    d_m theta_j - d_j theta_m where it is not zero; callers only read it.
+    The support is frozen, so the triple is stored on it, as
+    `AffineSubtorus.direction_basis` stores its basis; its fields, and so
+    its equality, hash and repr, stay as they were.
+    """
+    chart = s.__dict__.get("_chart")
+    if chart is None:
+        gamma = tuple(tuple(diff(z, j) for j in range(1, s.k + 1)) for z in s.zeta)
+        theta = _products([(None,) * (s.g - s.k) + s.chi], _frame(s.k, gamma))[0]
+        turns = tuple(-e for e in theta)
+        chart = gamma, turns, {(j, m): e for j, m, e in _exterior(turns) if e.terms}
+        object.__setattr__(s, "_chart", chart)
+    return chart
 
 
 def check_C1_lagrangian(
@@ -335,14 +336,30 @@ def check_C1_lagrangian(
     for the angle block and dx{j}^dx{m} for the offset curl.
 
     Up to sign, the dy^m wedge dx^j coefficient is d x^m/dx^j +
-    sum_l a[l][m] d x^c/dx^j over the constrained angles c = g-k+l.  The
+    sum_l a[l][m] d x^c/dx^j over the constrained angles c = g-k+l, so
+    the angle block is one matrix product, [I | a^T] times the chart's
+    Jacobian; with constant slopes and affine zeta it runs on ints.  The
     dx wedge dx part is sum_c dx^c wedge d chi_c = -d theta, because
     d(dx^c) = 0, with theta_j = sum_c chi_c d x^c/dx^j; its dx{j}^dx{m}
     coefficient is d_m theta_j - d_j theta_m.  -theta is the dw-row of
-    the transform, so the curl is its (0,2) curvature over pi/2.  Only
-    zeta and theta are differentiated, each entry once.
+    the transform, so the curl is its (0,2) curvature over pi/2.  The
+    chart, with the curl, is computed once per support (`_chart`), so
+    zeta and theta are differentiated once however many checks and
+    transforms read them.  Labels are formatted for nonzero coefficients
+    only.
     """
-    return _lagrangian_report(s, *_chart(s), tol, grid)
+    gamma, _, curl = _chart(s)
+    n = s.g - s.k
+    rows = [(*(ONE if c == m else None for c in range(1, n + 1)), *col) for m, col in enumerate(zip(*s.a), 1)]
+    block = _products(rows, _frame(s.k, gamma))
+    labelled = [
+        (f"dy{m}^dx{j}", row[j - 1])
+        for j in range(1, s.k + 1)
+        for m, row in enumerate(block, 1)
+        if row[j - 1].terms
+    ]
+    labelled.extend((f"dx{j}^dx{m}", e) for (j, m), e in curl.items())
+    return _gather("C1", labelled, tol, grid)
 
 
 def check_C2_C3(
@@ -592,8 +609,7 @@ def transform_nontransversal(
     further derivative unless an entry holds opaque atoms.
     """
     _validate_system(s, system)
-    gamma, frame, turns = _chart(s)
-    c1 = _lagrangian_report(s, gamma, frame, turns, tol, grid)
+    c1 = check_C1_lagrangian(s, tol, grid)
     if not c1.holds:
         raise ConditionError("C1", c1)
     c2 = _c2_report(s, tol, grid)
@@ -605,6 +621,7 @@ def transform_nontransversal(
 
     g, k = s.g, s.k
     m_free = g - k
+    gamma, turns, _ = _chart(s)
 
     # Offset of the dual fibre equation for w^{k+1+i}, fixed by requiring
     # each base slice to agree with the absolute transform of that fibre:
@@ -684,11 +701,14 @@ def curvature_hodge(data, tol: float = 1e-9, grid: int = 17):
 
     Accepts a TransformedBundle or, directly, a RelativeSupport, read
     as the dual connection with dw-row -theta (-epsilon for a section)
-    and no dx-part; no condition on the support is checked.
+    and no dx-part; no condition on the support is checked.  Anything
+    else is a ValueError.
     """
     if isinstance(data, RelativeSupport):
-        return hodge_components((), _chart(data)[2], tol, grid)
-    return hodge_components(data.alpha, data.fibre_turns, tol, grid)
+        return hodge_components((), _chart(data)[1], tol, grid)
+    if isinstance(data, TransformedBundle):
+        return hodge_components(data.alpha, data.fibre_turns, tol, grid)
+    raise ValueError(f"curvature_hodge needs a RelativeSupport or a TransformedBundle, not {type(data).__name__}")
 
 
 def check_F02_iff_lagrangian(
@@ -702,13 +722,19 @@ def check_F02_iff_lagrangian(
     The (0,2) curvature of the transform is pi/2 times the dx^dx curl
     obstruction of the input support, entry by entry; this checks that
     identity symbolically, so it holds whether or not s is Lagrangian.
-    The curl is d_m theta_j - d_j theta_m, read from the same theta as
-    the C1 check.
+    The curl is d_m theta_j - d_j theta_m, the one the C1 check reads
+    from the support's chart.  The bundle must have the support's g and k; a
+    mismatch is a ValueError.
     """
+    if (bundle.g, bundle.k) != (s.g, s.k):
+        raise ValueError(
+            f"the bundle has g = {bundle.g}, k = {bundle.k} and the support g = {s.g}, k = {s.k}; they must match"
+        )
     _, _, f02 = _hodge_from_turns(bundle.fibre_turns)
-    curl = _exterior(_chart(s)[2])
+    curl = _chart(s)[2]
     return all_zero(
-        is_zero(f02[m - 1][j - 1] - _HALF_PI * e, tol, grid) for j, m, e in curl
+        is_zero(f02[m - 1][j - 1] - _HALF_PI * curl.get((j, m), ZERO), tol, grid)
+        for j, m in itertools.combinations(range(1, s.k + 1), 2)
     )
 
 

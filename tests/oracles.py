@@ -348,6 +348,64 @@ def c1_coefficients(zeta, a, chi, k, point):
     return out
 
 
+# An element of Q[pi] is a dict from a power of pi to a nonzero Fraction.
+# pi is transcendental, so it is zero exactly when the dict is empty.
+
+
+def qpi(x):
+    """An int, a Fraction or a dict {power of pi: rational} as an element of Q[pi]."""
+    items = x.items() if isinstance(x, dict) else ((0, x),)
+    return {p: Fraction(c) for p, c in items if c}
+
+
+def _qpi_sum(terms):
+    out = {}
+    for t in terms:
+        for p, c in t.items():
+            out[p] = out.get(p, 0) + c
+    return {p: c for p, c in out.items() if c}
+
+
+def _qpi_mul(x, y):
+    return _qpi_sum({p + q: c * d} for p, c in x.items() for q, d in y.items())
+
+
+def c1_affine(zeta_slopes, a, chi_slopes):
+    """The nonzero C1 coefficients of a support with affine zeta, constant slopes and affine offsets.
+
+    The support has g = k + n, x^{k+i} = zeta[i] with d zeta[i]/dx^j =
+    zeta_slopes[i][j-1] (n rows of k), y_{n+l} = sum_m a[l][m] y_m +
+    chi[l] (k rows of n) and d chi[l]/dx^j = chi_slopes[l][j-1] (k rows
+    of k).  Entries are ints, Fractions or `qpi` dicts.  The chart's
+    Jacobian J has rows e_c for c <= k and zeta_slopes[c-k-1] beyond, and
+    the Lagrangian conditions are
+
+        J[m][j] + sum_l a[l][m] J[n+l][j] = 0            (dy{m}^dx{j})
+        sum_l chi_slopes[l][m] J[n+l][j] - (j <-> m) = 0  (dx{j}^dx{m}, j < m)
+
+    Returns (label, value in Q[pi]) for each coefficient that is not
+    zero, dy{m}^dx{j} by j then m, then dx{j}^dx{m} by j then m.
+    """
+    k, n = len(a), len(zeta_slopes)
+    jac = [[qpi(int(c == j)) for j in range(k)] for c in range(k)]
+    jac += [[qpi(e) for e in row] for row in zeta_slopes]
+    a = [[qpi(e) for e in row] for row in a]
+    b = [[qpi(e) for e in row] for row in chi_slopes]
+    out = []
+    for j in range(k):
+        for m in range(n):
+            v = _qpi_sum([jac[m][j], *(_qpi_mul(a[l][m], jac[n + l][j]) for l in range(k))])
+            if v:
+                out.append((f"dy{m + 1}^dx{j + 1}", v))
+    for j in range(k):
+        for m in range(j + 1, k):
+            minus = ({p: -c for p, c in _qpi_mul(b[l][j], jac[n + l][m]).items()} for l in range(k))
+            v = _qpi_sum([*(_qpi_mul(b[l][m], jac[n + l][j]) for l in range(k)), *minus])
+            if v:
+                out.append((f"dx{j + 1}^dx{m + 1}", v))
+    return out
+
+
 # ------------------------------------------------------------ Poincare bundle
 #
 # Phases are in turns.  On T x T-hat, with coordinates x = (y, w), the

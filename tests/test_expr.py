@@ -16,6 +16,7 @@ from torusfm.expr import (
     MAX_EXPONENT,
     MAX_TERMS,
     MAX_VARIABLE,
+    ONE,
     PI,
     ZERO,
     ParseError,
@@ -335,6 +336,14 @@ def test_vars_and_constant():
     assert not is_constant(parse("cos(x2)"))
 
 
+def test_linear_terms_share_the_variable_term_key():
+    # One Expr per index, so linear terms built from it hold its key, not a copy.
+    assert var(3) is var(3) and var(3) is not var(4)
+    (key,) = var(3).terms
+    for e in (parse("2*x3 + 1"), parse("x1 - x3/2"), 5 * var(3)):
+        assert any(t is key for t in e.terms)
+
+
 def test_linear_combination():
     e = Fraction(1, 2) * var(1) + 0 * var(2) + (-2) * var(3)
     assert e == parse("x1/2 - 2*x3")
@@ -392,6 +401,26 @@ def test_products_equal_the_chained_sums(factors):
             assert e == chained
             assert list(e.terms) == list(chained.terms)
             assert hash(e) == hash(chained)
+            assert coefficients_are_normal(e)
+
+
+_rationals = st.one_of(
+    st.none(), st.integers(-4, 4), st.fractions(-5, 5, max_denominator=7), st.sampled_from([ZERO, ONE])
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 6), st.data())
+def test_rational_products_equal_the_chained_sums(n, m, l, data):
+    # Every entry a rational constant or a gap: the products run on ints.
+    rows = data.draw(st.lists(st.lists(_rationals, min_size=l, max_size=l), min_size=n, max_size=n))
+    columns = data.draw(st.lists(st.lists(_rationals, min_size=l, max_size=l), min_size=m, max_size=m))
+    out = _products(rows, columns)
+    assert [len(line) for line in out] == [m] * n
+    for row, line in zip(rows, out):
+        for column, e in zip(columns, line):
+            chained = sum((a * b for a, b in zip(row, column) if a is not None and b is not None), ZERO)
+            assert e == chained
             assert coefficients_are_normal(e)
 
 

@@ -15,12 +15,14 @@ from instances import (
     section_instance,
 )
 from oracles import (
+    c1_affine,
     c1_coefficients,
     coefficients_are_normal,
     deadline,
     fd_partial,
     leibniz_minor,
     naive_det,
+    qpi,
     rational_inverse,
     rational_rank,
 )
@@ -362,6 +364,132 @@ def test_c1_and_c3_differentiate_each_entry_once(monkeypatch):
     _, c3 = check_C2_C3(s)
     assert c3.verdict.proven
     assert calls == []
+
+
+def qpi_expr(x):
+    """An element of Q[pi], as the oracle reads it, as an Expr."""
+    return sum((c * PI**p for p, c in qpi(x).items()), ZERO)
+
+
+def affine_expr(constant, slopes):
+    return qpi_expr(constant) + sum((qpi_expr(c) * var(j) for j, c in enumerate(slopes, 1)), ZERO)
+
+
+def affine_c1_case(kind, rng):
+    """((zeta_slopes, a, chi_slopes), support) for the affine C1 oracle, g <= 12.
+
+    lagrangian solves the angle block for a, a^T = -J[1..n] Jl^-1, and sets
+    chi_slopes = Jl^-T S with S symmetric, so the curl Jl^T chi_slopes - (.)^T
+    vanishes; Jl is the last k rows of the chart's Jacobian J.  perturbed
+    then adds a nonzero rational to one entry of zeta_slopes, a or
+    chi_slopes.  pi puts pi into the rows k+1..n of J, which only the
+    angle block reads, when n > k, and multiplies chi_slopes by pi; half
+    of these are perturbed by pi or a rational.  The constant parts of
+    zeta and chi, which C1 does not read, are drawn too, those of chi as
+    rational multiples of pi.
+    """
+    while True:
+        g = rng.randint(1, 12)
+        k = rng.randint(1, g)
+        n = g - k
+        zr = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(k)] for _ in range(n)]
+        zp = [[F(rng.randint(-2, 2), rng.randint(1, 2)) if kind == "pi" and k < c <= n else 0 for _ in range(k)]
+              for c in range(k + 1, g + 1)]
+        jac = [[int(c == j) for j in range(k)] for c in range(k)] + zr
+        jl_inv = rational_inverse(jac[n:])
+        if jl_inv is not None:
+            break
+    # J[m] = JR[m] + pi JP[m], and only rows m < n of JP can be nonzero.
+    jp = [[0] * k for _ in range(k)] + zp
+    a_t = [[-sum(jac[m][p] * jl_inv[p][l] for p in range(k)) for l in range(k)] for m in range(n)]
+    a_pi = [[-sum(jp[m][p] * jl_inv[p][l] for p in range(k)) for l in range(k)] for m in range(n)]
+    sym = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            sym[i][j] = sym[j][i] = F(rng.randint(-3, 3), rng.randint(1, 3))
+    b = [[sum(jl_inv[p][l] * sym[p][j] for p in range(k)) for j in range(k)] for l in range(k)]
+
+    zeta_slopes = [[{0: zr[i][j], 1: zp[i][j]} for j in range(k)] for i in range(n)]
+    a = [[{0: a_t[m][l], 1: a_pi[m][l]} for m in range(n)] for l in range(k)]
+    chi_slopes = [[{1: e} if kind == "pi" else e for e in row] for row in b]
+    if kind == "perturbed" or (kind == "pi" and rng.random() < 0.5):
+        bump = {1: 1} if kind == "pi" and rng.random() < 0.5 else F(rng.choice((-2, -1, 1, 2)), rng.randint(1, 3))
+        target = rng.choice([t for t, rows in (("zeta", zeta_slopes), ("a", a), ("chi", chi_slopes)) if rows and rows[0]])
+        rows = {"zeta": zeta_slopes, "a": a, "chi": chi_slopes}[target]
+        i, j = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
+        entry, bump = qpi(rows[i][j]), qpi(bump)
+        rows[i][j] = {p: entry.get(p, 0) + bump.get(p, 0) for p in {*entry, *bump}}
+
+    zeta = tuple(affine_expr(F(rng.randint(-3, 3), 2), row) for row in zeta_slopes)
+    chi = tuple(affine_expr({1: F(rng.randint(-3, 3), 2)}, row) for row in chi_slopes)
+    support = RelativeSupport(g, k, zeta, tuple(tuple(qpi_expr(e) for e in row) for row in a), chi)
+    return (zeta_slopes, a, chi_slopes), support
+
+
+@pytest.mark.parametrize("kind", ("lagrangian", "perturbed", "pi"))
+def test_c1_matches_the_affine_oracle(kind):
+    # Verdict kind and failure labels, in order, against exact arithmetic in
+    # Q[pi] that shares no code with the library.  Rational constant data
+    # take the integer angle block; pi in the slopes takes the general one.
+    rng = random.Random(f"c1-affine:{kind}")
+    failing = pi_blocks = 0
+    for _ in range(30):
+        data, s = affine_c1_case(kind, rng)
+        expected = c1_affine(*data)
+        rep = check_C1_lagrangian(s)
+        assert rep.verdict.kind == ("proven_nonzero" if expected else "proven_zero")
+        assert rep.failures == tuple(label for label, _ in expected)
+        failing += bool(expected)
+        pi_blocks += any(1 in qpi(e) for e in itertools.chain(*data[0], *data[1]))
+    if kind == "lagrangian":
+        assert failing == 0
+    elif kind == "perturbed":
+        assert failing >= 20
+    else:
+        assert 8 <= failing <= 22 and pi_blocks >= 8
+
+
+def test_the_chart_stays_off_the_support_fields():
+    s, _ = polynomial_instance(7, 3, random.Random(71))
+    twin = RelativeSupport(s.g, s.k, s.zeta, s.a, s.chi)
+    before = (hash(s), repr(s))
+    assert check_C1_lagrangian(s).holds
+    assert "_chart" in vars(s) and "_chart" not in vars(twin)
+    assert s == twin and twin == s
+    assert (hash(s), repr(s)) == before == (hash(twin), repr(twin))
+    assert len({s, twin}) == 1
+
+
+def test_trusted_and_section_supports_keep_one_chart():
+    s, system = polynomial_instance(6, 2, random.Random(62))
+    trusted = RelativeSupport._trusted(s.g, s.k, s.zeta, s.a, s.chi)
+    assert check_C1_lagrangian(trusted) == check_C1_lagrangian(s)
+    assert fm_relative._chart(trusted) is fm_relative._chart(trusted)
+    assert transform_nontransversal(trusted, system) == transform_nontransversal(s, system)
+
+    section, _ = section_instance(4, random.Random(64))
+    assert check_C1_lagrangian(section).holds
+    chart = fm_relative._chart(section)
+    assert chart == ((), tuple(-e for e in section.chi), {})
+    assert curvature_hodge(section) == hodge_components((), chart[1])
+    assert fm_relative._chart(section) is chart
+
+
+def test_one_support_differentiates_zeta_once(monkeypatch):
+    # C1, the transform, the curvature of the support and the F02 identity
+    # all read the one chart of the support.
+    calls = []
+    real_diff = fm_relative.diff
+    monkeypatch.setattr(fm_relative, "diff", lambda e, i: calls.append((id(e), i)) or real_diff(e, i))
+    s, system = polynomial_instance(9, 4, random.Random(94))
+    assert len({id(z) for z in s.zeta}) == len(s.zeta)
+    assert check_C1_lagrangian(s).holds
+    bundle = transform_nontransversal(s, system)
+    curvature_hodge(s)
+    assert check_F02_iff_lagrangian(s, bundle).kind == "proven_zero"
+    zeta_ids = {id(z) for z in s.zeta}
+    on_zeta = [c for c in calls if c[0] in zeta_ids]
+    assert sorted(on_zeta) == sorted((i, j) for i in zeta_ids for j in range(1, s.k + 1))
 
 
 # ---------------------------------------- constant rank and constant slopes
@@ -1011,6 +1139,27 @@ def test_f02_tracks_the_lagrangian_curl():
     _, _, f02 = curvature_hodge(manual)
     p = (0.3, 0.6)
     assert abs(eval_at(f02[1][0], p) + math.pi * p[1]) < 1e-12
+
+
+def test_f02_check_rejects_a_bundle_of_another_shape():
+    rng = random.Random(31)
+    line, line_system = polynomial_instance(3, 1, rng)
+    line_bundle = transform_nontransversal(line, line_system)
+    section, section_system = section_instance(3, rng)
+    section_bundle = transform_nontransversal(section, section_system)
+    wide, wide_system = polynomial_instance(4, 1, rng)
+    wide_bundle = transform_nontransversal(wide, wide_system)
+    for s, bundle in ((section, line_bundle), (line, section_bundle), (line, wide_bundle), (wide, line_bundle)):
+        with pytest.raises(ValueError, match="must match"):
+            check_F02_iff_lagrangian(s, bundle)
+    for s, bundle in ((line, line_bundle), (section, section_bundle), (wide, wide_bundle)):
+        assert check_F02_iff_lagrangian(s, bundle).kind == "proven_zero"
+
+
+@pytest.mark.parametrize("data", [None, (parse("x1"),), LocalSystemData((0,), ())])
+def test_curvature_needs_a_support_or_a_bundle(data):
+    with pytest.raises(ValueError, match="RelativeSupport or a TransformedBundle"):
+        curvature_hodge(data)
 
 
 # ------------------------------------------------- dual-side conditions
