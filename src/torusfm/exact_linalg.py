@@ -168,10 +168,11 @@ def _gauss_jordan(rows: list[list[int]], ncols: int) -> tuple[list[int], list[in
     A pivot p in row y turns every other row x into (p*x - f*y) // prev, f
     being x's entry in the pivot column and prev the previous pivot.  Every
     entry is a minor of the input, so the division is exact (Bareiss, Math.
-    Comp. 22, 1968; Nakos, Turner and Williams, 1997), and each pivot entry
-    ends equal to the last pivot, which leaves it times the solution in the
-    columns past ncols.  Returns (pivot columns, [1, *pivots], row swaps).
-    With no row swap and pivots in the leading columns, the pivots are the
+    Comp. 22, 1968; Nakos, Turner and Williams, 1997).  No column left of
+    a pivot is read again, so only the columns from each pivot onward are
+    updated and stay current; those past ncols end as the last pivot times
+    the solution.  Returns (pivot columns, [1, *pivots], row swaps).  With
+    no row swap and pivots in the leading columns, the pivots are the
     leading principal minors; the determinant of a square input is the
     last one, signed by the parity of the swaps.
     """
@@ -192,10 +193,11 @@ def _gauss_jordan(rows: list[list[int]], ncols: int) -> tuple[list[int], list[in
         top = rows[r]
         p = top[col]
         prev = minors[-1]
+        live = top[col:]
         for i, row in enumerate(rows):
             if i != r:
                 f = row[col]
-                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+                row[col:] = [(p * x - f * y) // prev for x, y in zip(row[col:], live)]
         minors.append(p)
         pivots.append(col)
     return pivots, minors, swaps
@@ -204,8 +206,9 @@ def _gauss_jordan(rows: list[list[int]], ncols: int) -> tuple[list[int], list[in
 def _det(rows: list[list[int]], n: int) -> int:
     """The determinant d of the first n columns of n integer rows, eliminated in place.
 
-    A nonzero d leaves the rows equal to d * [I | X], X being the solution
-    of the first n columns against the columns past them.
+    A nonzero d leaves d * X in the columns past n of each row, X being the
+    solution of the first n columns against the columns past them; that
+    block is what `_solve` reads.  The first n columns are not kept current.
     """
     pivots, minors, swaps = _gauss_jordan(rows, n)
     if swaps % 2:

@@ -54,22 +54,23 @@ from .expr import (
     ONE,
     PI,
     ZERO,
+    _UNIT,
     Expr,
     Verdict,
+    _divided,
     _eliminate_constants,
     _integer_values,
     _products,
+    _rationals,
     all_zero,
     as_expr,
     diff,
     eval_at,
-    eval_exact,
     exact_minors,
     has_opaque,
     is_constant,
     is_zero,
     max_var,
-    num,
     vars_of,
     weyl_points,
 )
@@ -101,6 +102,7 @@ __all__ = [
 ]
 
 _HALF_PI = Fraction(1, 2) * PI
+_TWO_PI = 2 * PI
 
 
 def _check_base_only(entries, k: int, what: str) -> None:
@@ -606,7 +608,8 @@ def transform_nontransversal(
     negation is the dw-row fibre_turns and whose exterior derivative is
     the curl that C1 tests (see `check_C1_lagrangian`).  The holomorphic
     verdict is the constancy of gamma, which `vars_of` decides without a
-    further derivative unless an entry holds opaque atoms.
+    further derivative unless an entry holds opaque atoms.  The flatness
+    verdict is kept on the bundle, off its fields, for D2 of the inverse.
     """
     _validate_system(s, system)
     c1 = check_C1_lagrangian(s, tol, grid)
@@ -635,9 +638,11 @@ def transform_nontransversal(
     holomorphic = _constancy(
         "holomorphic", (("", e) for row in gamma for e in row), k, tol, grid
     )
-    return TransformedBundle._trusted(
+    bundle = TransformedBundle._trusted(
         g, k, s.zeta, gamma, tuple(varsigma), system.alpha, turns, holomorphic.verdict
     )
+    object.__setattr__(bundle, "_flat", closed.verdict)
+    return bundle
 
 
 def check_flat(alpha, tol: float = 1e-9, grid: int = 17) -> ConditionReport:
@@ -762,9 +767,14 @@ def check_D_conditions(
     """
     entries = itertools.chain(_entries("P", bundle.gamma_tilde), _entries("Q", bundle.varsigma))
     d1 = _constancy("D1", entries, bundle.k, tol, grid)
-    d2 = _closure_report(bundle.alpha, tol, grid, "D2")
     d3 = ConditionReport("D3", Verdict.proven_zero())
-    return d1, d2, d3
+    return d1, _d2_report(bundle, tol, grid), d3
+
+
+def _d2_report(bundle: TransformedBundle, tol: float, grid: int) -> ConditionReport:
+    """D2, reusing the flatness verdict `transform_nontransversal` kept on the bundle only if it is proven."""
+    flat = bundle.__dict__.get("_flat")
+    return ConditionReport("D2", flat) if flat and flat.proven else _closure_report(bundle.alpha, tol, grid, "D2")
 
 
 def check_cauchy_riemann(
@@ -804,33 +814,29 @@ def inverse_transform(
     wit_index reported is that of the input bundle, the dimension k of its
     fibre traces.
 
+    D1 is decided by reading P and Q once: rational constants prove it
+    and feed the solve.  Otherwise `check_D_conditions` names the failing
+    entries: D1 is raised first, then D2, then the need for rationals.
+
     The returned alpha is the chart form of the induced connection: the
     dx-row of the bundle minus the exact gauge term
     2 pi d_j(sum_c Q_c chi_c) of `gauge_term`.  For constant offsets chi
     the gauge term is zero and the round trip is an identity.
     """
-    d1, d2, _ = check_D_conditions(bundle, tol, grid)
-    if not d1.holds:
-        raise ConditionError("D1", d1)
-    if not d2.holds:
-        raise ConditionError("D2", d2)
+    values = _rationals([[e.terms for e in row] for row in (*bundle.gamma_tilde, bundle.varsigma)])
+    reports = check_D_conditions(bundle, tol, grid)[:2] if values is None else (_d2_report(bundle, tol, grid),)
+    for report in reports:
+        if not report.holds:
+            raise ConditionError(report.name, report)
+    if values is None:
+        raise ValueError("inverse transform needs rational constant fibre coefficients")
 
     g, k = bundle.g, bundle.k
     m_free = g - k
-    try:
-        p_val = [[eval_exact(e, ()) for e in row] for row in bundle.gamma_tilde]
-        q_val = [eval_exact(e, ()) for e in bundle.varsigma]
-    except ValueError as exc:
-        raise ValueError(
-            "inverse transform needs rational constant fibre coefficients"
-        ) from exc
-
-    # M[l][c] = delta + P^c_l over c = 1..g, split into the free block
-    # (columns 1..g-k) and the block of the angles being solved for.
-    m_rows = [
-        [int(c == l) + (p_val[c - k - 1][l - 1] if c > k else 0) for c in range(1, g + 1)]
-        for l in range(1, k + 1)
-    ]
+    *p_val, q_val = values
+    # M = [I_k | P^T]: M[l][c] = delta + P^c_l over c = 1..g, split into the
+    # free block (columns 1..g-k) and the block of the angles being solved for.
+    m_rows = [[int(c == l) for c in range(k)] + [row[l] for row in p_val] for l in range(k)]
     try:
         x, d = _solve(
             [row[m_free:] for row in m_rows],
@@ -845,8 +851,9 @@ def inverse_transform(
             ),
         )
 
-    a_rows = tuple(tuple(num(Fraction(-e, d)) for e in row[:m_free]) for row in x)
-    chi_out = tuple(r[0] * Fraction(-1, d) for r in _products([r[m_free:] for r in x], [bundle.fibre_turns]))
+    a_rows = tuple(tuple(Expr(_divided({_UNIT: -e}, d)) if e else ZERO for e in row[:m_free]) for row in x)
+    chi_rows = _products([[-e for e in row[m_free:]] for row in x], [bundle.fibre_turns])
+    chi_out = tuple(Expr(_divided(r[0].terms, d)) for r in chi_rows)
     # xi_m = -Q_m + sum_l Q_{m_free+l} X[l][m] / d mod 1, over E*d; q[c - 1] = E*Q_c, 0 for c <= k.
     *q, e = _integer_rows([[*q_val, 1]])[0]
     q = [0] * k + q
@@ -855,7 +862,7 @@ def inverse_transform(
         for m in range(m_free)
     )
 
-    alpha_out = tuple(a - t for a, t in zip(bundle.alpha, gauge_term(q_val, chi_out)))
+    alpha_out = tuple(a - t if t.terms else a for a, t in zip(bundle.alpha, gauge_term(q_val, chi_out)))
 
     # zeta is the bundle's, a constant, chi and alpha base-only, xi in [0, 1).
     support = RelativeSupport._trusted(g, k, bundle.zeta, a_rows, chi_out)
@@ -874,7 +881,7 @@ def gauge_term(varsigma, chi) -> tuple[Expr, ...]:
     k, m_free = len(chi), len(varsigma)
     q = [varsigma[m_free + l - k] if m_free + l >= k else None for l in range(k)]
     total = _products([q], [chi])[0][0]
-    return tuple(2 * PI * diff(total, j) for j in range(1, k + 1))
+    return tuple(_TWO_PI * t if (t := diff(total, j)).terms else ZERO for j in range(1, k + 1))
 
 
 # ------------------------------------------------------------- fibre slices

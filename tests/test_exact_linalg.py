@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import _gauss_jordan as rational_gauss_jordan
 from oracles import (
     gcd_of_minors,
     in_row_span_z,
@@ -272,6 +273,49 @@ def test_fraction_free_kernel_matches_rational_arithmetic(system):
     assert [[sum(a[i][l] * inv[l][j] for l in range(n)) for j in range(n)] for i in range(n)] == [
         [int(i == j) for j in range(n)] for i in range(n)
     ]
+
+
+@st.composite
+def wide_eliminations(draw):
+    """(rows, ncols): integer rows, pivoting on ncols columns, with more columns past them.
+
+    One column is a combination of the columns before it, so it is no
+    pivot though later columns are; one row may combine two others, which
+    makes the rows rank deficient; and the first row may start with zeros,
+    which makes the elimination swap rows.
+    """
+    n = draw(st.integers(1, 5))
+    ncols = draw(st.integers(2, 8))
+    width = ncols + draw(st.integers(0, 3))
+    entry = st.integers(-6, 6)
+    rows = [[draw(entry) for _ in range(width)] for _ in range(n)]
+    z = draw(st.integers(0, ncols - 2))
+    weights = [draw(st.integers(-2, 2)) for _ in range(z)]
+    for row in rows:
+        row[z] = sum(w * e for w, e in zip(weights, row))
+    if n > 2 and draw(st.booleans()):
+        t, i, j = draw(st.permutations(range(n)))[:3]
+        p, q = draw(entry), draw(entry)
+        rows[t] = [p * x + q * y for x, y in zip(rows[i], rows[j])]
+    lead = draw(st.integers(0, ncols - 1))
+    rows[0][:lead] = [0] * lead
+    return rows, ncols
+
+
+@settings(max_examples=250, deadline=None)
+@given(wide_eliminations())
+def test_gauss_jordan_matches_rational_elimination(case):
+    rows, ncols = case
+    got = [row[:] for row in rows]
+    pivots, minors, swaps = _gauss_jordan(got, ncols)
+    reduced, oracle_pivots = rational_gauss_jordan(rows, ncols)
+    assert pivots == oracle_pivots
+    if not swaps:
+        for t in range(1, len(pivots) + 1):
+            assert minors[t] == naive_det([[row[c] for c in pivots[:t]] for row in rows[:t]])
+    # The columns from the last pivot on are current: the last pivot times the reduced rows.
+    start = pivots[-1] if pivots else 0
+    assert [row[start:] for row in got] == [[minors[-1] * e for e in row[start:]] for row in reduced]
 
 
 def test_positive_definite():

@@ -1212,6 +1212,63 @@ def test_inverse_needs_rational_coefficients():
         inverse_transform(b)
 
 
+def test_inverse_raises_the_first_failing_check():
+    # Each bundle fails two checks; the one named is D1, then D2, then
+    # the need for rational constants, then the chart.
+    curled, closed = (parse("x2"), 0), (parse("x1"), parse("x2"))
+    varying_p = TransformedBundle(3, 2, (0,), ((parse("x1"), 0),), (0,), curled, (0, 0))
+    pi_in_p = TransformedBundle(3, 2, (0,), ((PI, 0),), (0,), curled, (0, 0))
+    for b, condition in ((varying_p, "D1"), (pi_in_p, "D2")):
+        with pytest.raises(ConditionError) as exc:
+            inverse_transform(b)
+        assert exc.value.condition == condition
+    # M_last = [[0, 0], [1, 5/2]] is singular for P = ((0, 5/2),).
+    pi_in_q = TransformedBundle(3, 2, (0,), ((0, F(5, 2)),), (PI,), closed, (0, 0))
+    with pytest.raises(ValueError, match="rational constant") as exc:
+        inverse_transform(pi_in_q)
+    assert not isinstance(exc.value, ConditionError)
+    singular = TransformedBundle(3, 2, (0,), ((0, F(5, 2)),), (F(1, 3),), closed, (0, 0))
+    with pytest.raises(ConditionError) as exc:
+        inverse_transform(singular)
+    assert exc.value.condition == "chart"
+
+
+def test_the_flat_verdict_stays_off_the_bundle_fields():
+    s, system = gauged_instance(5, 3, random.Random(53))
+    b = transform_nontransversal(s, system)
+    twin = TransformedBundle(b.g, b.k, b.zeta, b.gamma_tilde, b.varsigma, b.alpha, b.fibre_turns, b.holomorphic)
+    assert vars(b)["_flat"].kind == "proven_zero" and "_flat" not in vars(twin)
+    assert b == twin and twin == b
+    assert (hash(b), repr(b)) == (hash(twin), repr(twin))
+    assert len({b, twin}) == 1
+
+
+def test_d2_reuses_only_a_proven_flatness(monkeypatch):
+    s, system = gauged_instance(5, 3, random.Random(35))
+    calls = []
+    real = fm_relative._closure_report
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fm_relative, "_closure_report", counted)
+    b = transform_nontransversal(s, system)
+    assert len(calls) == 1
+    inverse_transform(b, 1e-6, 5)
+    assert check_D_conditions(b, 1e-6, 5)[1] == fm_relative.ConditionReport("D2", Verdict.proven_zero())
+    assert len(calls) == 1
+    # A numerical verdict is recomputed, with the caller's tol and grid.
+    object.__setattr__(b, "_flat", Verdict.numerically_zero(1e-9))
+    inverse_transform(b, 1e-6, 5)
+    assert calls[1:] == [(b.alpha, 1e-6, 5, "D2")]
+    # So is a missing one: a hand-built bundle with a curl still fails D2.
+    curled = TransformedBundle(b.g, b.k, b.zeta, b.gamma_tilde, b.varsigma, (parse("x2"), 0, 0), b.fibre_turns)
+    with pytest.raises(ConditionError) as exc:
+        inverse_transform(curled)
+    assert exc.value.condition == "D2" and exc.value.report.failures == ("dalpha[1][2]",)
+
+
 def test_cauchy_riemann_check():
     b = dual_input_from_bundle(
         transform_nontransversal(twisted_line_support(), TWISTED_SYSTEM)
