@@ -125,7 +125,8 @@ class RatMatrix(_Matrix):
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
-        return RatMatrix(tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)), n)
+        one, zero = Fraction(1), Fraction(0)
+        return _unchecked(RatMatrix, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)), n)
 
     def rank(self) -> int:
         return len(_gauss_jordan(_integer_rows(self.rows), self.ncols)[0])

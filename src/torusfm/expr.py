@@ -270,20 +270,21 @@ _UNIT = ((), None)
 
 
 def _rationals(matrix) -> list[list] | None:
-    """The value of every term map of the matrix, when each is a rational constant, else None.
+    """The value of every entry of the matrix, when each is a rational constant, else None.
 
-    None and the empty map read as 0.
+    Entries are Exprs, ints, Fractions or None, which reads as 0; ints and
+    Fractions are their own values.
     """
     out = []
     for row in matrix:
         values = []
-        for m in row:
-            if not m:
-                values.append(0)
-            elif len(m) == 1 and (c := m.get(_UNIT)) is not None:
-                values.append(c)
-            else:
-                return None
+        for e in row:
+            if e.__class__ is Expr:
+                m = e.terms
+                if len(m) > 1 or m and _UNIT not in m:
+                    return None
+                e = m.get(_UNIT)
+            values.append(e or 0)
         out.append(values)
     return out
 
@@ -303,9 +304,7 @@ def _products(rows, columns) -> list[list[Expr]]:
     sum rows[i][0] * columns[j][0] + rows[i][1] * columns[j][1] + ..., and
     each output coefficient is divided once, by the two scales.
     """
-    cols = [[None if e is None else as_expr(e).terms for e in col] for col in columns]
-    rows = [[None if e is None else as_expr(e).terms for e in row] for row in rows]
-    col_values = _rationals(cols)
+    col_values = _rationals(columns)
     if col_values is not None and (row_values := _rationals(rows)) is not None:
         dr, row_ints = _integer_scaled(row_values)
         dc, col_ints = _integer_scaled(col_values)
@@ -318,6 +317,8 @@ def _products(rows, columns) -> list[list[Expr]]:
                 line.append(Expr({_UNIT: s // d if not s % d else Fraction(s, d)}) if s else ZERO)
             out.append(line)
         return out
+    cols = [[None if e is None else as_expr(e).terms for e in col] for col in columns]
+    rows = [[None if e is None else as_expr(e).terms for e in row] for row in rows]
     dc = _denominator(m for col in cols for m in col)
     if any(x is not None for col in cols for m in col if m for _, x in m):
         dc *= 2

@@ -823,7 +823,7 @@ def inverse_transform(
     2 pi d_j(sum_c Q_c chi_c) of `gauge_term`.  For constant offsets chi
     the gauge term is zero and the round trip is an identity.
     """
-    values = _rationals([[e.terms for e in row] for row in (*bundle.gamma_tilde, bundle.varsigma)])
+    values = _rationals((*bundle.gamma_tilde, bundle.varsigma))
     reports = check_D_conditions(bundle, tol, grid)[:2] if values is None else (_d2_report(bundle, tol, grid),)
     for report in reports:
         if not report.holds:
@@ -918,37 +918,27 @@ def _paired(sup: AffineSubtorus, phases: list[int]) -> SubtorusLocalSystem:
     return SubtorusLocalSystem._trusted(sup, hol, 1)
 
 
-def fibre_support(
-    s: RelativeSupport, base: Sequence, torus: Torus | None = None
-) -> AffineSubtorus:
+def fibre_support(s: RelativeSupport, base: Sequence) -> AffineSubtorus:
     """The fibre trace of the support over a rational base point.
 
     base gives the free coordinates x^1..x^k.  Each solved equation is
     evaluated there as one integer row, scaled by a positive int, and the
     rows are put in canonical form.
     """
-    t = torus if torus is not None else _standard_torus(s.g)
-    return _fibre_trace(t, s.k, s.a, s.chi, rat_vector(base))
+    return _fibre_trace(_standard_torus(s.g), s.k, s.a, s.chi, rat_vector(base))
 
 
-def fibre_system(
-    s: RelativeSupport,
-    system: LocalSystemData,
-    base: Sequence,
-    torus: Torus | None = None,
-) -> SubtorusLocalSystem:
+def fibre_system(s: RelativeSupport, system: LocalSystemData, base: Sequence) -> SubtorusLocalSystem:
     """The sliced local system on the fibre trace over a base point.
 
     Holonomy along a canonical direction of the slice is the pairing of
     xi with the free-angle part of that direction.
     """
     _validate_system(s, system)
-    return _paired(fibre_support(s, base, torus), _integer_rows([[*system.xi, 1]])[0])
+    return _paired(fibre_support(s, base), _integer_rows([[*system.xi, 1]])[0])
 
 
-def fibre_of_transform(
-    bundle: TransformedBundle, base: Sequence, torus: Torus | None = None
-) -> SubtorusLocalSystem:
+def fibre_of_transform(bundle: TransformedBundle, base: Sequence) -> SubtorusLocalSystem:
     """The dual-side slice of a transformed bundle over a base point.
 
     The support equations are the dual fibre equations evaluated as integer
@@ -956,7 +946,6 @@ def fibre_of_transform(
     is its pairing with the dw-coefficient row, evaluated the same way.
     """
     # The standard torus is self-dual.
-    t = torus if torus is not None else _standard_torus(bundle.g)
     b = rat_vector(base)
-    sup = _fibre_trace(t, bundle.k, bundle.gamma_tilde, bundle.varsigma, b)
+    sup = _fibre_trace(_standard_torus(bundle.g), bundle.k, bundle.gamma_tilde, bundle.varsigma, b)
     return _paired(sup, _integer_values([[*bundle.fibre_turns, ONE]], b)[0])

@@ -1,5 +1,12 @@
 """Scene files: a sectioned text format describing one transform input.
 
+Each line, stripped of surrounding whitespace, is blank, a comment
+starting with '#', a [section] header alone on its line, or key = value,
+split at the first '='; key and value are stripped.  Any other line, a
+repeated section and a repeated key within a section are syntax errors
+naming the line.  There are no continuation lines, no inline comments
+and no defaults section.
+
 A scene holds exactly one [torus] section and either a [support]
 section, optionally accompanied by a [system] section, or a [bundle]
 section.  Symbolic values use the expression grammar, numeric values
@@ -17,6 +24,7 @@ matrix rows separate their entries with ','.
     [system]
     holonomy = 3/7
 
+[torus] takes g, at most MAX_DIMENSION, and an optional metric.
 Support kinds and their keys:
 
     skyscraper   coords; [system] may set rank
@@ -34,7 +42,6 @@ determined by g and k default to zeros when omitted.
 
 from __future__ import annotations
 
-import configparser
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,21 +61,9 @@ __all__ = ["Scene", "load_scene", "parse_scene"]
 
 _SECTIONS = ("torus", "support", "system", "bundle")
 
-_SUPPORT_KEYS = {
-    "skyscraper": frozenset({"kind", "coords"}),
-    "subtorus": frozenset({"kind", "equations", "offset"}),
-    "section": frozenset({"kind", "epsilon"}),
-    "relative": frozenset({"kind", "k", "zeta", "a", "chi"}),
-}
-
-_SYSTEM_KEYS = {
-    "skyscraper": frozenset({"rank"}),
-    "subtorus": frozenset({"holonomy", "rank"}),
-    "section": frozenset({"alpha"}),
-    "relative": frozenset({"alpha", "xi"}),
-}
-
-_BUNDLE_KEYS = frozenset({"k", "zeta", "P", "Q", "alpha", "beta"})
+# The largest torus dimension a scene may ask for: the standard metric
+# alone holds g * g entries, so a larger g is refused before it is built.
+MAX_DIMENSION = 256
 
 
 @dataclass(frozen=True)
@@ -89,9 +84,34 @@ class Scene:
     bundle: TransformedBundle | None = None
 
 
+def _sections(text: str) -> dict[str, dict[str, str]]:
+    """The keys and values of each section of the scene text, in the grammar above."""
+    sections: dict[str, dict[str, str]] = {}
+    current = None
+    for n, line in enumerate(text.split("\n"), 1):
+        line = line.strip()
+        if not line or line[0] == "#":
+            continue
+        if line[0] == "[" and line[-1] == "]" and len(line) > 2:
+            if line[1:-1] in sections:
+                raise ValueError(f"scene syntax: line {n}: repeated section {line}")
+            current = sections[line[1:-1]] = {}
+            continue
+        key, eq, value = line.partition("=")
+        key = key.rstrip()
+        if not eq or not key or key[0] == "[":
+            raise ValueError(f"scene syntax: line {n}: expected [section] or key = value, got {line!r}")
+        if current is None:
+            raise ValueError(f"scene syntax: line {n}: {key!r} comes before the first [section]")
+        if key in current:
+            raise ValueError(f"scene syntax: line {n}: repeated key {key!r}")
+        current[key] = value.lstrip()
+    return sections
+
+
 def _int(value: str, where: str) -> int:
     try:
-        return int(value.strip())
+        return int(value)
     except ValueError:
         raise ValueError(f"{where}: expected an integer, got {value!r}") from None
 
@@ -105,7 +125,7 @@ def _fractions(value: str, where: str) -> tuple[Fraction, ...]:
 
 
 def _int_rows(value: str, where: str) -> tuple[tuple[int, ...], ...]:
-    if not value.strip():
+    if not value:
         return ()
     rows = []
     for part in value.split(";"):
@@ -120,7 +140,7 @@ def _int_rows(value: str, where: str) -> tuple[tuple[int, ...], ...]:
 
 
 def _fraction_rows(value: str, where: str) -> tuple[tuple[Fraction, ...], ...]:
-    if not value.strip():
+    if not value:
         return ()
     return tuple(_fractions(part, where) for part in value.split(";"))
 
@@ -136,14 +156,14 @@ def _expr(text: str, where: str) -> Expr:
 
 
 def _exprs(value: str, where: str) -> tuple[Expr, ...]:
-    if not value.strip():
+    if not value:
         return ()
     return tuple(_expr(part, where) for part in value.split(";"))
 
 
 def _expr_rows(value: str, where: str, nrows: int) -> tuple[tuple[Expr, ...], ...]:
     """Rows split at ';' and entries at ','; an empty value is nrows rows of no entries."""
-    if not value.strip():
+    if not value:
         return ((),) * nrows
     return tuple(
         tuple(_expr(entry, where) for entry in part.split(","))
@@ -152,20 +172,23 @@ def _expr_rows(value: str, where: str, nrows: int) -> tuple[tuple[Expr, ...], ..
 
 
 def _require(mapping: dict, key: str, section: str) -> str:
+    """The value under key, taken out of the section's mapping."""
     if key not in mapping:
         raise ValueError(f"[{section}] needs a {key} key")
-    return mapping[key]
+    return mapping.pop(key)
 
 
 def _optional(mapping: dict, key: str, section: str, read, default, *args):
-    """The value under key read by read(value, "[section] key", *args), or default without it."""
-    return read(mapping[key], f"[{section}] {key}", *args) if key in mapping else default
+    """The value under key, taken out and read by read(value, "[section] key", *args), or default without it."""
+    return read(mapping.pop(key), f"[{section}] {key}", *args) if key in mapping else default
 
 
-def _reject_unknown(mapping: dict, allowed: frozenset, section: str) -> None:
-    unknown = sorted(set(mapping) - allowed)
-    if unknown:
-        raise ValueError(f"unknown key {unknown[0]!r} in [{section}]")
+def _k(mapping: dict, section: str, g: int) -> int:
+    """The fibre dimension k of a relative or bundle section, 0 <= k <= g."""
+    k = _int(_require(mapping, "k", section), f"[{section}] k")
+    if not 0 <= k <= g:
+        raise ValueError(f"[{section}] k must lie between 0 and g")
+    return k
 
 
 def _check_length(values: tuple, n: int, where: str) -> None:
@@ -178,35 +201,28 @@ def _zeros(n: int) -> tuple[Fraction, ...]:
 
 
 def _parse_torus(mapping: dict) -> Torus:
-    _reject_unknown(mapping, frozenset({"g", "metric"}), "torus")
     g = _int(_require(mapping, "g", "torus"), "[torus] g")
-    if "metric" not in mapping:
-        return Torus(g)
-    rows = _fraction_rows(mapping["metric"], "[torus] metric")
-    return Torus(g, RatMatrix(rows, g))
+    if g > MAX_DIMENSION:
+        raise ValueError(f"[torus] g exceeds {MAX_DIMENSION}")
+    rows = _optional(mapping, "metric", "torus", _fraction_rows, None)
+    return Torus(g) if rows is None else Torus(g, RatMatrix(rows, g))
 
 
 def _parse_support(torus: Torus, sup: dict, sysd: dict) -> Scene:
-    kind = sup.get("kind", "").strip()
-    if kind not in _SUPPORT_KEYS:
-        raise ValueError(
-            "[support] kind must be skyscraper, subtorus, section or relative"
-        )
-    _reject_unknown(sup, _SUPPORT_KEYS[kind], "support")
-    _reject_unknown(sysd, _SYSTEM_KEYS[kind], "system")
+    kind = sup.pop("kind", "")
     g = torus.dim
 
     if kind == "skyscraper":
         coords = _fractions(_require(sup, "coords", "support"), "[support] coords")
-        rank = _int(sysd.get("rank", "1"), "[system] rank")
+        rank = _optional(sysd, "rank", "system", _int, 1)
         return Scene(torus, kind, absolute=skyscraper(torus, coords, rank))
 
     if kind == "subtorus":
-        rows = _int_rows(sup.get("equations", ""), "[support] equations")
+        rows = _optional(sup, "equations", "support", _int_rows, ())
         offset = _optional(sup, "offset", "support", _fractions, _zeros(len(rows)))
         support = subtorus_from_equations(torus, rows, offset)
         holonomy = _optional(sysd, "holonomy", "system", _fractions, _zeros(support.dim))
-        rank = _int(sysd.get("rank", "1"), "[system] rank")
+        rank = _optional(sysd, "rank", "system", _int, 1)
         return Scene(
             torus, kind, absolute=SubtorusLocalSystem(support, holonomy, rank)
         )
@@ -224,9 +240,11 @@ def _parse_support(torus: Torus, sup: dict, sysd: dict) -> Scene:
             system=LocalSystemData(alpha, ()),
         )
 
-    k = _int(_require(sup, "k", "support"), "[support] k")
-    if not 0 <= k <= g:
-        raise ValueError("[support] k must lie between 0 and g")
+    if kind != "relative":
+        raise ValueError(
+            "[support] kind must be skyscraper, subtorus, section or relative"
+        )
+    k = _k(sup, "support", g)
     m = g - k
     zeta = _optional(sup, "zeta", "support", _exprs, _zeros(m))
     a = _optional(sup, "a", "support", _expr_rows, (_zeros(m),) * k, k)
@@ -244,11 +262,8 @@ def _parse_support(torus: Torus, sup: dict, sysd: dict) -> Scene:
 
 
 def _parse_bundle(torus: Torus, bd: dict) -> Scene:
-    _reject_unknown(bd, _BUNDLE_KEYS, "bundle")
     g = torus.dim
-    k = _int(_require(bd, "k", "bundle"), "[bundle] k")
-    if not 0 <= k <= g:
-        raise ValueError("[bundle] k must lie between 0 and g")
+    k = _k(bd, "bundle", g)
     m = g - k
     zeta = _optional(bd, "zeta", "bundle", _exprs, _zeros(m))
     p = _optional(bd, "P", "bundle", _expr_rows, (_zeros(k),) * m, m)
@@ -262,38 +277,29 @@ def _parse_bundle(torus: Torus, bd: dict) -> Scene:
 
 def parse_scene(text: str) -> Scene:
     """Parse scene text; malformed scenes raise ValueError."""
-    cp = configparser.ConfigParser(
-        delimiters=("=",),
-        comment_prefixes=("#",),
-        inline_comment_prefixes=None,
-        interpolation=None,
-        strict=True,
-    )
-    cp.optionxform = str
-    try:
-        cp.read_string(text)
-    except configparser.Error as exc:
-        raise ValueError(f"scene syntax: {exc}") from None
-
-    for name in cp.sections():
+    sections = _sections(text)
+    for name in sections:
         if name not in _SECTIONS:
             raise ValueError(f"unknown section [{name}]")
-    if not cp.has_section("torus"):
+    if "torus" not in sections:
         raise ValueError("a scene needs exactly one [torus] section")
-    torus = _parse_torus(dict(cp.items("torus")))
+    torus = _parse_torus(sections["torus"])
 
-    has_support = cp.has_section("support")
-    has_bundle = cp.has_section("bundle")
-    if has_support and has_bundle:
+    if "support" in sections and "bundle" in sections:
         raise ValueError("a scene cannot hold both [support] and [bundle]")
-    if not has_support and not has_bundle:
-        raise ValueError("a scene needs a [support] or [bundle] section")
-    if has_bundle:
-        if cp.has_section("system"):
+    if "bundle" in sections:
+        if "system" in sections:
             raise ValueError("bundle scenes keep alpha and beta in [bundle]")
-        return _parse_bundle(torus, dict(cp.items("bundle")))
-    sysd = dict(cp.items("system")) if cp.has_section("system") else {}
-    return _parse_support(torus, dict(cp.items("support")), sysd)
+        scene = _parse_bundle(torus, sections["bundle"])
+    elif "support" in sections:
+        scene = _parse_support(torus, sections["support"], sections.get("system", {}))
+    else:
+        raise ValueError("a scene needs a [support] or [bundle] section")
+    # Each reader took out the keys it read; a key left over is unknown.
+    for name in _SECTIONS:
+        if sections.get(name):
+            raise ValueError(f"unknown key {min(sections[name])!r} in [{name}]")
+    return scene
 
 
 def load_scene(path) -> Scene:

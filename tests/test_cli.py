@@ -22,6 +22,11 @@ from torusfm import (
 )
 from torusfm.cli import main
 from torusfm.expr import MAX_EXPONENT, MAX_TERMS, MAX_VARIABLE, parse
+from torusfm.scene import MAX_DIMENSION
+
+from oracles import deadline
+
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 SKYSCRAPER = """
 [torus]
@@ -219,6 +224,101 @@ def test_malformed_scenes_raise_value_error(text, phrase):
 def test_expression_errors_keep_the_byte_offset():
     text = "[torus]\ng = 2\n[support]\nkind = section\nepsilon = x1 +; x2"
     with pytest.raises(ValueError, match="at offset 4"):
+        parse_scene(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # An indented line is read like any other: here it is no key = value.
+        ("[torus]\ng = 4\n[support]\nkind = subtorus\nequations = 1 0\n  0 1",
+         "scene syntax: line 6: expected [section] or key = value, got '0 1'"),
+        ("[torus]\ng: 2", "scene syntax: line 2: expected [section] or key = value, got 'g: 2'"),
+        ("[torus] g = 2", "scene syntax: line 1: expected [section] or key = value"),
+        ("[]\n[torus]\ng = 2", "scene syntax: line 1: expected [section] or key = value, got '[]'"),
+        ("[torus]\n = 2", "scene syntax: line 2: expected [section] or key = value, got '= 2'"),
+        ("# g first\n\ng = 2\n[torus]", "scene syntax: line 3: 'g' comes before the first [section]"),
+        ("[torus]\ng = 2\n[torus]\ng = 3\n[support]\nkind = skyscraper",
+         "scene syntax: line 3: repeated section [torus]"),
+        ("[torus]\ng = 2\n\n# again\ng = 3", "scene syntax: line 5: repeated key 'g'"),
+        ("[DEFAULT]\nrank = 2\n[torus]\ng = 2\n[support]\nkind = skyscraper\ncoords = 0 0",
+         "unknown section [DEFAULT]"),
+    ],
+)
+def test_syntax_errors_name_their_line(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_scene(text)
+    assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[torus]\ng = 2\nmetric = 2 0; 0 1/2\n[support]\nkind = skyscraper\ncoords = 1/3 2/5\n"
+        "[system]\nrank = 2",
+        "[torus]\ng = 2\nmetric = 2 0; 0 1/2\n[support]\nkind = subtorus\nequations = 3 -2\n"
+        "offset = 1/5\n[system]\nholonomy = 3/7\nrank = 2",
+        "[torus]\ng = 2\nmetric = 2 0; 0 1/2\n[support]\nkind = section\nepsilon = x2 + 2*x1; x1\n"
+        "[system]\nalpha = x1; 1",
+        "[torus]\ng = 3\nmetric = 2 0 0; 0 1/2 0; 0 0 1\n[support]\nkind = relative\nk = 2\n"
+        "zeta = -x1\na = 1; x2\nchi = 1/4; x1\n[system]\nalpha = 0; 1\nxi = 1/3",
+        "[torus]\ng = 3\nmetric = 2 0 0; 0 1/2 0; 0 0 1\n[bundle]\nk = 2\nzeta = -x1\nP = 1, 2\n"
+        "Q = 1/3\nalpha = 0; 1\nbeta = 1/4; 1/5",
+    ],
+    ids=["skyscraper", "subtorus", "section", "relative", "bundle"],
+)
+def test_every_documented_key_is_read(text):
+    scene = parse_scene(text)
+    assert scene.torus.metric.rows[0][0] == 2
+    if scene.absolute is not None:
+        assert scene.absolute.rank == 2
+        assert scene.kind == "skyscraper" or scene.absolute.holonomy == (F(3, 7),)
+    elif scene.bundle is not None:
+        b = scene.bundle
+        assert (b.gamma_tilde, b.varsigma, b.fibre_turns) == (
+            ((parse("1"), parse("2")),), (parse("1/3"),), (parse("1/4"), parse("1/5")))
+    else:
+        assert scene.system.alpha[-1] == parse("1")
+        if scene.kind == "relative":
+            assert scene.support.a == ((parse("1"),), (parse("x2"),))
+            assert scene.support.chi == (parse("1/4"), parse("x1"))
+            assert scene.system.xi == (F(1, 3),)
+
+
+def _sections_of(text):
+    """[(header, [(key, value), ...]), ...] of a well-formed scene, comments and blanks dropped."""
+    sections = []
+    for line in text.splitlines():
+        line = line.strip()
+        if line.startswith("["):
+            sections.append((line, []))
+        elif line and not line.startswith("#"):
+            key, _, value = line.partition("=")
+            sections[-1][1].append((key.strip(), value.strip()))
+    return sections
+
+
+_padding = st.sampled_from(["", " ", "  ", "\t"])
+_filler = st.lists(st.sampled_from(["", "   ", "# a comment", "  # key = value", "#"]), max_size=2)
+
+
+@settings(max_examples=40, deadline=2000)
+@given(st.sampled_from(sorted(SCENES.glob("*.scene"))), st.data())
+def test_rewritten_example_scenes_parse_the_same(path, data):
+    text = path.read_text()
+    lines = data.draw(_filler)
+    for header, pairs in _sections_of(text):
+        lines += [data.draw(_padding) + header] + data.draw(_filler)
+        for key, value in data.draw(st.permutations(pairs)):
+            lines.append(f"{data.draw(_padding)}{key}{data.draw(_padding)}={data.draw(_padding)}{value}"
+                         f"{data.draw(_padding)}")
+            lines += data.draw(_filler)
+    assert parse_scene("\n".join(lines)) == parse_scene(text)
+
+
+def test_a_huge_torus_dimension_is_refused_before_any_torus_is_built():
+    text = "[torus]\ng = 1000000\n[support]\nkind = skyscraper\ncoords = 0"
+    with deadline(1), pytest.raises(ValueError, match=f"\\[torus\\] g exceeds {MAX_DIMENSION}"):
         parse_scene(text)
 
 
