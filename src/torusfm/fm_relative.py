@@ -75,7 +75,7 @@ from .expr import (
     weyl_points,
 )
 from .fm_absolute import SubtorusLocalSystem
-from .torus import AffineSubtorus, Torus, subtorus_from_equations
+from .torus import AffineSubtorus, Torus, _lattice
 
 __all__ = [
     "ConditionError",
@@ -893,22 +893,34 @@ def _standard_torus(g: int) -> Torus:
     return Torus(g)
 
 
-def _fibre_trace(torus: Torus, k: int, slopes, offsets, b: tuple) -> AffineSubtorus:
+def _fibre_trace(torus: Torus, k: int, slopes, offsets, b: tuple, holder=None) -> AffineSubtorus:
     """The subtorus y_{g-n+i} = sum_j slopes[i][j](b) y_j + offsets[i](b), i < n, at base b.
 
     n is the number of offsets and b the k free base coordinates as
-    Fractions.  Row [*slopes[i], offsets[i], 1] is evaluated at b as ints
-    times a positive scale (`_integer_values`), which the last entry gives;
-    the equation [-slopes, scale * e_i] with offset -offsets is then put in
-    canonical form.
+    Fractions.  The rows [-slopes(b) | I_n], each scaled to ints by
+    `_integer_values`, give the saturation S and directions K
+    (`torus._lattice`).  They depend on the slopes alone, so rational
+    constant slopes keep them on the holder, off its fields, as `_chart`
+    is.  y0 = (0, ..., 0, offsets(b)) solves the equations, so the
+    canonical offset is -S y0 mod 1, read on ints over one scale.
     """
     if len(b) != k:
         raise ValueError("one coordinate per free base direction")
-    values = _integer_values(([*row, c, ONE] for row, c in zip(slopes, offsets)), b)
-    rows = tuple((*(-e for e in v[:-2]), *(v[-1] if l == i else 0 for l in range(len(values))))
-                 for i, v in enumerate(values))
-    eqns = IntMatrix._trusted(rows, len(rows[0]) if rows else torus.dim)
-    return subtorus_from_equations(torus, eqns, [-v[-2] for v in values])
+    lattice = holder.__dict__.get("_lattice") if holder is not None else None
+    if lattice is None:
+        values = _integer_values(([*row, ONE] for row in slopes), b)
+        rows = tuple((*(-e for e in v[:-1]), *(v[-1] if l == i else 0 for l in range(len(values))))
+                     for i, v in enumerate(values))
+        lattice = _lattice(IntMatrix._trusted(rows, torus.dim))[1:]
+        if holder is not None and _rationals(slopes) is not None:
+            object.__setattr__(holder, "_lattice", lattice)
+    sat, directions = lattice
+    *values, scale = _integer_values([[*offsets, ONE]], b)[0]
+    first = torus.dim - len(values)
+    chi = tuple(Fraction(-sum(e * v for e, v in zip(row[first:], values)) % scale, scale) for row in sat.rows)
+    out = AffineSubtorus._canonical(torus, sat, chi)
+    object.__setattr__(out, "_directions", directions)
+    return out
 
 
 def _paired(sup: AffineSubtorus, phases: list[int]) -> SubtorusLocalSystem:
@@ -921,11 +933,10 @@ def _paired(sup: AffineSubtorus, phases: list[int]) -> SubtorusLocalSystem:
 def fibre_support(s: RelativeSupport, base: Sequence) -> AffineSubtorus:
     """The fibre trace of the support over a rational base point.
 
-    base gives the free coordinates x^1..x^k.  Each solved equation is
-    evaluated there as one integer row, scaled by a positive int, and the
-    rows are put in canonical form.
+    base gives the free coordinates x^1..x^k; the fibre lattice is kept
+    on the support when the slopes are rational constants (`_fibre_trace`).
     """
-    return _fibre_trace(_standard_torus(s.g), s.k, s.a, s.chi, rat_vector(base))
+    return _fibre_trace(_standard_torus(s.g), s.k, s.a, s.chi, rat_vector(base), s)
 
 
 def fibre_system(s: RelativeSupport, system: LocalSystemData, base: Sequence) -> SubtorusLocalSystem:
@@ -947,5 +958,5 @@ def fibre_of_transform(bundle: TransformedBundle, base: Sequence) -> SubtorusLoc
     """
     # The standard torus is self-dual.
     b = rat_vector(base)
-    sup = _fibre_trace(_standard_torus(bundle.g), bundle.k, bundle.gamma_tilde, bundle.varsigma, b)
+    sup = _fibre_trace(_standard_torus(bundle.g), bundle.k, bundle.gamma_tilde, bundle.varsigma, b, bundle)
     return _paired(sup, _integer_values([[*bundle.fibre_turns, ONE]], b)[0])

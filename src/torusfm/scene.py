@@ -205,7 +205,13 @@ def _parse_torus(mapping: dict) -> Torus:
     if g > MAX_DIMENSION:
         raise ValueError(f"[torus] g exceeds {MAX_DIMENSION}")
     rows = _optional(mapping, "metric", "torus", _fraction_rows, None)
-    return Torus(g) if rows is None else Torus(g, RatMatrix(rows, g))
+    torus = Torus(g)
+    if rows is None:
+        return torus
+    try:
+        return Torus(g, RatMatrix(rows, g))
+    except ValueError as exc:
+        raise ValueError(f"[torus] metric: {exc}") from None
 
 
 def _parse_support(torus: Torus, sup: dict, sysd: dict) -> Scene:

@@ -193,10 +193,9 @@ def subtorus_from_equations(torus: Torus, rows, offsets) -> AffineSubtorus:
     stored in canonical form.  Rationally dependent rows raise
     ValueError("degenerate equations").
 
-    One Hermite form of [A^T | I] gives everything: its kernel block is the
-    direction basis K, and with its top block U A^T = H, triangular
-    substitution on H^T solves A = H^T S for the saturation S and H^T z = -c
-    for y0 = U^T z, with A y0 = -c.  The canonical offset is chi = -S y0 mod 1.
+    One Hermite form of [A^T | I] gives the saturation S, the direction
+    basis K and, by triangular substitution, y0 with A y0 = -c
+    (`_components`).  The canonical offset is chi = -S y0 mod 1.
     """
     a = rows if isinstance(rows, IntMatrix) else IntMatrix(rows, torus.dim)
     c = tuple(x if x.__class__ is int else Fraction(x) for x in offsets)
@@ -207,26 +206,34 @@ def subtorus_from_equations(torus: Torus, rows, offsets) -> AffineSubtorus:
     return next(_components(torus, a, c))
 
 
+def _lattice(a: IntMatrix) -> tuple[list[list[int]], IntMatrix, IntMatrix]:
+    """(top, S, K) from one Hermite form of [A^T | I], for A of full row rank.
+
+    top holds its rows [H | U] that are nonzero on A^T, S is the canonical
+    saturation and K the direction basis.  Dependent rows raise ValueError("degenerate equations").
+    """
+    top, directions = _kernel_hermite(a)
+    if len(top) < a.nrows:
+        raise ValueError("degenerate equations")
+    return top, _saturation(top, a), directions
+
+
 def _components(torus: Torus, a: IntMatrix, c) -> Iterator[AffineSubtorus]:
     """Components of {[y] : A y + c in Z^r} for A of full row rank; c holds ints and Fractions.
 
     In the Hermite form of [A^T | I] the top rows [H | U] have U A^T = H,
-    with H upper triangular with pivots p_k; H gives the saturation
-    (`_saturation`), and the kernel block K the directions.  Every y is
+    with H upper triangular with pivots p_k; H gives the saturation and
+    the kernel block K the directions (`_lattice`).  Every y is
     U^T z + K^T w, and A y = H^T z, so a component is a class of z mod Z^r
     with H^T z + c integral.  Row k of the lower triangular H^T pins z_k to
     (t_k - c_k - sum_{l<k} H_{lk} z_l) / p_k for one residue t_k in
     [0, p_k), which gives prod(p_k) components.  With L the lcm of the
     offset denominators, z is kept as the integers z * M for
     M = L * prod(p_k).  The residues t = 0 come first; they give the
-    solutions of A y + c = 0 itself.  Dependent rows raise
-    ValueError("degenerate equations").
+    solutions of A y + c = 0 itself.
     """
     r, g = a.nrows, torus.dim
-    top, directions = _kernel_hermite(a)
-    if len(top) < r:
-        raise ValueError("degenerate equations")
-    sat = _saturation(top, a)
+    top, sat, directions = _lattice(a)
     denom = math.lcm(*(x.denominator for x in c))
     n = [x.numerator * (denom // x.denominator) for x in c]
     steps = [top[k][k] for k in range(r)]

@@ -213,12 +213,30 @@ def test_parse_torus_metric():
         ),
         ("[torus]\ng = 2\n[torus]\ng = 3\n[support]\nkind = skyscraper", "syntax"),
         ("g = 2", "syntax"),
+        (
+            "[torus]\ng = 2\nmetric = 1 0 0; 0 1 0\n[support]\nkind = skyscraper\ncoords = 0 0",
+            "[torus] metric: ncols disagrees with row length",
+        ),
+        (
+            "[torus]\ng = 2\nmetric = 1 0; 0\n[support]\nkind = skyscraper\ncoords = 0 0",
+            "[torus] metric: ragged rows",
+        ),
+        (
+            "[torus]\ng = 2\nmetric = 1 2; 2 1\n[support]\nkind = skyscraper\ncoords = 0 0",
+            "[torus] metric: metric must be symmetric positive definite",
+        ),
     ],
 )
 def test_malformed_scenes_raise_value_error(text, phrase):
     with pytest.raises(ValueError, match=None) as err:
         parse_scene(text)
     assert phrase in str(err.value)
+
+
+def test_a_bad_dimension_is_not_blamed_on_the_metric():
+    with pytest.raises(ValueError) as err:
+        parse_scene("[torus]\ng = 0\nmetric = 1\n[support]\nkind = skyscraper\ncoords = 0")
+    assert str(err.value) == "torus dimension must be positive"
 
 
 def test_expression_errors_keep_the_byte_offset():

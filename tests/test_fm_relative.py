@@ -1436,6 +1436,60 @@ def test_slices_equal_slices_built_from_fraction_values():
     assert cases == 2 * (6 + 6)
 
 
+# (maker, g, k): constant slopes with varying offsets, polynomial slopes that
+# are constant for some seeds and vary for others, k = 0 and sections.
+RESLICE_SHAPES = [
+    (gauged_instance, 3, 2), (gauged_instance, 5, 3), (polynomial_instance, 3, 2),
+    (polynomial_instance, 4, 2), (polynomial_instance, 5, 3), (polynomial_instance, 4, 1),
+    (constant_instance, 3, 0), (constant_instance, 4, 0), (section_instance, 2, 2), (section_instance, 3, 3),
+]
+_BASE_ENTRY = st.builds(F, st.integers(-6, 6), st.integers(1, 7))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(RESLICE_SHAPES),
+    st.integers(0, 10**6),
+    st.lists(st.tuples(*[_BASE_ENTRY] * 3), min_size=5, max_size=10, unique=True),
+)
+def test_repeated_slices_of_one_support_equal_slices_from_fractions(shape, seed, bases):
+    """One support and its transform sliced at several base points in turn.
+
+    A fibre lattice kept from an earlier point must serve a later one only
+    when the slopes are rational constants.
+    """
+    make, g, k = shape
+    s, system = make(g, random.Random(seed)) if make is section_instance else make(g, k, random.Random(seed))
+    bundle = transform_nontransversal(s, system)
+    for base in bases:
+        base = base[:k]
+        sl_in = fibre_system(s, system, base)
+        assert sl_in == _slice_from_fractions(g, s.a, s.chi, base, system.xi)
+        turns = [eval_exact(e, base) for e in bundle.fibre_turns]
+        sl_out = fibre_of_transform(bundle, base)
+        assert sl_out == _slice_from_fractions(g, bundle.gamma_tilde, bundle.varsigma, base, turns)
+    for holder, slopes in ((s, s.a), (bundle, bundle.gamma_tilde)):
+        assert ("_lattice" in vars(holder)) == all(is_constant(e) for row in slopes for e in row)
+
+
+def test_a_kept_fibre_lattice_stays_off_the_fields():
+    s, system = gauged_instance(5, 3, random.Random(24))
+    bundle = transform_nontransversal(s, system)
+    twins = (
+        RelativeSupport(s.g, s.k, s.zeta, s.a, s.chi),
+        TransformedBundle(*(getattr(bundle, f) for f in ("g", "k", "zeta", "gamma_tilde", "varsigma", "alpha",
+                                                          "fibre_turns", "holomorphic"))),
+    )
+    base = (F(1, 3), F(-2, 5), F(4, 7))
+    fibre_system(s, system, base)
+    fibre_of_transform(bundle, base)
+    for kept, twin in zip((s, bundle), twins):
+        assert "_lattice" in vars(kept) and "_lattice" not in vars(twin)
+        assert kept == twin and twin == kept
+        assert (hash(kept), repr(kept)) == (hash(twin), repr(twin))
+        assert len({kept, twin}) == 1
+
+
 def bundle_expressions(bundle):
     for row in bundle.gamma_tilde:
         yield from row
