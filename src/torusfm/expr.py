@@ -825,29 +825,37 @@ def _eliminate_constants(matrix) -> tuple[int, list[list[Expr]]]:
     """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) on constant pivots.
 
     On the rows scaled to integer term maps, as in `exact_minors`, the next
-    pivot p is any nonzero rational constant entry.  Each other entry e of
-    the block left over becomes (p*e - f*g)/q, exactly, with f and g the
-    entries in the pivot's column and row and q the previous pivot.  After
-    t pivots rank(matrix) = t + rank(block) at every point, and the two
-    determinants, when square, differ by a constant factor.  Returns (t,
-    block).
+    pivot p is the first nonzero rational constant entry, row by row.  Each
+    other entry e of the block becomes (p*e - f*g)/q, with f and g the
+    entries in the pivot's column and row and q the previous pivot: f*g is
+    subtracted in place from the one new map p*e, which is divided once.
+    After t pivots rank(matrix) = t + rank(block) at every point, and the
+    two determinants, when square, differ by a constant factor.  Returns (t, block).
     """
     rows = _scaled_term_rows(matrix)[1]
     t, q = 0, 1
     while pivot := next(
         ((i, j) for i, row in enumerate(rows) for j, e in enumerate(row)
-         if len(e) == 1 and ((), None) in e),
+         if len(e) == 1 and _UNIT in e),
         None,
     ):
         i, j = pivot
         top = rows.pop(i)
-        p = top.pop(j)[((), None)]
+        p = top.pop(j)[_UNIT]
+        units = [g[_UNIT] if len(g) == 1 and _UNIT in g else None for g in top]
         block = []
         for row in rows:
-            f = row.pop(j)
-            cross = (_add({u: c * p for u, c in e.items()}, _mul(f, g) if f and g else {}, -1)
-                     for e, g in zip(row, top))
-            block.append([_divided(e, q) for e in cross])
+            minus_f = {u: -c for u, c in row.pop(j).items()}
+            line = []
+            for e, g, unit in zip(row, top, units):
+                out = {u: c * p for u, c in e.items()}
+                if unit is not None:
+                    for u, c in minus_f.items():
+                        _put(out, u, _exact(c * unit))
+                elif minus_f and g:
+                    _mul(minus_f, g, out)
+                line.append(_divided(out, q))
+            block.append(line)
         rows, q, t = block, p, t + 1
     return t, [[Expr(e) for e in row] for row in rows]
 

@@ -191,18 +191,21 @@ def _gather(name: str, labelled, tol: float, grid: int) -> ConditionReport:
 def _constancy(name: str, labelled, k: int, tol: float, grid: int) -> ConditionReport:
     """Test each labelled expression for constancy in x1..xk.
 
-    Without opaque atoms, e is proven nonconstant exactly when some x_v
-    with v <= k is in vars_of(e): by the canonical-form theorem of `expr`,
-    that is when diff(e, v) is nonempty.  With opaque atoms, each partial
-    derivative is zero-tested.  An empty map is a proven zero at once.
+    In one scan of e's terms: an empty map is a proven zero; an opaque atom
+    sends e to a zero test of each partial derivative; otherwise e is proven
+    nonconstant exactly when some x_v, v <= k, is in a monomial or character,
+    that is (canonical-form theorem of `expr`) when diff(e, v) is nonempty.
     """
 
     def verdict(e: Expr) -> Verdict:
-        if not e.terms:
-            return Verdict.proven_zero()
-        if has_opaque(e):
-            return all_zero(is_zero(diff(e, v), tol, grid) for v in range(1, k + 1))
-        return Verdict.proven_nonzero() if any(v <= k for v in vars_of(e)) else Verdict.proven_zero()
+        varies = False
+        for mono, x in e.terms:
+            for atom, _ in mono:
+                if atom[0] == 2:
+                    return all_zero(is_zero(diff(e, v), tol, grid) for v in range(1, k + 1))
+                varies = varies or atom[0] == 1 and atom[1] <= k
+            varies = varies or x is not None and any(i <= k for i, _, _ in x[1])
+        return Verdict.proven_nonzero() if varies else Verdict.proven_zero()
 
     return _report(name, ((label, verdict(e)) for label, e in labelled))
 
@@ -369,20 +372,21 @@ def check_C2_C3(
 ) -> tuple[ConditionReport, ConditionReport]:
     """Constant fibre dimension (C2) and constant slope matrix (C3).
 
-    C2 asks that the rank of the slope matrix not drop anywhere on the
-    base [0,1]^k.  It is proven when every entry is constant, or when
-    elimination on the nonzero rational constant entries leaves a block B
-    that is empty or zero: rank = (pivots) + rank B at every point.  A
-    drop is proven by exact values at two rational probes, of the slopes
-    or of B, whichever has fewer terms and exact values: two ranks, or
-    for square slopes determinants of both signs.  Only then are the
-    minors expanded exactly, largest size first, until one does not
-    vanish; C2 is proven when some minor of that top size is a nonzero
-    element of Q[pi] while every larger minor vanishes identically.
-    Otherwise the verdict is numerical: the top minors are sampled at
-    Weyl points and the probes for a common zero, or for a sign change
-    when only one of them does not vanish identically.  C3 asks that
-    every entry be constant, with offending entries named a[j][m], 1-based.
+    C2 asks that the rank of the slope matrix not drop anywhere on the base
+    [0,1]^k.  Each entry's variables are read once.  C2 is proven when every
+    entry is constant, or when elimination on the nonzero rational constant
+    entries, each block entry updated in place, leaves a block B that is empty
+    or zero: rank = (pivots) + rank B at every point.  A drop is proven by
+    exact values at two rational probes, of the slopes or of B, whichever has
+    fewer terms and exact values: two ranks, or for square slopes determinants
+    of both signs.  Only then are the minors expanded exactly, largest size
+    first, until one does not vanish; C2 is proven when some minor of that top
+    size is a nonzero element of Q[pi] while every larger minor vanishes
+    identically.  Otherwise the verdict is numerical: the top minors are
+    sampled at Weyl points and the probes for a common zero, or for a sign
+    change when only one of them does not vanish identically.  C3 asks that
+    every entry be constant, naming offending entries a[j][m], 1-based; one
+    scan of an entry's terms decides it.
     """
     c3 = _constancy("C3", _entries("a", s.a), s.k, tol, grid)
     return _c2_report(s, tol, grid), c3
@@ -423,15 +427,13 @@ def _rank_witness(b, points) -> bool | None:
 
 def _constant_rank_verdict(a, k: int, tol: float, grid: int) -> Verdict:
     m_free = len(a[0]) if a else 0
-    if k == 0 or m_free == 0:
-        return Verdict.proven_zero()
-    if all(is_constant(e) for row in a for e in row):
+    nvars = max((max(vars_of(e), default=0) for row in a for e in row), default=0)
+    if not nvars:
         return Verdict.proven_zero()
     # rank a = t + rank b at every point, so b = 0 proves the rank constant.
     _, b = _eliminate_constants(a)
-    if all(e == ZERO for row in b for e in row):
+    if not any(e.terms for row in b for e in row):
         return Verdict.proven_zero()
-    nvars = max(max_var(e) for row in a for e in row)
     probes = [(t,) * nvars for t in _PROBES]
     probes += [(0,) * i + (t,) + (0,) * (nvars - i - 1) for t in _PROBES for i in range(nvars)]
     # The constant pivots keep ranks and determinant signs, so a and b have
@@ -607,8 +609,8 @@ def transform_nontransversal(
     and it pairs the offsets into theta_j = sum_c chi_c d x^c/dx^j, whose
     negation is the dw-row fibre_turns and whose exterior derivative is
     the curl that C1 tests (see `check_C1_lagrangian`).  The holomorphic
-    verdict is the constancy of gamma, which `vars_of` decides without a
-    further derivative unless an entry holds opaque atoms.  The flatness
+    verdict is the constancy of gamma, which one scan of each entry decides
+    without a further derivative unless it holds opaque atoms.  The flatness
     verdict is kept on the bundle, off its fields, for D2 of the inverse.
     """
     _validate_system(s, system)

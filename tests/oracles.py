@@ -1,7 +1,8 @@
 """Brute-force reference implementations shared across test modules.
 
 Everything here is deliberately slow and simple: Laplace determinants,
-exhaustive minor enumeration, membership tests via rational solves.  The
+exhaustive minor enumeration, membership tests via rational solves or
+integer elimination.  The
 library under test must agree with these on small inputs.  Nothing here
 imports torusfm: matrices are plain row sequences (a library matrix is
 read through its `rows`), expressions are read through their documented
@@ -13,6 +14,7 @@ library.
 import functools
 import itertools
 import math
+import operator
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
@@ -37,7 +39,7 @@ def deadline(seconds):
 def matmul(a, b):
     """The product of two matrices, as a tuple of row tuples, entry by entry."""
     cols = list(zip(*_rows(b)))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in _rows(a))
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in _rows(a))
 
 
 def naive_det(m):
@@ -51,11 +53,14 @@ def _laplace(rows):
         return 1
     if n == 1:
         return rows[0][0]
+    if n == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     total = 0
     for j, e in enumerate(rows[0]):
         if e:
             minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-            total += (-1) ** j * e * _laplace(minor)
+            sub = e * _laplace(minor)
+            total += -sub if j % 2 else sub
     return total
 
 
@@ -113,9 +118,29 @@ def gcd_of_minors(m, k):
     return _minor_gcd_table(rows, getattr(m, "ncols", len(rows[0]) if rows else 0))(k)
 
 
+def gcd_of_minors_with_row(m, vec, k):
+    """gcd_of_minors of m with vec appended as its last row, from the table of m's minors.
+
+    A k x k minor either leaves vec out, and is a minor of m, or expands
+    along vec into k products of an entry of vec and a (k-1) x (k-1)
+    minor of m.
+    """
+    rows = _rows(m)
+    ncols = getattr(m, "ncols", len(rows[0]) if rows else 0)
+    table = _minor_gcd_table(rows, ncols)
+    g = table(k) if k <= len(rows) else 0
+    for rs in itertools.combinations(range(len(rows)), k - 1):
+        for cs in itertools.combinations(range(ncols), k):
+            if g == 1:
+                return 1
+            g = math.gcd(g, sum((-1) ** (k - 1 + j) * vec[c] * table.minor(rs, cs[:j] + cs[j + 1 :])
+                                for j, c in enumerate(cs) if vec[c]))
+    return g
+
+
 @functools.lru_cache(maxsize=8)
 def _minor_gcd_table(rows, ncols):
-    """The function k -> gcd of the k x k minors of rows, memoised with every minor."""
+    """The function k -> gcd of the k x k minors of rows, memoised with every minor; .minor(rs, cs) reads one."""
     minors = {}
 
     def minor(rs, cs):
@@ -143,6 +168,7 @@ def _minor_gcd_table(rows, ncols):
                     return 1
         return g
 
+    gcd_of.minor = minor
     return gcd_of
 
 
@@ -241,6 +267,68 @@ def in_row_span_z(vec, basis):
     return coeffs is not None and all(c.denominator == 1 for c in coeffs)
 
 
+def echelon_z_span(basis):
+    """The test vec -> membership of an integer vector in the Z-span of integer rows in echelon form.
+
+    The leading entries of the nonzero rows lie in strictly increasing
+    columns, so the rows are independent and, taken in order, each row's
+    coefficient is fixed by its leading column: it must be an integer, and
+    once every row is subtracted nothing may remain.  Integer arithmetic
+    only.
+    """
+    rows = [row for row in _rows(basis) if any(row)]
+    leads = [next(j for j, e in enumerate(row) if e) for row in rows]
+
+    def contains(vec):
+        vec = list(vec)
+        for row, j in zip(rows, leads):
+            y, rest = divmod(vec[j], row[j])
+            if rest:
+                return False
+            if y:
+                vec = [a - y * b for a, b in zip(vec, row)]
+        return not any(vec)
+
+    return contains
+
+
+def row_space(rows, ncols):
+    """(rank, test vec -> membership of vec in the rational row space), from one reduction.
+
+    Fraction-free elimination on integer rows: each pivot row clears its
+    column from the rows below by integer combinations, which keep the row
+    space.  A vector is in the space exactly when the same steps reduce it
+    to zero.
+    """
+    pending = [list(row) for row in rows]
+    basis = []
+    for c in range(ncols):
+        p = next((i for i, row in enumerate(pending) if row[c]), None)
+        if p is None:
+            continue
+        top = pending.pop(p)
+        pending = [_cleared(row, top, c) for row in pending]
+        basis.append((top, c))
+
+    def contains(vec):
+        vec = list(vec)
+        for top, c in basis:
+            vec = _cleared(vec, top, c)
+        return not any(vec)
+
+    # A basis of ncols rows spans every vector.
+    return len(basis), (lambda vec: True) if len(basis) == ncols else contains
+
+
+def _cleared(row, top, c):
+    """top[c]*row - row[c]*top, which is 0 in column c, divided by the gcd of its entries."""
+    if not row[c]:
+        return row
+    out = [top[c] * a - row[c] * b for a, b in zip(row, top)]
+    g = math.gcd(*out)
+    return [e // g for e in out] if g > 1 else out
+
+
 def offset_by_particular_solution(sat, rows, offsets, ncols):
     """Canonical offset by a rational particular solution.
 
@@ -286,6 +374,40 @@ def evaluate(e, point):
         if char is not None:
             phase = sum((a + b * math.pi) * float(point[i - 1]) for i, a, b in char[1])
             v *= getattr(math, char[0])(phase)
+        total += v
+    return total
+
+
+# cos(pi*r) for r in [0, 2) with denominator 1, 2 or 3: by Niven's theorem
+# the only rational r in [0, 2) with cos(pi*r) rational.
+_HALF = Fraction(1, 2)
+_COS_PI = {
+    Fraction(0): 1, Fraction(1, 3): _HALF, _HALF: 0, Fraction(2, 3): -_HALF,
+    Fraction(1): -1, Fraction(4, 3): -_HALF, Fraction(3, 2): 0, Fraction(5, 3): _HALF,
+}
+
+
+def exact_value(e, point, pi):
+    """Exact value of an expression at a rational point, with the pi atom read as the rational pi.
+
+    The term map is a ring of functions of x and of the pi atom, whose
+    characters multiply by the product-to-sum rules of the true sine and
+    cosine, so reading the atom as any rational, and each character at its
+    true value, respects sums and products.  A character must have a phase
+    pi*r with cos(pi*r) and sin(pi*r) rational; opaque atoms are refused.
+    """
+    total = Fraction(0)
+    for (mono, char), c in e.terms.items():
+        v = Fraction(c)
+        for atom, k in mono:
+            if atom[0] == 2:
+                raise ValueError("opaque atoms have no exact value")
+            v *= (pi if atom[0] == 0 else Fraction(point[atom[1] - 1])) ** k
+        if char is not None:
+            if any(a for _, a, _ in char[1]):
+                raise ValueError("a character phase with a rational part")
+            r = sum(b * Fraction(point[i - 1]) for i, _, b in char[1]) % 2
+            v *= _COS_PI[r] if char[0] == "cos" else _COS_PI[(r - Fraction(1, 2)) % 2]
         total += v
     return total
 

@@ -8,8 +8,10 @@ expectation is computed by an independent oracle before the library
 result is inspected.
 """
 
+import functools
 import itertools
 import math
+import operator
 import random
 import time
 from fractions import Fraction
@@ -21,13 +23,15 @@ from instances import (
 )
 from oracles import (
     check_poincare,
+    echelon_z_span,
     fd_partial,
     gcd_of_minors,
-    in_row_span_z,
+    gcd_of_minors_with_row,
     is_canonical_hnf,
     matmul,
     naive_det,
     rational_rank,
+    row_space,
 )
 
 from torusfm.exact_linalg import IntMatrix, hnf, kernel_basis, saturate, snf
@@ -463,37 +467,58 @@ def test_09_failed_conditions_are_proven_not_numerical():
 # ---------------------------------------------------------- integer algebra
 
 
-def _in_lattice(vec, m, rank, minors_gcd):
+def _in_lattice(vec, m, oracle):
     # Membership of vec in the row lattice of m, with possibly dependent
     # rows, so a rational particular solve cannot decide it.  Adjoining
-    # a vector of the rational row space keeps the rank, so every minor
-    # one size larger vanishes; it keeps the gcd of maximal minors,
-    # minors_gcd = gcd_of_minors(m, rank), exactly when the lattice is
+    # a vector of the rational row space keeps the rank; it keeps the gcd
+    # of maximal minors, oracle.minors_gcd, exactly when the lattice is
     # unchanged, since for nested lattices of equal rank the index is the
-    # ratio of those gcds.  Both sizes read one table of minors.
-    if rank == 0:
+    # ratio of those gcds.  That gcd divides minors_gcd, so it is 1 when
+    # minors_gcd is; otherwise the minors with vec expand along it into
+    # minors of m, which m's table already holds.
+    if oracle.rank == 0:
         return all(x == 0 for x in vec)
-    stacked = IntMatrix(m.rows + (tuple(vec),), m.ncols)
-    if gcd_of_minors(stacked, rank + 1) != 0:
+    if not oracle.space(vec):
         return False
-    return gcd_of_minors(stacked, rank) == minors_gcd
+    return oracle.minors_gcd == 1 or gcd_of_minors_with_row(m, vec, oracle.rank) == oracle.minors_gcd
 
 
-def _hnf_agrees(m, rank):
+class _Oracle:
+    """The oracle's data for one integer matrix, computed once and shared by the four checks.
+
+    The rank and the rational row space come from one reduction, and the
+    gcd of the maximal minors is read once (`gcd_of_minors` memoises the
+    other sizes).
+    """
+
+    def __init__(self, m):
+        self.rank, self.space = row_space(m.rows, m.ncols)
+        self.minors_gcd = gcd_of_minors(m, self.rank)
+
+
+@functools.cache
+def _box_solutions(row, box):
+    """The vectors of the box [-box, box]^n that row annihilates, n = len(row), by enumeration."""
+    return frozenset(v for v in itertools.product(range(-box, box + 1), repeat=len(row))
+                     if not sum(map(operator.mul, row, v)))
+
+
+def _hnf_agrees(m, oracle):
     h, u = hnf(m)
     assert is_canonical_hnf(h)
     assert u.shape == (m.nrows, m.nrows)
     assert abs(naive_det(u)) == 1
     assert matmul(u, m) == h.rows
+    in_span = echelon_z_span(h)
     for row in m.rows:
-        assert in_row_span_z(row, h)
-    minors_gcd = gcd_of_minors(m, rank)
+        assert in_span(row)
     for row in h.rows:
         if any(row):
-            assert _in_lattice(row, m, rank, minors_gcd)
+            assert _in_lattice(row, m, oracle)
 
 
-def _snf_agrees(m, rank):
+def _snf_agrees(m, oracle):
+    rank = oracle.rank
     d, u, v = snf(m)
     assert abs(naive_det(u)) == 1
     assert abs(naive_det(v)) == 1
@@ -516,10 +541,10 @@ def _snf_agrees(m, rank):
         assert running == gcd_of_minors(m, kk)
 
 
-def _kernel_agrees(m, rank, box):
+def _kernel_agrees(m, oracle, box):
     kb = kernel_basis(m)
     assert kb.ncols == m.ncols
-    assert kb.nrows == m.ncols - rank
+    assert kb.nrows == m.ncols - oracle.rank
     assert is_canonical_hnf(kb)
     for row in kb.rows:
         assert all(x == 0 for x in m.mul_vector(row))
@@ -529,18 +554,14 @@ def _kernel_agrees(m, rank, box):
         assert gcd_of_minors(kb, kb.nrows) == 1
     if box is None:
         return
-    rows = m.rows
-    for v in itertools.product(range(-box, box + 1), repeat=m.ncols):
-        solves = True
-        for row in rows:
-            if sum(a * b for a, b in zip(row, v)):
-                solves = False
-                break
-        if solves:
-            assert in_row_span_z(v, kb)
+    # Every in-box solution, the box enumerated once per distinct row.
+    in_span = echelon_z_span(kb)
+    for v in frozenset.intersection(*(_box_solutions(row, box) for row in m.rows)):
+        assert in_span(v)
 
 
-def _saturate_agrees(m, rank):
+def _saturate_agrees(m, oracle):
+    rank = oracle.rank
     if rank < m.nrows:
         try:
             saturate(m)
@@ -552,10 +573,11 @@ def _saturate_agrees(m, rank):
     assert is_canonical_hnf(sat)
     if sat.nrows:
         assert gcd_of_minors(sat, sat.nrows) == 1
+    in_span = echelon_z_span(sat)
     for row in m.rows:
-        assert in_row_span_z(row, sat)
-    stacked = IntMatrix(m.rows + sat.rows, m.ncols)
-    assert rational_rank(stacked.rows, stacked.ncols) == rank
+        assert in_span(row)
+    stacked = m.rows + sat.rows
+    assert row_space(stacked, m.ncols)[0] == rank
 
 
 def test_10_integer_linear_algebra_agrees_with_enumeration():
@@ -584,11 +606,11 @@ def test_10_integer_linear_algebra_agrees_with_enumeration():
             m = IntMatrix(
                 [entries[i * ncols : (i + 1) * ncols] for i in range(nrows)], ncols
             )
-            rank = rational_rank(m.rows, m.ncols)
-            _hnf_agrees(m, rank)
-            _snf_agrees(m, rank)
-            _kernel_agrees(m, rank, kbox)
-            _saturate_agrees(m, rank)
+            oracle = _Oracle(m)
+            _hnf_agrees(m, oracle)
+            _snf_agrees(m, oracle)
+            _kernel_agrees(m, oracle, kbox)
+            _saturate_agrees(m, oracle)
             cases += 1
 
     rng = random.Random(2010)
@@ -599,10 +621,10 @@ def test_10_integer_linear_algebra_agrees_with_enumeration():
             [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)],
             ncols,
         )
-        rank = rational_rank(m.rows, m.ncols)
-        _hnf_agrees(m, rank)
-        _snf_agrees(m, rank)
-        _kernel_agrees(m, rank, None)
-        _saturate_agrees(m, rank)
+        oracle = _Oracle(m)
+        _hnf_agrees(m, oracle)
+        _snf_agrees(m, oracle)
+        _kernel_agrees(m, oracle, None)
+        _saturate_agrees(m, oracle)
         cases += 1
     _finish("integer linear algebra enumeration", cases, t0)

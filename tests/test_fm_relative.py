@@ -19,6 +19,7 @@ from oracles import (
     c1_coefficients,
     coefficients_are_normal,
     deadline,
+    exact_value,
     fd_partial,
     leibniz_minor,
     naive_det,
@@ -30,6 +31,7 @@ from oracles import (
 import torusfm.fm_relative as fm_relative
 from torusfm.exact_linalg import IntMatrix, RatMatrix
 from torusfm.expr import (
+    ONE,
     PI,
     ZERO,
     Expr,
@@ -603,6 +605,69 @@ def test_constancy_without_opaque_atoms_matches_the_derivatives(k, n, data):
     assert (d1.verdict, d1.failures) == constancy_by_derivatives(labelled, k)
 
 
+# Opaque atoms: varying, constant, cancelling in the derivative, zero only
+# by a trig identity (sampled), and times a variable.
+_OPAQUE = (
+    "sin(x{v}^2)",
+    "cos(x{v}*x{w} + 1)",
+    "sin(1)",
+    "cos(x{v} + 1)^2 + sin(x{v} + 1)^2",
+    "sin(2*x{v} + 2) - 2*sin(x{v} + 1)*cos(x{v} + 1)",
+    "x{w}*sin(pi*x{v}^2)",
+)
+
+
+@st.composite
+def mixed_entry(draw, k):
+    """0, or a sum of rational, pi, x_v, character and opaque sin/cos terms, v <= k."""
+    terms = []
+    for _ in range(draw(st.integers(0, 3))):
+        v, w = draw(st.integers(1, k)), draw(st.integers(1, k))
+        kind = draw(st.sampled_from(("rational", "pi", "variable", "character", "opaque")))
+        if kind == "variable":
+            factor = f"x{v}^{draw(st.integers(1, 2))}"
+        elif kind == "character":
+            factor = f"{draw(st.sampled_from(('sin', 'cos')))}({draw(st.sampled_from(_FREQ))}*x{v} + pi/2)"
+        elif kind == "opaque":
+            factor = draw(st.sampled_from(_OPAQUE)).format(v=v, w=w)
+        else:
+            factor = "pi" if kind == "pi" else "1"
+        terms.append(f"{draw(st.sampled_from((-2, -1, 1, 3)))}/{draw(st.integers(1, 3))}*({factor})")
+    return parse(" + ".join(terms) or "0")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 2), st.data())
+def test_one_scan_constancy_matches_the_derivatives(k, n, data):
+    # C3, D1 and the holomorphic verdict against the definition: for an
+    # entry with opaque atoms, all_zero of is_zero(diff(e, v)) over v <= k,
+    # and otherwise whether some diff(e, v) is nonempty; kinds and labels
+    # in order.
+    a = tuple(tuple(data.draw(mixed_entry(k)) for _ in range(n)) for _ in range(k))
+    _, c3 = check_C2_C3(RelativeSupport(k + n, k, (0,) * n, a, (0,) * k))
+    labelled = [(f"a[{j + 1}][{m + 1}]", e) for j, row in enumerate(a) for m, e in enumerate(row)]
+    assert (c3.verdict, c3.failures) == constancy_by_derivatives(labelled, k)
+
+    p = tuple(tuple(a[j][i] for j in range(k)) for i in range(n))
+    q = tuple(data.draw(mixed_entry(k)) for _ in range(n))
+    d1, _, _ = check_D_conditions(TransformedBundle(k + n, k, (0,) * n, p, q, (0,) * k, (0,) * k))
+    labelled = [(f"P[{i + 1}][{j + 1}]", e) for i, row in enumerate(p) for j, e in enumerate(row)]
+    labelled += [(f"Q[{i + 1}]", e) for i, e in enumerate(q)]
+    assert (d1.verdict, d1.failures) == constancy_by_derivatives(labelled, k)
+
+    # A Lagrangian support whose base map has Jacobian [G; -I]: zeta is n
+    # drawn entries, then -x1..-xk, and the slopes are [I | G^T], so C1 and
+    # C2 hold and the transform's dual slope is that Jacobian.
+    zeta = tuple(data.draw(mixed_entry(k)) for _ in range(n)) + tuple(-var(v) for v in range(1, k + 1))
+    jacobian = [[diff(z, j) for j in range(1, k + 1)] for z in zeta]
+    slopes = tuple(tuple(ONE if m == j else ZERO for m in range(k)) + tuple(row[j] for row in jacobian[:n])
+                   for j in range(k))
+    s = RelativeSupport(2 * k + n, k, zeta, slopes, (0,) * k)
+    bundle = transform_nontransversal(s, LocalSystemData((0,) * k, (0,) * (k + n)))
+    assert bundle.gamma_tilde == tuple(map(tuple, jacobian))
+    assert bundle.holomorphic == constancy_by_derivatives([("", e) for row in jacobian for e in row], k)[0]
+
+
 def test_constant_trig_minor_proves_nothing():
     # The 1x1 minor sin(1) is constant, but that it is nonzero is only a
     # numerical fact, so the constant rank is numerical too.
@@ -633,17 +698,31 @@ def bidiagonal_times_constant(k, rng, drops=False):
 
 
 @pytest.mark.parametrize("k", range(2, 13))
-def test_constant_determinant_of_varying_slopes_is_proven(k):
+def test_constant_determinant_of_varying_slopes_is_proven(k, monkeypatch):
+    # The `symbolic` benchmark's c2 shape.  With constant rank, the constant
+    # pivots eliminate every row, t = k, and no minor is expanded; the drop
+    # is proven without minors too.  Rows 2..k are C[i] + c*x_i*C[i-1] with
+    # C and c free of zeros, so exactly their entries vary, in both variants.
+    def unused(*args):
+        raise AssertionError("exact_minors called")
+
+    eliminations = []
+    real = fm_relative._eliminate_constants
+    monkeypatch.setattr(fm_relative, "_eliminate_constants", lambda a: eliminations.append(real(a)) or eliminations[-1])
+    monkeypatch.setattr(fm_relative, "exact_minors", unused)
+    varying = tuple(f"a[{i}][{j}]" for i in range(2, k + 1) for j in range(1, k + 1))
     rng = random.Random(k)
     s = bidiagonal_times_constant(k, rng)
     with deadline(2):
         c2, c3 = check_C2_C3(s)
     assert c2.holds and c2.verdict.kind == "proven_zero"
-    assert not c3.holds
+    assert eliminations == [(k, [])]
+    assert (c3.verdict.kind, c3.failures) == ("proven_nonzero", varying)
     s = bidiagonal_times_constant(k, rng, drops=True)
     with deadline(2):
-        c2, _ = check_C2_C3(s)
+        c2, c3 = check_C2_C3(s)
     assert c2.verdict.kind == "proven_nonzero"
+    assert (c3.verdict.kind, c3.failures) == ("proven_nonzero", varying)
 
 
 def test_unit_determinant_with_polynomial_entries_is_proven():
@@ -757,24 +836,58 @@ def slope_matrices(draw):
     return k, m, tuple(tuple(row) for row in rows)
 
 
-_ENTRIES = st.one_of(
-    st.builds(F, st.integers(-3, 3), st.integers(1, 3)).map(num),
-    st.tuples(*[st.integers(-2, 2)] * 3).map(lambda c: c[0] + c[1] * var(1) + c[2] * var(1) * var(2)),
+_XS = st.sampled_from(("x1", "x2", "x3", "x4"))
+# Polynomials in x1..x4 of degree at most 2.
+_POLY = st.lists(
+    st.tuples(st.integers(-2, 2), st.one_of(st.just("1"), _XS, st.tuples(_XS, _XS).map("*".join))),
+    min_size=1,
+    max_size=2,
+).map(lambda terms: " + ".join(f"({c})*{m}" for c, m in terms))
+_NONZERO = st.sampled_from((-2, -1, 1, 2))
+_RATIONAL = st.builds(F, st.integers(-3, 3), st.integers(1, 3)).map(num)
+# Entries that are never pivots: polynomials, and pi or cos(2*pi*x1) plus one.
+_VARYING = st.one_of(
+    _POLY.map(parse),
+    st.tuples(_NONZERO, _POLY).map(lambda t: parse(f"{t[0]}*pi + {t[1]}")),
+    st.tuples(_NONZERO, _POLY).map(lambda t: parse(f"{t[0]}*cos(2*pi*x1) + {t[1]}")),
+    st.sampled_from(("pi", "cos(2*pi*x1)")).map(parse),
+)
+
+
+@st.composite
+def elimination_row(draw, m):
+    """A row of rational constants, or a mixed row in which constants are rarer."""
+    if draw(st.booleans()):
+        return [draw(_RATIONAL) for _ in range(m)]
+    return [draw(st.one_of(_RATIONAL, _VARYING, _VARYING)) for _ in range(m)]
+
+
+# Rational points of x1..x4, each with a rational reading of the pi atom.
+# cos(2*pi*n*x1) is rational at every x1 here, a multiple of 1/4 or 1/6.
+_ELIMINATION_POINTS = (
+    ((F(0), F(0), F(0), F(0)), F(3)),
+    ((F(1, 4), F(1, 2), F(-3), F(2)), F(22, 7)),
+    ((F(1, 3), F(2, 3), F(1, 4), F(-1)), F(-1, 2)),
+    ((F(1, 6), F(-1), F(5, 2), F(1, 3)), F(355, 113)),
+    ((F(3, 4), F(2), F(-1, 3), F(1, 2)), F(0)),
 )
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(1, 5), st.integers(1, 5), st.data())
+@given(st.integers(1, 6), st.integers(1, 7), st.data())
 def test_constant_pivot_elimination_keeps_rank_and_determinant(n, m, data):
     # The block keeps the rank at every point and, for square slopes, the
     # determinant up to one constant factor, so the sign of the product of
-    # the two determinants is the same wherever neither vanishes.
-    a = [[data.draw(_ENTRIES) for _ in range(m)] for _ in range(n)]
+    # the two determinants is the same wherever neither vanishes.  pi and
+    # cos(2*pi*x1) are never pivots; their exact values at these points,
+    # with the pi atom read as any rational, respect the ring operations
+    # the elimination performs (`oracles.exact_value`).
+    a = [data.draw(elimination_row(m)) for _ in range(n)]
     t, block = _eliminate_constants(a)
     signs = set()
-    for p in ((F(0), F(0)), (F(1, 2), F(-3)), (F(2, 3), F(1, 4)), (F(-1), F(5, 2))):
-        at = [[eval_exact(e, p) for e in row] for row in a]
-        rest = [[eval_exact(e, p) for e in row] for row in block]
+    for p, pi in _ELIMINATION_POINTS:
+        at = [[exact_value(e, p, pi) for e in row] for row in a]
+        rest = [[exact_value(e, p, pi) for e in row] for row in block]
         assert rational_rank(at, m) == t + (rational_rank(rest, m - t) if rest else 0)
         if n == m:
             product = naive_det(RatMatrix(at)) * naive_det(RatMatrix(rest, m - t))
