@@ -26,9 +26,9 @@ import random
 import statistics
 import sys
 import time
-from fractions import Fraction
 
 from torusfm import RelativeSupport, check_C2_C3
+from torusfm.exact_linalg import RatMatrix
 from torusfm.expr import ZERO, num, parse, var
 
 SHAPES = ((4, 4), (5, 5), (6, 6), (7, 7), (8, 8), (5, 12))
@@ -50,26 +50,12 @@ def random_slopes(seed, k, m):
     return tuple(tuple(random_entry(rng, k) for _ in range(m)) for _ in range(k))
 
 
-def full_rank(rows):
-    """Whether a square matrix of ints is invertible over Q, by Gaussian elimination."""
-    rows = [[Fraction(e) for e in row] for row in rows]
-    for c in range(len(rows)):
-        p = next((r for r in range(c, len(rows)) if rows[r][c]), None)
-        if p is None:
-            return False
-        rows[c], rows[p] = rows[p], rows[c]
-        for r in range(c + 1, len(rows)):
-            f = rows[r][c] / rows[c][c]
-            rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
-    return True
-
-
 def bidiagonal_slopes(seed, k, drops):
     """L*C as above; with drops, the last row times (x1 - 1/2)."""
     rng = random.Random(f"{seed}:bidiagonal:{k}")
     while True:
         c = [[rng.choice((-2, -1, 1, 2)) for _ in range(k)] for _ in range(k)]
-        if full_rank(c):
+        if RatMatrix(c).rank() == k:
             break
     rows = [[num(e) for e in c[0]]]
     for i in range(1, k):

@@ -842,17 +842,13 @@ def _eliminate_constants(matrix) -> tuple[int, list[list[Expr]]]:
         i, j = pivot
         top = rows.pop(i)
         p = top.pop(j)[_UNIT]
-        units = [g[_UNIT] if len(g) == 1 and _UNIT in g else None for g in top]
         block = []
         for row in rows:
             minus_f = {u: -c for u, c in row.pop(j).items()}
             line = []
-            for e, g, unit in zip(row, top, units):
+            for e, g in zip(row, top):
                 out = {u: c * p for u, c in e.items()}
-                if unit is not None:
-                    for u, c in minus_f.items():
-                        _put(out, u, _exact(c * unit))
-                elif minus_f and g:
+                if minus_f and g:
                     _mul(minus_f, g, out)
                 line.append(_divided(out, q))
             block.append(line)

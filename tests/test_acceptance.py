@@ -576,8 +576,8 @@ def _saturate_agrees(m, oracle):
     in_span = echelon_z_span(sat)
     for row in m.rows:
         assert in_span(row)
-    stacked = m.rows + sat.rows
-    assert row_space(stacked, m.ncols)[0] == rank
+    stacked = IntMatrix(m.rows + sat.rows, m.ncols)
+    assert rational_rank(stacked.rows, stacked.ncols) == rank
 
 
 def test_10_integer_linear_algebra_agrees_with_enumeration():

@@ -588,21 +588,26 @@ def constancy_by_derivatives(labelled, k):
     return all_zero(v for _, v in verdicts), tuple(lab for lab, v in verdicts if not v.is_zero)
 
 
+def assert_c3_and_d1_match_the_derivatives(a, q, k):
+    """C3 of slopes a, and D1 of the bundle with P = a^T and Q = q, against `constancy_by_derivatives`."""
+    n = len(q)
+    _, c3 = check_C2_C3(RelativeSupport(k + n, k, (0,) * n, a, (0,) * k))
+    labelled = [(f"a[{j + 1}][{m + 1}]", e) for j, row in enumerate(a) for m, e in enumerate(row)]
+    assert (c3.verdict, c3.failures) == constancy_by_derivatives(labelled, k)
+
+    p = tuple(tuple(a[j][i] for j in range(k)) for i in range(n))
+    d1, _, _ = check_D_conditions(TransformedBundle(k + n, k, (0,) * n, p, q, (0,) * k, (0,) * k))
+    labelled = [(f"P[{i + 1}][{j + 1}]", e) for i, row in enumerate(p) for j, e in enumerate(row)]
+    labelled += [(f"Q[{i + 1}]", e) for i, e in enumerate(q)]
+    assert (d1.verdict, d1.failures) == constancy_by_derivatives(labelled, k)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 2), st.data())
 def test_constancy_without_opaque_atoms_matches_the_derivatives(k, n, data):
     a = tuple(tuple(data.draw(opaque_free_entry(k)) for _ in range(n)) for _ in range(k))
     assert not any(has_opaque(e) for row in a for e in row)
-    s = RelativeSupport(k + n, k, (0,) * n, a, (0,) * k)
-    _, c3 = check_C2_C3(s)
-    labelled = [(f"a[{j + 1}][{m + 1}]", e) for j, row in enumerate(a) for m, e in enumerate(row)]
-    assert (c3.verdict, c3.failures) == constancy_by_derivatives(labelled, k)
-
-    p = tuple(tuple(a[j][i] for j in range(k)) for i in range(n))
-    d1, _, _ = check_D_conditions(TransformedBundle(k + n, k, (0,) * n, p, (0,) * n, (0,) * k, (0,) * k))
-    labelled = [(f"P[{i + 1}][{j + 1}]", e) for i, row in enumerate(p) for j, e in enumerate(row)]
-    labelled += [(f"Q[{i + 1}]", ZERO) for i in range(n)]
-    assert (d1.verdict, d1.failures) == constancy_by_derivatives(labelled, k)
+    assert_c3_and_d1_match_the_derivatives(a, (ZERO,) * n, k)
 
 
 # Opaque atoms: varying, constant, cancelling in the derivative, zero only
@@ -644,16 +649,7 @@ def test_one_scan_constancy_matches_the_derivatives(k, n, data):
     # and otherwise whether some diff(e, v) is nonempty; kinds and labels
     # in order.
     a = tuple(tuple(data.draw(mixed_entry(k)) for _ in range(n)) for _ in range(k))
-    _, c3 = check_C2_C3(RelativeSupport(k + n, k, (0,) * n, a, (0,) * k))
-    labelled = [(f"a[{j + 1}][{m + 1}]", e) for j, row in enumerate(a) for m, e in enumerate(row)]
-    assert (c3.verdict, c3.failures) == constancy_by_derivatives(labelled, k)
-
-    p = tuple(tuple(a[j][i] for j in range(k)) for i in range(n))
-    q = tuple(data.draw(mixed_entry(k)) for _ in range(n))
-    d1, _, _ = check_D_conditions(TransformedBundle(k + n, k, (0,) * n, p, q, (0,) * k, (0,) * k))
-    labelled = [(f"P[{i + 1}][{j + 1}]", e) for i, row in enumerate(p) for j, e in enumerate(row)]
-    labelled += [(f"Q[{i + 1}]", e) for i, e in enumerate(q)]
-    assert (d1.verdict, d1.failures) == constancy_by_derivatives(labelled, k)
+    assert_c3_and_d1_match_the_derivatives(a, tuple(data.draw(mixed_entry(k)) for _ in range(n)), k)
 
     # A Lagrangian support whose base map has Jacobian [G; -I]: zeta is n
     # drawn entries, then -x1..-xk, and the slopes are [I | G^T], so C1 and
