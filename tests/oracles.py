@@ -219,7 +219,8 @@ def _gauss_jordan(rows, width):
 
 
 def rational_rank(rows, ncols):
-    return len(_gauss_jordan(rows, ncols)[1])
+    """The rank over Q of the first ncols columns of rows of ints or Fractions, by `row_space`."""
+    return row_space(rows, ncols)[0]
 
 
 def rational_inverse(rows):
@@ -295,12 +296,14 @@ def echelon_z_span(basis):
 def row_space(rows, ncols):
     """(rank, test vec -> membership of vec in the rational row space), from one reduction.
 
-    Fraction-free elimination on integer rows: each pivot row clears its
-    column from the rows below by integer combinations, which keep the row
-    space.  A vector is in the space exactly when the same steps reduce it
-    to zero.
+    Pivots are sought in the first ncols columns.  Each row of ints or
+    Fractions is first scaled to integers by its common denominator; then
+    fraction-free elimination: each pivot row clears its column from the
+    rows below by integer combinations, which keep the row space.  An
+    integer vector is in the space exactly when the same steps reduce it to
+    zero.
     """
-    pending = [list(row) for row in rows]
+    pending = [_integral(row) for row in rows]
     basis = []
     for c in range(ncols):
         p = next((i for i, row in enumerate(pending) if row[c]), None)
@@ -318,6 +321,12 @@ def row_space(rows, ncols):
 
     # A basis of ncols rows spans every vector.
     return len(basis), (lambda vec: True) if len(basis) == ncols else contains
+
+
+def _integral(row):
+    """row times the lcm of its entries' denominators, as a list of ints."""
+    scale = math.lcm(*(e.denominator for e in row))
+    return [int(e * scale) for e in row]
 
 
 def _cleared(row, top, c):

@@ -546,8 +546,8 @@ def _kernel_agrees(m, oracle, box):
     assert kb.ncols == m.ncols
     assert kb.nrows == m.ncols - oracle.rank
     assert is_canonical_hnf(kb)
-    for row in kb.rows:
-        assert all(x == 0 for x in m.mul_vector(row))
+    # m kills every kernel row: kb times m transposed is zero.
+    assert not any(map(any, matmul(kb, list(zip(*m.rows)))))
     if kb.nrows:
         # Saturated: the maximal minors are coprime, so the rows span
         # the full kernel lattice, not a finite-index sublattice.
@@ -576,8 +576,7 @@ def _saturate_agrees(m, oracle):
     in_span = echelon_z_span(sat)
     for row in m.rows:
         assert in_span(row)
-    stacked = IntMatrix(m.rows + sat.rows, m.ncols)
-    assert rational_rank(stacked.rows, stacked.ncols) == rank
+    assert rational_rank(m.rows + sat.rows, m.ncols) == rank
 
 
 def test_10_integer_linear_algebra_agrees_with_enumeration():
