@@ -18,10 +18,15 @@ c + sum b_l x_l with b_l in [-3, 3], c and the holonomy phases n/d with n
 in [-5, 5] and d in 1..5, and base coordinates n/d with n in [-6, 6] and
 d in 1..7.  A slice does not check the Lagrangian condition, so the
 supports need not satisfy it.  Each slice row times a new support at a new
-base point, so it includes the fibre lattice, which the support keeps when
-its slopes are rational constants.  Each reslice row draws one support the
-same way from random.Random(f"{seed}:reslice:{g}"), slices it once untimed,
-and then times it at new base points: only the offset is computed there.
+base point, so it includes compiling the slope and offset rows to int tables
+and the fibre lattice, which the support keeps when its slopes are rational
+constants.  Each reslice row draws one support the same way from
+random.Random(f"{seed}:reslice:{g}"), slices it once untimed, and then
+times it at new base points: only the offset is evaluated there.  Each
+reslice-poly row does the same from random.Random(f"{seed}:reslice-poly:{g}")
+with polynomial slopes n/d + c x_l + e x_m^2, c in [1, 3] with either sign,
+e in [-2, 2] and l, m free base coordinates, so the slopes vary: the kept
+tables are evaluated at each new point and the fibre lattice is recomputed.
 
     PYTHONPATH=src python scripts/lattice_table.py --seed 0
 """
@@ -68,10 +73,18 @@ def timed_round_trip(rng, torus, codim):
         return time.perf_counter() - start
 
 
-def random_slice(rng, g):
-    """A support with k = g/2, constant slopes and integer-linear offsets, and a system on it."""
+def random_slope(rng, k, polynomial):
+    c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    if not polynomial:
+        return c
+    return parse(f"{c} + {rng.choice((-1, 1)) * rng.randint(1, 3)}*x{rng.randint(1, k)}"
+                 f" + {rng.randint(-2, 2)}*x{rng.randint(1, k)}^2")
+
+
+def random_slice(rng, g, polynomial=False):
+    """A support with k = g/2, constant or polynomial slopes and integer-linear offsets, and a system on it."""
     k = g // 2
-    slopes = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(g - k)] for _ in range(k)]
+    slopes = [[random_slope(rng, k, polynomial) for _ in range(g - k)] for _ in range(k)]
     offsets = [
         parse(" + ".join([str(random_rational(rng))] + [f"{rng.randint(-3, 3)}*x{l + 1}" for l in range(k)]))
         for _ in range(k)
@@ -93,8 +106,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     print(f"seed: {args.seed}")
-    print(f"{'kind':>6} {'g':>3} {'codim':>5} {'median_ms':>10} {'q1_ms':>8} {'q3_ms':>8}")
-    for kind in ("round", "slice", "reslice"):
+    print(f"{'kind':>12} {'g':>3} {'codim':>5} {'median_ms':>10} {'q1_ms':>8} {'q3_ms':>8}")
+    for kind in ("round", "slice", "reslice", "reslice-poly"):
         for g in DIMENSIONS:
             rng = random.Random(f"{args.seed}:{g}" if kind == "round" else f"{args.seed}:{kind}:{g}")
             if kind == "round":
@@ -103,11 +116,11 @@ def main(argv=None):
             elif kind == "slice":
                 ms = [1e3 * timed_slice(rng, *random_slice(rng, g)) for _ in range(REPEATS)]
             else:
-                support, system = random_slice(rng, g)
+                support, system = random_slice(rng, g, polynomial=kind == "reslice-poly")
                 timed_slice(rng, support, system)
                 ms = [1e3 * timed_slice(rng, support, system) for _ in range(REPEATS)]
             q1, median, q3 = statistics.quantiles(ms, n=4)
-            print(f"{kind:>6} {g:>3} {g // 2:>5} {median:>10.3f} {q1:>8.3f} {q3:>8.3f}", flush=True)
+            print(f"{kind:>12} {g:>3} {g // 2:>5} {median:>10.3f} {q1:>8.3f} {q3:>8.3f}", flush=True)
     return 0
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -20,7 +21,8 @@ RatVector = tuple[Fraction, ...]
 
 
 def rat_vector(entries: Iterable) -> RatVector:
-    return tuple(Fraction(e) for e in entries)
+    """The entries as Fractions; a Fraction is passed through, not rebuilt."""
+    return tuple(e if e.__class__ is Fraction else Fraction(e) for e in entries)
 
 
 def mod1(x) -> Fraction:
@@ -33,9 +35,12 @@ def mod1_vector(v: Iterable) -> RatVector:
 
 
 def dot(u: Sequence, v: Sequence) -> Fraction:
+    """The rational dot product, summed on ints with each vector over its common denominator."""
     if len(u) != len(v):
         raise ValueError("dimension mismatch")
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
+    du, u = _over_denominator([a if a.__class__ is int or a.__class__ is Fraction else Fraction(a) for a in u])
+    dv, v = _over_denominator([b if b.__class__ is int or b.__class__ is Fraction else Fraction(b) for b in v])
+    return Fraction(sum(map(operator.mul, u, v)), du * dv)
 
 
 def _integral(e, what: str, i: int | None = None, j: int | None = None) -> int:
@@ -154,13 +159,15 @@ class RatMatrix(_Matrix):
         return len(pivots) == n and not swaps and all(p > 0 for p in minors)
 
 
+def _over_denominator(row) -> tuple[int, list[int]]:
+    """(d, ints): a row of ints and Fractions times d, the lcm of its denominators."""
+    d = math.lcm(*(e.denominator for e in row))
+    return d, [e.numerator * (d // e.denominator) for e in row]
+
+
 def _integer_rows(rows) -> list[list[int]]:
     """Each rational row times the lcm of its denominators, as a list of ints."""
-    out = []
-    for row in rows:
-        d = math.lcm(*(e.denominator for e in row))
-        out.append([e.numerator * (d // e.denominator) for e in row])
-    return out
+    return [_over_denominator(row)[1] for row in rows]
 
 
 def _gauss_jordan(rows: list[list[int]], ncols: int) -> tuple[list[int], list[int], int]:

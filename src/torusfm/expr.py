@@ -784,34 +784,84 @@ def eval_exact(e: Expr, point: Sequence) -> Fraction:
     return Fraction(0 if total is None else total)
 
 
-def _integer_values(rows, point: Sequence) -> list[list[int]]:
-    """Each row of expressions at a rational point as ints, a positive multiple of its values.
+def _compiled(rows) -> list[tuple]:
+    """Each row of expressions as an int table that `_evaluated` reads at any rational point.
 
-    The point holds ints or Fractions.  With x_i = n_i/D over one
-    denominator D and the row's term maps scaled to ints by the lcm L of
-    their coefficient denominators, a row of top total degree m is evaluated
-    times L*D^m, a term c*prod x^k of degree e giving c*prod n^k*D^(m-e),
-    then divided by the gcd of its entries.  Rejects what `eval_exact` does.
+    The row's term maps are scaled to ints by the lcm L of their coefficient
+    denominators.  Its table is (n, monomials, lines): n is the largest
+    variable index; each distinct monomial prod x_i^k of the row comes with
+    its degree shift m - e, m the row's top total degree and e its own; each
+    entry's line maps the positions of its monomials to int coefficients.
+    Each distinct term is checked once, and rejected as by `eval_exact`;
+    unbound variables are left to `_evaluated`.
     """
-    d = math.lcm(*(x.denominator for x in point))
-    nums = [x.numerator * (d // x.denominator) for x in point]
     out = []
     for row in rows:
         maps = [e.terms for e in row]
-        top = max((sum(k for _, k in mono) for m in maps for mono, _ in m), default=0)
-        values = []
-        for m in _times(maps, _denominator(maps)):
-            v = 0
+        scale = _denominator(maps)
+        index: dict = {}
+        lines = []
+        for m in maps:
+            line = {}
             for term, c in m.items():
-                deg = top
-                for a, k in _rational_factors(term):
-                    c *= _coordinate(nums, a[1]) ** k
-                    deg -= k
-                v += c * d**deg
+                j = index.get(term)
+                if j is None:
+                    j = index[term] = len(index)
+                line[j] = (c if scale == 1 else c * scale if c.__class__ is int
+                           else c.numerator * (scale // c.denominator))
+            lines.append(line)
+        top = n = 0
+        monomials = []
+        for term in index:
+            mono = _rational_factors(term)
+            e = 0
+            for _, k in mono:
+                e += k
+            if e > top:
+                top = e
+            if mono and mono[-1][0][1] > n:
+                n = mono[-1][0][1]
+            monomials.append((mono, e))
+        out.append((n, [(mono, top - e) for mono, e in monomials], lines))
+    return out
+
+
+def _evaluated(tables, point: Sequence) -> list[list[int]]:
+    """Each `_compiled` row at a rational point as ints, a positive multiple of its values.
+
+    The point holds ints or Fractions, read once: with x_i = n_i/D over one
+    denominator D, a row of top total degree m is evaluated times L*D^m, a
+    monomial prod x^k of degree e giving prod n^k*D^(m-e), and each entry is
+    the int dot product of its coefficients with those values.  Each row is
+    then divided by the gcd of its entries; a zero row stays zero.
+    """
+    d = math.lcm(*(x.denominator for x in point))
+    # nums[i] = D*x_i, so a variable's index reads it; nums[0] is unused.
+    nums = [0]
+    nums += [x.numerator * (d // x.denominator) for x in point]
+    out = []
+    for n, monomials, lines in tables:
+        if n >= len(nums):
+            raise ValueError(f"unbound variable x{n}")
+        values = []
+        for mono, shift in monomials:
+            v = d**shift if shift else 1
+            for a, k in mono:
+                v *= nums[a[1]] if k == 1 else nums[a[1]] ** k
             values.append(v)
+        get = values.__getitem__
+        values = [sum(map(operator.mul, line.values(), map(get, line))) for line in lines]
         g = math.gcd(*values)
         out.append([v // g for v in values] if g > 1 else values)
     return out
+
+
+def _integer_values(rows, point: Sequence) -> list[list[int]]:
+    """Each row of expressions at a rational point as ints: `_evaluated` of `_compiled`.
+
+    Rejects what `eval_exact` does.
+    """
+    return _evaluated(_compiled(rows), point)
 
 
 def _scaled_term_rows(matrix) -> tuple[list[int], list[list[dict]]]:
@@ -847,7 +897,7 @@ def _eliminate_constants(matrix) -> tuple[int, list[list[Expr]]]:
             minus_f = {u: -c for u, c in row.pop(j).items()}
             line = []
             for e, g in zip(row, top):
-                out = {u: c * p for u, c in e.items()}
+                out = {u: _exact(c * p) for u, c in e.items()}
                 if minus_f and g:
                     _mul(minus_f, g, out)
                 line.append(_divided(out, q))

@@ -59,7 +59,8 @@ from .expr import (
     Verdict,
     _divided,
     _eliminate_constants,
-    _integer_values,
+    _compiled,
+    _evaluated,
     _products,
     _rationals,
     all_zero,
@@ -407,15 +408,18 @@ def _rank_witness(b, points) -> bool | None:
 
     Two ranks prove it, and so do determinants of both signs for square b,
     by the intermediate value theorem on the segment between the points.
-    None when an entry has no exact value (pi, a character, an opaque atom).
+    b's rows are compiled to int tables once (`_compiled`) and evaluated
+    at each point.  None when an entry has no exact value (pi, a
+    character, an opaque atom).
     """
+    try:
+        tables = _compiled(b)
+    except ValueError:
+        return None
     square = len(b) == len(b[0])
     seen = set()
     for p in points:
-        try:
-            values = _integer_values(b, p)
-        except ValueError:
-            return None
+        values = _evaluated(tables, p)
         # (rank, determinant > 0); rows scaled by positive ints keep its sign.
         pivots, minors, swaps = _gauss_jordan(values, len(b[0]))
         full = square and len(pivots) == len(b)
@@ -895,34 +899,52 @@ def _standard_torus(g: int) -> Torus:
     return Torus(g)
 
 
-def _fibre_trace(torus: Torus, k: int, slopes, offsets, b: tuple, holder=None) -> AffineSubtorus:
+def _fibre_trace(
+    torus: Torus, k: int, slopes, offsets, b: tuple, holder=None, turns=None
+) -> tuple[AffineSubtorus, list[int] | None]:
     """The subtorus y_{g-n+i} = sum_j slopes[i][j](b) y_j + offsets[i](b), i < n, at base b.
 
     n is the number of offsets and b the k free base coordinates as
-    Fractions.  The rows [-slopes(b) | I_n], each scaled to ints by
-    `_integer_values`, give the saturation S and directions K
-    (`torus._lattice`).  They depend on the slopes alone, so rational
-    constant slopes keep them on the holder, off its fields, as `_chart`
-    is.  y0 = (0, ..., 0, offsets(b)) solves the equations, so the
-    canonical offset is -S y0 mod 1, read on ints over one scale.
+    Fractions.  The rows [*slopes[i], 1], [*offsets, 1] and, when turns are
+    given, [*turns, 1] are compiled to int tables (`_compiled`), kept on
+    the holder from its first slice on, off its fields, as `_chart` is,
+    together with the fibre lattice when the slopes are rational
+    constants.  An expression with no exact value raises ValueError and
+    keeps nothing.  Each slice reads b once and evaluates the tables on
+    ints (`_evaluated`).  The rows [-slopes(b) | I_n] give the saturation S
+    and directions K (`torus._lattice`), recomputed at each point only when
+    the slopes vary.  y0 = (0, ..., 0, offsets(b)) solves the equations, so
+    the canonical offset is -S y0 mod 1, read on ints over one scale.
+    Returns the subtorus and the turns row [*m, q] at b, or None.
     """
     if len(b) != k:
         raise ValueError("one coordinate per free base direction")
-    lattice = holder.__dict__.get("_lattice") if holder is not None else None
-    if lattice is None:
-        values = _integer_values(([*row, ONE] for row in slopes), b)
-        rows = tuple((*(-e for e in v[:-1]), *(v[-1] if l == i else 0 for l in range(len(values))))
-                     for i, v in enumerate(values))
-        lattice = _lattice(IntMatrix._trusted(rows, torus.dim))[1:]
-        if holder is not None and _rationals(slopes) is not None:
-            object.__setattr__(holder, "_lattice", lattice)
-    sat, directions = lattice
-    *values, scale = _integer_values([[*offsets, ONE]], b)[0]
-    first = torus.dim - len(values)
-    chi = tuple(Fraction(-sum(e * v for e, v in zip(row[first:], values)) % scale, scale) for row in sat.rows)
+    kept = holder.__dict__.get("_slices") if holder is not None else None
+    if kept is None:
+        slope_tables = _compiled([*row, ONE] for row in slopes)
+        tables = _compiled([[*offsets, ONE]] if turns is None else [[*offsets, ONE], [*turns, ONE]])
+        lattice = None
+        if _rationals(slopes) is not None:
+            lattice = _fibre_lattice(torus, _evaluated(slope_tables, b))
+        kept = slope_tables, tables, lattice
+        if holder is not None:
+            object.__setattr__(holder, "_slices", kept)
+    slope_tables, tables, lattice = kept
+    values = _evaluated(tables if lattice is not None else [*tables, *slope_tables], b)
+    sat, directions = lattice if lattice is not None else _fibre_lattice(torus, values[len(tables):])
+    *point, scale = values[0]
+    first = torus.dim - len(point)
+    chi = tuple(Fraction(-sum(e * v for e, v in zip(row[first:], point)) % scale, scale) for row in sat.rows)
     out = AffineSubtorus._canonical(torus, sat, chi)
     object.__setattr__(out, "_directions", directions)
-    return out
+    return out, (values[1] if turns is not None else None)
+
+
+def _fibre_lattice(torus: Torus, values) -> tuple:
+    """(S, K) of the slice rows [-s | q e_i] from the evaluated slope rows [*s, q] (`torus._lattice`)."""
+    rows = tuple((*(-e for e in v[:-1]), *(v[-1] if l == i else 0 for l in range(len(values))))
+                 for i, v in enumerate(values))
+    return _lattice(IntMatrix._trusted(rows, torus.dim))[1:]
 
 
 def _paired(sup: AffineSubtorus, phases: list[int]) -> SubtorusLocalSystem:
@@ -935,10 +957,13 @@ def _paired(sup: AffineSubtorus, phases: list[int]) -> SubtorusLocalSystem:
 def fibre_support(s: RelativeSupport, base: Sequence) -> AffineSubtorus:
     """The fibre trace of the support over a rational base point.
 
-    base gives the free coordinates x^1..x^k; the fibre lattice is kept
-    on the support when the slopes are rational constants (`_fibre_trace`).
+    base gives the free coordinates x^1..x^k.  The slope and offset rows
+    are compiled to int tables on the first slice and kept on the support,
+    with the fibre lattice when the slopes are rational constants
+    (`_fibre_trace`), so a reslice pays only the evaluation from the second
+    base point on.
     """
-    return _fibre_trace(_standard_torus(s.g), s.k, s.a, s.chi, rat_vector(base), s)
+    return _fibre_trace(_standard_torus(s.g), s.k, s.a, s.chi, rat_vector(base), s)[0]
 
 
 def fibre_system(s: RelativeSupport, system: LocalSystemData, base: Sequence) -> SubtorusLocalSystem:
@@ -956,9 +981,13 @@ def fibre_of_transform(bundle: TransformedBundle, base: Sequence) -> SubtorusLoc
 
     The support equations are the dual fibre equations evaluated as integer
     rows, as in `fibre_support`; the holonomy along a canonical direction
-    is its pairing with the dw-coefficient row, evaluated the same way.
+    is its pairing with the dw-coefficient row, evaluated with them.  The
+    bundle keeps the compiled slope, offset and turn tables from its first
+    slice on, off its fields (`_fibre_trace`).
     """
     # The standard torus is self-dual.
-    b = rat_vector(base)
-    sup = _fibre_trace(_standard_torus(bundle.g), bundle.k, bundle.gamma_tilde, bundle.varsigma, b, bundle)
-    return _paired(sup, _integer_values([[*bundle.fibre_turns, ONE]], b)[0])
+    sup, phases = _fibre_trace(
+        _standard_torus(bundle.g), bundle.k, bundle.gamma_tilde, bundle.varsigma, rat_vector(base), bundle,
+        bundle.fibre_turns,
+    )
+    return _paired(sup, phases)

@@ -24,6 +24,7 @@ from .exact_linalg import (
     RatVector,
     _integral,
     _kernel_hermite,
+    _over_denominator,
     _saturation,
     _unchecked,
     hnf,
@@ -234,8 +235,7 @@ def _components(torus: Torus, a: IntMatrix, c) -> Iterator[AffineSubtorus]:
     """
     r, g = a.nrows, torus.dim
     top, sat, directions = _lattice(a)
-    denom = math.lcm(*(x.denominator for x in c))
-    n = [x.numerator * (denom // x.denominator) for x in c]
+    denom, n = _over_denominator(c)
     steps = [top[k][k] for k in range(r)]
     mod = denom * math.prod(steps)
     scale = mod // denom

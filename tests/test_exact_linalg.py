@@ -26,6 +26,7 @@ from torusfm.exact_linalg import (
     _det,
     _gauss_jordan,
     _solve,
+    dot,
     hnf,
     kernel_basis,
     mod1,
@@ -421,3 +422,20 @@ def test_trusted_results_hold_plain_int_tuples():
         assert all(type(r) is tuple and len(r) == p.ncols for r in p.rows)
         assert all(type(e) is int for r in p.rows for e in r)
         assert p == IntMatrix(p.rows, p.ncols)
+
+
+_rationals = st.one_of(st.integers(-50, 50), st.fractions(-20, 20, max_denominator=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(*[st.lists(_rationals, min_size=n, max_size=n)] * 2)))
+def test_dot_of_ints_and_fractions_is_the_rational_product(vectors):
+    u, v = vectors
+    column = [[b] for b in v]
+    d = dot(u, v)
+    assert type(d) is Fraction and d == matmul([u], column)[0][0]
+    ints = [int(a) for a in u]
+    assert IntMatrix([ints]).mul_vector(v) == (matmul([ints], column)[0][0],)
+    with pytest.raises(ValueError):
+        dot(u, [*v, 1])
+    assert dot([], []) == 0 and type(dot([], [])) is Fraction

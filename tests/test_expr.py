@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import coefficients_are_normal
 
@@ -21,7 +21,9 @@ from torusfm.expr import (
     ZERO,
     ParseError,
     Verdict,
+    _compiled,
     _eliminate_constants,
+    _evaluated,
     _integer_values,
     _mul,
     _products,
@@ -761,3 +763,33 @@ def test_integer_values_scale_by_the_top_degree_and_reject_non_rational_terms():
             _integer_values([[num(1)], [var(1), bad]], point)
         with pytest.raises(ValueError):
             eval_exact(bad, point)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.lists(_polynomials, min_size=1, max_size=4), min_size=1, max_size=3),
+    st.lists(st.lists(st.builds(Fraction, st.integers(-20, 20), st.sampled_from((1, 2, 3, 5, 7, 12))),
+                      min_size=4, max_size=4), min_size=2, max_size=6),
+)
+def test_compiled_tables_evaluate_as_integer_values_at_every_point(rows, points):
+    exprs_rows = [[_poly_expr(p) for p in row] for row in rows]
+    tables = _compiled(exprs_rows)
+    for point in points:
+        assert _evaluated(tables, point) == _integer_values(exprs_rows, point)
+
+
+# The entries that made integral Fraction coefficients in the block: halves
+# from products of characters, scaled to integers by a later even pivot.
+_block_entries = st.sampled_from(
+    [num(0), num(1), num(-1), num(2), cos(var(1)), sin(var(1)), var(2), cos(var(1)) + 1]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example([[num(1), cos(var(1)) + 1, num(0)], [cos(var(1)), num(2), num(0)], [num(2), num(2), num(2)]])
+@given(st.integers(2, 4).flatmap(lambda n: st.lists(st.lists(_block_entries, min_size=n, max_size=n),
+                                                  min_size=2, max_size=4)))
+def test_eliminated_blocks_have_int_coefficients_when_integral(matrix):
+    for row in _eliminate_constants(matrix)[1]:
+        for e in row:
+            assert coefficients_are_normal(e), to_str(e)

@@ -1,5 +1,6 @@
 """Fibred supports: condition checks, dual bundles, curvature, inverse."""
 
+import functools
 import itertools
 import math
 import random
@@ -977,7 +978,7 @@ def test_line_fixture_transforms_to_the_expected_bundle():
 
 def test_fibre_trace_with_no_equations_is_the_whole_torus():
     whole = whole_torus(Torus(3))
-    assert fm_relative._fibre_trace(Torus(3), 2, (), (), (F(1, 2), F(1, 3))) == whole
+    assert fm_relative._fibre_trace(Torus(3), 2, (), (), (F(1, 2), F(1, 3)))[0] == whole
     # The support slice at k = 0 and the dual slice at k = g have no equations.
     point_base = RelativeSupport(3, 0, (F(1, 3), F(1, 2), F(0)), (), ())
     assert fibre_support(point_base, ()) == whole
@@ -1578,7 +1579,8 @@ def test_repeated_slices_of_one_support_equal_slices_from_fractions(shape, seed,
         sl_out = fibre_of_transform(bundle, base)
         assert sl_out == _slice_from_fractions(g, bundle.gamma_tilde, bundle.varsigma, base, turns)
     for holder, slopes in ((s, s.a), (bundle, bundle.gamma_tilde)):
-        assert ("_lattice" in vars(holder)) == all(is_constant(e) for row in slopes for e in row)
+        lattice = vars(holder)["_slices"][2]
+        assert (lattice is not None) == all(is_constant(e) for row in slopes for e in row)
 
 
 def test_a_kept_fibre_lattice_stays_off_the_fields():
@@ -1593,10 +1595,62 @@ def test_a_kept_fibre_lattice_stays_off_the_fields():
     fibre_system(s, system, base)
     fibre_of_transform(bundle, base)
     for kept, twin in zip((s, bundle), twins):
-        assert "_lattice" in vars(kept) and "_lattice" not in vars(twin)
+        assert "_slices" in vars(kept) and "_slices" not in vars(twin)
         assert kept == twin and twin == kept
         assert (hash(kept), repr(kept)) == (hash(twin), repr(twin))
         assert len({kept, twin}) == 1
+
+
+def _twins(s, bundle):
+    """New copies of a support and a bundle, with nothing kept on them."""
+    return (
+        RelativeSupport(s.g, s.k, s.zeta, s.a, s.chi),
+        TransformedBundle(*(getattr(bundle, f) for f in ("g", "k", "zeta", "gamma_tilde", "varsigma", "alpha",
+                                                          "fibre_turns", "holomorphic"))),
+    )
+
+
+@functools.cache
+def _kept_instances():
+    """Constant, polynomial and degree-2 offset instances, k = 0 and sections, with their transforms."""
+    made = [gauged_instance(g, k, random.Random(g + k)) for g, k in ((3, 1), (4, 2), (5, 3))]
+    made += list(_slice_instances())
+    return [(s, system, transform_nontransversal(s, system)) for s, system in made]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), st.lists(st.tuples(*[_BASE_ENTRY] * 5), min_size=3, max_size=6, unique=True))
+def test_kept_slice_tables_give_the_slices_of_fresh_copies(data, bases):
+    """One support and its transform keep their tables across base points; new copies start afresh."""
+    s, system, bundle = data.draw(st.sampled_from(_kept_instances()))
+    for base in bases:
+        base = base[: s.k]
+        fresh, fresh_bundle = _twins(s, bundle)
+        assert fibre_system(s, system, base) == fibre_system(fresh, system, base)
+        assert fibre_of_transform(bundle, base) == fibre_of_transform(fresh_bundle, base)
+    for holder, slopes in ((s, s.a), (bundle, bundle.gamma_tilde)):
+        lattice = vars(holder)["_slices"][2]
+        assert (lattice is not None) == all(is_constant(e) for row in slopes for e in row)
+
+
+def test_slices_without_exact_values_raise_and_keep_nothing():
+    """pi or a sin in an offset or a turn: the same ValueError on every slice, and no kept tables."""
+    base = (F(1, 3), F(-2, 5))
+    zeta, slopes = (var(1), var(2)), ((F(1, 2), 3), (-1, F(2, 3)))
+    for bad in (PI * var(1), sin(var(2)), num(F(1, 2)) + cos(PI * var(1))):
+        s = RelativeSupport(4, 2, zeta, slopes, (bad, var(1)))
+        holders = [(s, lambda b, s=s: fibre_support(s, b))]
+        for varsigma, turns in (((var(2), bad), (ONE, ZERO)), ((var(2), ZERO), (ONE, bad))):
+            bundle = TransformedBundle(4, 2, zeta, slopes, varsigma, (ZERO, ZERO), turns)
+            holders.append((bundle, lambda b, bundle=bundle: fibre_of_transform(bundle, b)))
+        for holder, slicer in holders:
+            messages = []
+            for _ in range(2):
+                with pytest.raises(ValueError) as caught:
+                    slicer(base)
+                messages.append(str(caught.value))
+                assert "_slices" not in vars(holder)
+            assert messages[0] == messages[1]
 
 
 def bundle_expressions(bundle):
