@@ -1,4 +1,4 @@
-"""Time the absolute round trip and fibre slices at g = 8, 16, 32, 48 and 64.
+"""Time the absolute round trip at g = 8 to 128 and fibre slices at g = 8 to 64.
 
 For each g the script draws REPEATS systems of g/2 equations from
 random.Random(f"{seed}:{g}"): integer entries in [-3, 3], offsets and
@@ -6,9 +6,14 @@ holonomy phases n/d with n in [-5, 5] and d in 1..5.  Systems that are not
 of full row rank are drawn again.  One timed call canonicalises the
 system with `subtorus_from_equations` and applies `transform` twice, the
 path of the `lattice` benchmark's absolute round trip.  Each row prints
-the kind (round, slice or reslice), g, the codimension and the median and
-quartiles of the call's wall time, so the rows show how each path scales
-with g.
+the kind (round, point, slice, reslice or reslice-poly), g, the
+codimension and the median and quartiles of the call's wall time, so the
+rows show how each path scales with g.  The round rows at g = 96 and 128
+time one call each, and print that time as the median and both quartiles.
+
+Each point row does the same with square systems of g equations drawn
+from random.Random(f"{seed}:point:{g}"), so the subtorus is a point whose
+offset has a denominator up to |det A|; the rows stop at g = 32.
 
 The slice rows time one `fibre_system` call, the slice path of the
 benchmark's `lattice` workload, on fibred supports with k = g/2 free base
@@ -50,6 +55,9 @@ from torusfm import (
 )
 
 DIMENSIONS = (8, 16, 32, 48, 64)
+# Round trips timed once each, past DIMENSIONS.
+ONE_CALL = (96, 128)
+KIND_DIMENSIONS = {"round": DIMENSIONS + ONE_CALL, "point": (8, 16, 32)}
 REPEATS = 21
 
 
@@ -107,20 +115,22 @@ def main(argv=None):
 
     print(f"seed: {args.seed}")
     print(f"{'kind':>12} {'g':>3} {'codim':>5} {'median_ms':>10} {'q1_ms':>8} {'q3_ms':>8}")
-    for kind in ("round", "slice", "reslice", "reslice-poly"):
-        for g in DIMENSIONS:
+    for kind in ("round", "point", "slice", "reslice", "reslice-poly"):
+        for g in KIND_DIMENSIONS.get(kind, DIMENSIONS):
             rng = random.Random(f"{args.seed}:{g}" if kind == "round" else f"{args.seed}:{kind}:{g}")
-            if kind == "round":
+            repeats = 1 if g in ONE_CALL else REPEATS
+            codim = g if kind == "point" else g // 2
+            if kind in ("round", "point"):
                 torus = Torus(g)
-                ms = [1e3 * timed_round_trip(rng, torus, g // 2) for _ in range(REPEATS)]
+                ms = [1e3 * timed_round_trip(rng, torus, codim) for _ in range(repeats)]
             elif kind == "slice":
-                ms = [1e3 * timed_slice(rng, *random_slice(rng, g)) for _ in range(REPEATS)]
+                ms = [1e3 * timed_slice(rng, *random_slice(rng, g)) for _ in range(repeats)]
             else:
                 support, system = random_slice(rng, g, polynomial=kind == "reslice-poly")
                 timed_slice(rng, support, system)
-                ms = [1e3 * timed_slice(rng, support, system) for _ in range(REPEATS)]
-            q1, median, q3 = statistics.quantiles(ms, n=4)
-            print(f"{kind:>12} {g:>3} {g // 2:>5} {median:>10.3f} {q1:>8.3f} {q3:>8.3f}", flush=True)
+                ms = [1e3 * timed_slice(rng, support, system) for _ in range(repeats)]
+            q1, median, q3 = statistics.quantiles(ms, n=4) if repeats > 1 else ms * 3
+            print(f"{kind:>12} {g:>3} {codim:>5} {median:>10.3f} {q1:>8.3f} {q3:>8.3f}", flush=True)
     return 0
 
 

@@ -10,6 +10,7 @@ quotient.  Matrices are immutable.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -115,10 +116,10 @@ class IntMatrix(_Matrix):
     _trusted = classmethod(_unchecked)
 
     @staticmethod
+    @functools.lru_cache(maxsize=64)
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix._trusted(
-            tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n
-        )
+        """The n x n identity, built once per n."""
+        return IntMatrix._trusted(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
 
 
 @dataclass(frozen=True)
@@ -242,15 +243,19 @@ def _transpose_rows(rows, ncols: int) -> list[list[int]]:
     return [list(col) for col in zip(*rows)] if rows else [[] for _ in range(ncols)]
 
 
-def _echelon(rows: list[list[int]], ncols: int) -> list[int]:
+def _echelon(rows: list[list[int]], ncols: int, reduced: int | None = None) -> list[int]:
     """Row Hermite form in place, pivoting on the first ncols columns.
 
     Pivots are positive, the entries above each pivot lie in [0, pivot),
     and rows that are zero on those columns sink to the bottom.  Columns
     past ncols ride along, so an appended identity block records the row
-    operations without any multiplier being kept.  One scan per Euclidean
-    step finds the first entry of least size below the pivot and counts the
-    nonzero ones.  Returns the pivot columns.
+    operations without any multiplier being kept.  When `reduced` is
+    given, a row that holds a pivot is updated on the columns before it
+    only, and its later columns are left stale.  Every row from the pivot
+    position down is zero left of the pivot column, so only the columns
+    from it on are updated.  A Euclidean round reduces the rows below by
+    the first entry of least size and ends once a pass leaves no
+    remainder.  Returns the pivot columns.
     """
     nrows = len(rows)
     pivots: list[int] = []
@@ -258,36 +263,38 @@ def _echelon(rows: list[list[int]], ncols: int) -> list[int]:
         r = len(pivots)
         if r == nrows:
             break
+        best, least = r, 0
+        for i in range(r, nrows):
+            e = abs(rows[i][col])
+            if e and (not least or e < least):
+                best, least = i, e
+        if not least:
+            continue
         # Euclidean reduction below the pivot position until one entry is left.
-        while True:
-            count, best, least = 0, r, 0
-            for i in range(r, nrows):
-                e = abs(rows[i][col])
-                if e:
-                    count += 1
-                    if not least or e < least:
-                        best, least = i, e
-            if not count:
-                break
+        while least:
             rows[r], rows[best] = rows[best], rows[r]
-            if count == 1:
-                break
             prow = rows[r]
             p = prow[col]
+            live = prow[col:]
+            least = 0
             for i in range(r + 1, nrows):
-                q = rows[i][col] // p
+                row = rows[i]
+                q = row[col] // p
                 if q:
-                    rows[i] = [a - q * b for a, b in zip(rows[i], prow)]
-        if not count:
-            continue
-        if rows[r][col] < 0:
-            rows[r] = [-a for a in rows[r]]
+                    row[col:] = [a - q * b for a, b in zip(row[col:], live)]
+                    e = abs(row[col])
+                    if e and (not least or e < least):
+                        best, least = i, e
         prow = rows[r]
+        if prow[col] < 0:
+            prow[col:reduced] = [-a for a in prow[col:reduced]]
         p = prow[col]
+        live = prow[col:reduced]
         for i in range(r):
-            q = rows[i][col] // p
+            row = rows[i]
+            q = row[col] // p
             if q:
-                rows[i] = [a - q * b for a, b in zip(rows[i], prow)]
+                row[col:reduced] = [a - q * b for a, b in zip(row[col:reduced], live)]
         pivots.append(col)
     return pivots
 
@@ -350,46 +357,50 @@ def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
 
 def _kernel_hermite(m: IntMatrix) -> tuple[list[list[int]], IntMatrix]:
-    """Hermite form of [m^T | I], pivoting on every column, split in two.
+    """(H, K): the Hermite form H of m^T and the canonical kernel basis K of m.
 
-    Returns (top, K).  The top rows are those nonzero on the left block,
-    one per unit of rank; there [H | U] satisfies U m^T = H with H in
-    Hermite form.  K is the right block of the rows that are zero on the
-    left: the canonical basis of the integer kernel of m.
+    The Hermite form of [m^T | I] on m^T's r columns gives W m^T = [H; 0]
+    with W unimodular.  Its top rows, one per unit of rank, keep H only:
+    above each pivot they are reduced on H's columns, since their right
+    block is never read.  The rows that vanish on m^T carry in their right
+    block a basis of the integer kernel of m, whose own Hermite form is K.
     """
-    r = m.nrows
-    columns = _transpose_rows(m.rows, m.ncols)
-    rows = [[*c, *e] for c, e in zip(columns, IntMatrix.identity(m.ncols).rows)]
-    rank = sum(1 for j in _echelon(rows, r + m.ncols) if j < r)
-    kernel = IntMatrix._trusted(tuple(tuple(row[r:]) for row in rows[rank:]), m.ncols)
-    return rows[:rank], kernel
+    r, g = m.nrows, m.ncols
+    rows = [[*c, *e] for c, e in zip(_transpose_rows(m.rows, g), IntMatrix.identity(g).rows)]
+    rank = len(_echelon(rows, r, r))
+    kernel = [row[r:] for row in rows[rank:]]
+    _echelon(kernel, g)
+    return [row[:r] for row in rows[:rank]], IntMatrix._trusted(_tuples(kernel), g)
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
     """Canonical basis of the saturated integer kernel {v : m @ v = 0}.
 
-    The rows of the Hermite form of [m^T | I] that vanish on m^T carry, in
-    their right block, a Hermite basis of the full lattice of integer
-    solutions, which is saturated (Cohen, GTM 138, section 2.4).
+    The rows of the Hermite form of [m^T | I] that vanish on m^T carry a
+    basis of the full, saturated lattice of integer solutions in their
+    right block (Cohen, GTM 138, section 2.4), made Hermite on its own.
     """
     return _kernel_hermite(m)[1]
 
 
-def _saturation(top: list[list[int]], m: IntMatrix) -> IntMatrix:
-    """Canonical saturation of m's rows from the top rows [H | U] of `_kernel_hermite(m)`.
+def _saturation(h: list[list[int]], rows, ncols: int) -> list[list[int]]:
+    """Canonical saturation of the rows' first ncols columns, as new rows; the columns past ncols ride along.
 
-    W m^T = [H; 0] with W unimodular, so m = H^T S with S's rows, the first
-    r columns of W^-1, a basis of the saturation.  Forward substitution on
-    H^T finds S, each division exact; one Hermite form makes it canonical.
+    h is H from `_kernel_hermite(m)`, m being those columns.  W m^T = [H; 0]
+    with W unimodular, so m = H^T S0 with S0's rows, the first r columns
+    of W^-1, a basis of the saturation.  Forward substitution on H^T finds
+    S0 = (H^T)^-1 m, each division exact, and the Hermite form V S0 makes
+    it canonical.  The columns past ncols end as V (H^T)^-1 times their
+    input, so they must keep every division exact.
     """
     s: list[list[int]] = []
-    for k, row in enumerate(m.rows):
-        for sl, h in zip(s, top):
-            if h[k]:
-                row = [a - h[k] * b for a, b in zip(row, sl)]
-        s.append([a // top[k][k] for a in row])
-    _echelon(s, m.ncols)
-    return IntMatrix._trusted(_tuples(s), m.ncols)
+    for k, row in enumerate(rows):
+        for sl, hl in zip(s, h):
+            if hl[k]:
+                row = [a - hl[k] * b for a, b in zip(row, sl)]
+        s.append([a // h[k][k] for a in row])
+    _echelon(s, ncols)
+    return s
 
 
 def saturate(m: IntMatrix) -> IntMatrix:
@@ -397,10 +408,10 @@ def saturate(m: IntMatrix) -> IntMatrix:
 
     Rows dependent over Q raise ValueError("rank deficient").
     """
-    top = _kernel_hermite(m)[0]
-    if len(top) < m.nrows:
+    h = _kernel_hermite(m)[0]
+    if len(h) < m.nrows:
         raise ValueError("rank deficient")
-    return _saturation(top, m)
+    return IntMatrix._trusted(_tuples(_saturation(h, m.rows, m.ncols)), m.ncols)
 
 
 def stack(top: IntMatrix, bottom: IntMatrix) -> IntMatrix:

@@ -944,7 +944,7 @@ def _fibre_lattice(torus: Torus, values) -> tuple:
     """(S, K) of the slice rows [-s | q e_i] from the evaluated slope rows [*s, q] (`torus._lattice`)."""
     rows = tuple((*(-e for e in v[:-1]), *(v[-1] if l == i else 0 for l in range(len(values))))
                  for i, v in enumerate(values))
-    return _lattice(IntMatrix._trusted(rows, torus.dim))[1:]
+    return _lattice(IntMatrix._trusted(rows, torus.dim), (0,) * len(values))[:2]
 
 
 def _paired(sup: AffineSubtorus, phases: list[int]) -> SubtorusLocalSystem:

@@ -7,13 +7,14 @@ basis of the saturation of its own row span and c lies in [0,1)^m.  With a
 saturated A the image of the affine space coincides with the full mod-1
 solution set {[y] : A y + c in Z^m} and is connected, so equal subtori have
 equal stored data and dataclass equality is set equality.  One Hermite
-form of [A^T | I] gives both the saturation and the directions.
+form of [A^T | I] gives both the saturation and the directions, and the
+offsets are read off columns carried through the saturation (`_lattice`).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -195,8 +196,9 @@ def subtorus_from_equations(torus: Torus, rows, offsets) -> AffineSubtorus:
     ValueError("degenerate equations").
 
     One Hermite form of [A^T | I] gives the saturation S, the direction
-    basis K and, by triangular substitution, y0 with A y0 = -c
-    (`_components`).  The canonical offset is chi = -S y0 mod 1.
+    basis K and, from the columns carried through the saturation, the
+    canonical offset of the component of residue t = 0 (`_lattice`), the
+    only one computed.
     """
     a = rows if isinstance(rows, IntMatrix) else IntMatrix(rows, torus.dim)
     c = tuple(x if x.__class__ is int else Fraction(x) for x in offsets)
@@ -207,48 +209,52 @@ def subtorus_from_equations(torus: Torus, rows, offsets) -> AffineSubtorus:
     return next(_components(torus, a, c))
 
 
-def _lattice(a: IntMatrix) -> tuple[list[list[int]], IntMatrix, IntMatrix]:
-    """(top, S, K) from one Hermite form of [A^T | I], for A of full row rank.
+def _lattice(a: IntMatrix, c, every: bool = False) -> tuple[IntMatrix, IntMatrix, Iterator[RatVector]]:
+    """(S, K, offsets) from one Hermite form of [A^T | I], for A of full row rank.
 
-    top holds its rows [H | U] that are nonzero on A^T, S is the canonical
-    saturation and K the direction basis.  Dependent rows raise ValueError("degenerate equations").
+    S is the canonical saturation and K the direction basis
+    (`_kernel_hermite`); dependent rows raise ValueError("degenerate
+    equations").  With W A^T = [H; 0], H upper triangular with pivots p_k,
+    A = H^T S0 (`_saturation`), and S = V S0 for V unimodular.  So
+    A y + c in Z^r pins S0 y to (H^T)^-1 (t - c) mod Z^r for one residue
+    t in Z^r / H^T Z^r, each class having one t with 0 <= t_k < p_k, and
+    the component of t has the canonical offset chi_t = V (H^T)^-1 (c - t)
+    mod 1.  For c, ints and Fractions, the columns M c and M I_r, with M
+    the lcm of c's denominators times prod(p_k), ride through the
+    saturation and end as w = M V (H^T)^-1 c and W = M V (H^T)^-1, both
+    integral.  offsets yields chi_t = (w - W t) mod M / M lazily, t being
+    the digits of 0, 1, ..., prod(p_k) - 1 in the mixed radix (p_k), so
+    t = 0 comes first: that component solves A y + c = 0 itself.  Unless
+    every is true, only M c is carried and only chi_0 is yielded.
     """
-    top, directions = _kernel_hermite(a)
-    if len(top) < a.nrows:
+    r, g = a.nrows, a.ncols
+    h, directions = _kernel_hermite(a)
+    if len(h) < r:
         raise ValueError("degenerate equations")
-    return top, _saturation(top, a), directions
-
-
-def _components(torus: Torus, a: IntMatrix, c) -> Iterator[AffineSubtorus]:
-    """Components of {[y] : A y + c in Z^r} for A of full row rank; c holds ints and Fractions.
-
-    In the Hermite form of [A^T | I] the top rows [H | U] have U A^T = H,
-    with H upper triangular with pivots p_k; H gives the saturation and
-    the kernel block K the directions (`_lattice`).  Every y is
-    U^T z + K^T w, and A y = H^T z, so a component is a class of z mod Z^r
-    with H^T z + c integral.  Row k of the lower triangular H^T pins z_k to
-    (t_k - c_k - sum_{l<k} H_{lk} z_l) / p_k for one residue t_k in
-    [0, p_k), which gives prod(p_k) components.  With L the lcm of the
-    offset denominators, z is kept as the integers z * M for
-    M = L * prod(p_k).  The residues t = 0 come first; they give the
-    solutions of A y + c = 0 itself.
-    """
-    r, g = a.nrows, torus.dim
-    top, sat, directions = _lattice(a)
+    steps = [h[k][k] for k in range(r)]
     denom, n = _over_denominator(c)
-    steps = [top[k][k] for k in range(r)]
-    mod = denom * math.prod(steps)
-    scale = mod // denom
-    for t in itertools.product(*(range(p) for p in steps)):
-        z: list[int] = []
-        for k, (tk, p) in enumerate(zip(t, steps)):
-            known = sum(row[k] * zl for row, zl in zip(top, z))
-            z.append(((tk * denom - n[k]) * scale - known) // p)
-        # y0 = U^T z, scaled by M.
-        y0 = [sum(row[r + i] * zl for row, zl in zip(top, z)) for i in range(g)]
-        chi = tuple(
-            Fraction(-sum(e * y for e, y in zip(row, y0)) % mod, mod) for row in sat.rows
-        )
+    count = math.prod(steps)
+    mod = denom * count
+    rows = [[*row, nk * count, *(mod if l == k else 0 for l in range(r if every else 0))]
+            for k, (row, nk) in enumerate(zip(a.rows, n))]
+    s = _saturation(h, rows, g)
+    carried = [(row[g], row[g + 1:]) for row in s]
+
+    def offset(i: int) -> RatVector:
+        t = []
+        for p in steps:
+            i, tk = divmod(i, p)
+            t.append(tk)
+        return tuple(Fraction((w - sum(map(operator.mul, wt, t))) % mod, mod) for w, wt in carried)
+
+    sat = IntMatrix._trusted(tuple(tuple(row[:g]) for row in s), g)
+    return sat, directions, map(offset, range(count if every else 1))
+
+
+def _components(torus: Torus, a: IntMatrix, c, every: bool = False) -> Iterator[AffineSubtorus]:
+    """Components of {[y] : A y + c in Z^r}, A of full row rank, by `_lattice`: every one only if every is true."""
+    sat, directions, offsets = _lattice(a, c, every)
+    for chi in offsets:
         s = AffineSubtorus._canonical(torus, sat, chi)
         object.__setattr__(s, "_directions", directions)
         yield s
@@ -315,4 +321,4 @@ def intersect(s1: AffineSubtorus, s2: AffineSubtorus) -> list[AffineSubtorus]:
     if any(x.denominator != 1 for x in wc[rank:]):
         return []
     independent = IntMatrix._trusted(h.rows[:rank], a.ncols)
-    return sorted(_components(s1.torus, independent, wc[:rank]), key=lambda s: s.offset)
+    return sorted(_components(s1.torus, independent, wc[:rank], True), key=lambda s: s.offset)

@@ -47,6 +47,24 @@ def naive_det(m):
     return _laplace(_rows(m))
 
 
+def rational_det(rows):
+    """The determinant of a square matrix by elimination over Q: the product of its pivots, signed by the swaps."""
+    rows = [[Fraction(e) for e in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(rows)):
+        p = next((i for i in range(c, len(rows)) if rows[i][c]), None)
+        if p is None:
+            return 0
+        if p != c:
+            rows[c], rows[p] = rows[p], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for i in range(c + 1, len(rows)):
+            f = rows[i][c] / rows[c][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return det
+
+
 def _laplace(rows):
     n = len(rows)
     if n == 0:

@@ -358,6 +358,14 @@ def test_transform_reports_the_dual_line(tmp_path, capsys):
     assert "wit_index: 1" in out
 
 
+def test_transform_of_a_line_with_a_pivot_of_ten_to_the_eight(tmp_path, capsys):
+    text = LINE.replace("equations = 3 -2", "equations = 100000000 200000000")
+    with deadline(2):
+        assert main(["transform", write(tmp_path, "big.scene", text)]) == 0
+    out = capsys.readouterr().out
+    assert "output.holonomy: [1/500000000]" in out
+
+
 def test_transform_json_is_valid_and_ordered(tmp_path, capsys):
     assert main(["transform", write(tmp_path, "s.scene", SKYSCRAPER), "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import _gauss_jordan as rational_gauss_jordan
 from oracles import (
+    echelon_z_span,
     gcd_of_minors,
     in_row_span_z,
     is_canonical_hnf,
@@ -25,6 +26,7 @@ from torusfm.exact_linalg import (
     RatMatrix,
     _det,
     _gauss_jordan,
+    _kernel_hermite,
     _solve,
     dot,
     hnf,
@@ -150,6 +152,20 @@ def test_kernel_members_annihilate_and_saturate(m):
     if k.nrows:
         d, _, _ = snf(k)
         assert all(d.rows[i][i] == 1 for i in range(k.nrows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(int_matrices(max_dim=5))
+def test_kernel_hermite_keeps_the_hermite_form_of_the_transpose(m):
+    # H spans the lattice of m's columns and is reduced above its pivots.
+    h, kernel = _kernel_hermite(m)
+    columns = [list(c) for c in zip(*m.rows)]
+    rank = rational_rank(m.rows, m.ncols)
+    assert len(h) == rank and all(len(row) == m.nrows for row in h)
+    assert is_canonical_hnf(h)
+    assert all(map(echelon_z_span(h), columns))
+    assert gcd_of_minors(h, rank) == gcd_of_minors(columns, rank)
+    assert kernel == kernel_basis(m)
 
 
 def test_kernel_exhaustive_small():

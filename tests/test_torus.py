@@ -16,7 +16,9 @@ from oracles import (
     naive_det,
     offset_by_particular_solution,
     pairing_vanishes,
+    rational_det,
     rational_rank,
+    rational_solve,
 )
 
 import torusfm.exact_linalg
@@ -276,6 +278,27 @@ def test_hard_systems_finish_under_a_deadline(name):
         assert product == gcd_of_minors(m, k)
 
 
+def test_a_pivot_of_ten_to_the_eight_builds_no_residue_range():
+    # The Hermite form of A^T is the single pivot 10^8.  The offset is read
+    # off the columns carried through the saturation, so the time does not
+    # follow the pivot.
+    with deadline(2):
+        s = subtorus_from_equations(T2, [[10**8, 2 * 10**8]], [F(1, 5)])
+    assert s.eqns.rows == ((1, 2),)
+    assert s.offset == (F(1, 500000000),)
+
+
+def test_square_system_with_a_large_determinant_is_a_point():
+    rng = random.Random(12)
+    rows = [[rng.randint(-6, 6) for _ in range(12)] for _ in range(12)]
+    assert abs(rational_det(rows)) > 10**9
+    offsets = [F(k + 1, 7) for k in range(12)]
+    with deadline(2):
+        s = subtorus_from_equations(Torus(12), rows, offsets)
+    assert s.eqns == IntMatrix.identity(12)
+    assert s.offset == offset_by_particular_solution(s.eqns.rows, rows, offsets, 12)[1]
+
+
 # Row scales that give the Hermite form of A^T pivots other than 1, so the
 # exact division of the saturation's triangular substitution matters.
 ROW_SCALES = (1, -1, 2, -3, 6, 35)
@@ -323,6 +346,50 @@ def test_saturation_by_substitution_agrees_with_the_oracles(system):
     directions = s.direction_basis()
     assert all(not any(s.eqns.mul_vector(d)) for d in directions.rows)
     assert directions == kernel_basis(s.eqns)
+
+
+# Scales with no unit among them, so the pivots of the Hermite forms exceed 1
+# more often than with ROW_SCALES.
+PIVOT_SCALES = (2, 3, 6, 35)
+
+
+@st.composite
+def pivot_rows(draw, g):
+    """A full-rank system at g of small rows times drawn PIVOT_SCALES, with fractional offsets."""
+    codim = draw(st.integers(1, g))
+    scales = draw(st.lists(st.sampled_from(PIVOT_SCALES), min_size=codim, max_size=codim))
+    rows = [[k * e for e in draw(st.lists(st.integers(-3, 3), min_size=g, max_size=g))] for k in scales]
+    assume(rational_rank(rows, g) == codim)
+    offsets = [F(draw(st.integers(-6, 6)), draw(st.integers(2, 7))) for _ in rows]
+    return rows, offsets
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_carried_offsets_match_particular_solutions_on_scaled_rows(data):
+    g = data.draw(st.integers(1, 5))
+    torus = Torus(g)
+    subs = []
+    for _ in range(2):
+        rows, offsets = data.draw(pivot_rows(g))
+        s = subtorus_from_equations(torus, rows, offsets)
+        assert s.offset == offset_by_particular_solution(s.eqns.rows, rows, offsets, g)[1]
+        subs.append(s)
+    s1, s2 = subs
+    a = [*s1.eqns.rows, *s2.eqns.rows]
+    c = s1.offset + s2.offset
+    rank = rational_rank(a, g)
+    comps = intersect(s1, s2)
+    for comp in comps:
+        eqns = comp.eqns.rows
+        assert len(eqns) == rank and is_canonical_hnf(eqns) and gcd_of_minors(eqns, rank) == 1
+        assert all(in_row_span_z(row, eqns) for row in a)
+        # The oracle's particular solution of the component lies on both subtori.
+        y0 = rational_solve(eqns, [-x for x in comp.offset], g)
+        assert all((sum(e * y for e, y in zip(row, y0)) + ci).denominator == 1 for row, ci in zip(a, c))
+    # Distinct components, as many as the index of the stacked rows in their saturation.
+    assert len(set(comps)) == len(comps)
+    assert not comps or len(comps) == gcd_of_minors(a, rank)
 
 
 # ---------------------------------------------------------------- duality
